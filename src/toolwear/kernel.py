@@ -9,7 +9,9 @@ parameters are interpreted on the standardized scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cholesky, LinAlgError
@@ -18,6 +20,7 @@ from .errors import DomainError, NotPositiveDefiniteError
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+JITTER_TRIES = 1 + round(math.log10(JITTER_MAX / JITTER_START))  # tenfold steps
 
 
 @dataclass(frozen=True)
@@ -86,24 +89,44 @@ def cov_matrix(points: np.ndarray, cfg: KernelConfig, jitter: float = 0.0) -> np
     return cov
 
 
+def jittered_cholesky(
+    e_mat: np.ndarray,
+    eta_sq: float,
+    sigma_b_sq: float,
+    jitter: float | None = None,
+    factor=np.linalg.cholesky,
+) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``eta_sq * e_mat + (sigma_b_sq + jitter) * I``.
+
+    ``e_mat`` is the unit-variance kernel matrix. Jitter starts at
+    ``JITTER_START * eta_sq`` and grows tenfold per failed factorization up to
+    ``JITTER_MAX * eta_sq``; near-duplicate design points can make the matrix
+    numerically singular. A given ``jitter`` is tried alone. Returns the factor
+    and the jitter on its diagonal, or raises :class:`NotPositiveDefiniteError`.
+    """
+    if jitter is not None and jitter < 0:
+        raise DomainError("jitter must be >= 0")
+    cov = eta_sq * e_mat
+    jit = JITTER_START * eta_sq if jitter is None else jitter
+    for _ in range(1 if jitter is not None else JITTER_TRIES):
+        cov[np.diag_indices_from(cov)] = eta_sq + sigma_b_sq + jit
+        try:
+            return factor(cov), jit
+        except LinAlgError:
+            tried, jit = jit, jit * 10.0
+    raise NotPositiveDefiniteError(f"covariance not positive definite at jitter={tried:g}")
+
+
 def cholesky_cov(
     points: np.ndarray, cfg: KernelConfig, jitter: float | None = None
 ) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of :func:`cov_matrix`, escalating jitter on failure.
 
-    Jitter starts at ``1e-10 * eta_sq`` and grows tenfold up to ``1e-4 * eta_sq``
-    before raising; near-duplicate design points can make the matrix
-    numerically singular.
+    See :func:`jittered_cholesky`. This factors with scipy's LAPACK, whose
+    results differ from numpy's in the last bits; simulated datasets and
+    surfaces keep the values they had.
     """
-    jit = JITTER_START * cfg.eta_sq if jitter is None else jitter
-    limit = JITTER_MAX * cfg.eta_sq
-    while True:
-        try:
-            chol = cholesky(cov_matrix(points, cfg, jitter=jit), lower=True)
-            return chol, jit
-        except LinAlgError:
-            if jitter is not None or jit >= limit:
-                raise NotPositiveDefiniteError(
-                    f"covariance not positive definite at jitter={jit:g}"
-                ) from None
-            jit = max(jit * 10.0, JITTER_START * cfg.eta_sq)
+    dv2, df2 = _sq_dists(points, points)
+    e_mat = np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2)
+    return jittered_cholesky(e_mat, cfg.eta_sq, cfg.sigma_b_sq, jitter,
+                             factor=partial(cholesky, lower=True))

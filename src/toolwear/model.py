@@ -8,12 +8,9 @@ stated in :class:`PriorConfig`.
 
 Positive quantities are handled internally on the log scale (with the
 log-Jacobian terms included in the prior), so densities and gradients are
-defined over a fully unconstrained vector. Two parameterizations of the
-slopes are supported: the default ``centered`` form carries beta directly
-(the slopes here are strongly identified by the long force series, which
-makes this the well-conditioned choice); the non-centered form carries
-whitened coordinates z with ``beta = mu_beta + chol(Sigma) @ z`` and is the
-better option when the per-experiment series are short or noisy.
+defined over a fully unconstrained vector. The slopes are carried directly;
+the long force series identify them strongly. The GP level and the
+hyperprior terms are shared with the tool-life model.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InsufficientDataError, InvalidDataError, NotPositiveDefiniteError
-from .kernel import JITTER_MAX, JITTER_START, KernelConfig, Standardizer
+from .errors import InsufficientDataError, InvalidDataError
+from .kernel import JITTER_START, KernelConfig, Standardizer, jittered_cholesky
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -98,6 +95,52 @@ def half_cauchy_logpdf(x: float, scale: float) -> float:
     return math.log(2.0) - math.log(math.pi) - math.log(scale) - math.log1p((x / scale) ** 2)
 
 
+def hc_log_scale(t: float, x: float, scale: float) -> tuple[float, float]:
+    """x = exp(t) ~ Half-Cauchy(scale), with the log-Jacobian: (log density, d/dt)."""
+    return half_cauchy_logpdf(x, scale) + t, 1.0 - 2.0 * x * x / (scale * scale + x * x)
+
+
+def hc_inv_rho(t: float, rho: float, scale: float) -> tuple[float, float]:
+    """1/rho ~ Half-Cauchy(scale) for rho = exp(t), with the log-Jacobian: (log density, d/dt)."""
+    x = 1.0 / rho
+    return half_cauchy_logpdf(x, scale) - t, 2.0 * x * x / (scale * scale + x * x) - 1.0
+
+
+def normal_prior(m: float, sd: float) -> tuple[float, float]:
+    """m ~ N(0, sd^2): (log density, d/dm)."""
+    return -0.5 * (LOG_2PI + 2.0 * math.log(sd)) - 0.5 * m * m / sd**2, -m / sd**2
+
+
+def gp_level(r, eta_sq, rho1, rho2, sigma_b_sq, dv2, df2):
+    """log N(r | 0, eta_sq E + sigma_b_sq I) with E = exp(-rho1 dv2 - rho2 df2).
+
+    Returns ``(logp, d logp / dr, d logp / d log(eta_sq, rho1, rho2, sigma_b_sq))``.
+    The hyperparameter gradient is the adjoint form 1/2 tr((v v' - Sigma^-1)
+    dSigma/dtheta) with v = Sigma^-1 r (Rasmussen & Williams 2006, eq. 5.9):
+    one adjoint matrix shared by the four parameters. The jitter added to the
+    diagonal by :func:`jittered_cholesky` scales with eta_sq and is
+    differentiated as such.
+    """
+    e_mat = np.exp(-rho1 * dv2 - rho2 * df2)
+    chol, jit = jittered_cholesky(e_mat, eta_sq, sigma_b_sq)
+    K = len(r)
+    q = solve_triangular(chol, r, lower=True, check_finite=False)
+    v = solve_triangular(chol, q, lower=True, trans="T", check_finite=False)
+    logp = -float(np.sum(np.log(np.diag(chol)))) - 0.5 * float(q @ q) - 0.5 * K * LOG_2PI
+    cov_inv = solve_triangular(chol, np.eye(K), lower=True, check_finite=False)
+    cov_inv = cov_inv.T @ cov_inv
+    s_adj = 0.5 * (np.outer(v, v) - cov_inv)
+    es = e_mat * s_adj
+    tr_s = float(np.trace(s_adj))
+    d_theta = np.array([
+        eta_sq * float(np.sum(es)) + jit * tr_s,
+        -rho1 * eta_sq * float(np.sum(dv2 * es)),
+        -rho2 * eta_sq * float(np.sum(df2 * es)),
+        sigma_b_sq * tr_s,
+    ])
+    return logp, -v, d_theta
+
+
 def controls_array(records: list[ExperimentRecord]) -> np.ndarray:
     return np.array([[r.v_c, r.f] for r in records], dtype=float)
 
@@ -110,7 +153,7 @@ class ForceChannelModel:
 
     Unconstrained layout (K experiments, dim = 3K + 7)::
 
-        [ alpha(K) | beta-or-z(K) | log sigma_i^2 (K) |
+        [ alpha(K) | beta(K) | log sigma_i^2 (K) |
           mu_alpha | log sigma_alpha^2 | mu_beta |
           log eta^2 | log rho1 | log rho2 | log sigma_b^2 ]
     """
@@ -120,7 +163,6 @@ class ForceChannelModel:
         records: list[ExperimentRecord],
         channel: str = "Ft",
         priors: PriorConfig | None = None,
-        centered: bool = True,
         standardizer: Standardizer | None = None,
     ):
         if channel not in {"Ft", "Ff", "Fp"}:
@@ -128,7 +170,6 @@ class ForceChannelModel:
         self.records = records
         self.channel = channel
         self.priors = priors or PriorConfig()
-        self.centered = centered
         self.K = len(records)
         if self.K < 1:
             raise InvalidDataError("need at least one experiment")
@@ -166,23 +207,6 @@ class ForceChannelModel:
         return (u[:K], u[K:2 * K], u[2 * K:3 * K], u[3 * K], u[3 * K + 1],
                 u[3 * K + 2], u[3 * K + 3], u[3 * K + 4], u[3 * K + 5], u[3 * K + 6])
 
-    def _chol_sigma(self, eta_sq, rho1, rho2, sigma_b_sq):
-        """GP covariance over standardized controls, its Cholesky factor, and jitter."""
-        e_mat = np.exp(-rho1 * self.dv2 - rho2 * self.df2)
-        jit = JITTER_START * eta_sq
-        limit = JITTER_MAX * eta_sq
-        while True:
-            cov = eta_sq * e_mat
-            cov[np.diag_indices_from(cov)] = eta_sq + sigma_b_sq + jit
-            try:
-                return e_mat, cov, np.linalg.cholesky(cov), jit
-            except np.linalg.LinAlgError:
-                if jit >= limit:
-                    raise NotPositiveDefiniteError(
-                        f"GP covariance not positive definite at jitter={jit:g}"
-                    ) from None
-                jit *= 10.0
-
     # -- density + gradient --------------------------------------------------
 
     def logp_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -194,17 +218,11 @@ class ForceChannelModel:
         # as -inf energy rather than raise
         if not np.all(np.isfinite(u)) or np.max(np.abs(u[2 * K:])) > 300.0:
             return -math.inf, np.zeros_like(u)
-        a, b_raw, t_s, m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = self._split(u)
+        a, beta, t_s, m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = self._split(u)
         sig_sq = np.exp(t_s)
         sa_sq = math.exp(t_a)
         eta_sq, rho1, rho2 = math.exp(t_e), math.exp(t_r1), math.exp(t_r2)
         sb_sq = math.exp(t_b)
-
-        e_mat, cov, chol, jit = self._chol_sigma(eta_sq, rho1, rho2, sb_sq)
-        if self.centered:
-            beta = b_raw
-        else:
-            beta = m_b + chol @ b_raw
 
         grad = np.zeros_like(u)
 
@@ -224,47 +242,18 @@ class ForceChannelModel:
         grad[3 * K] = float(np.sum(da)) / sa_sq
         grad[3 * K + 1] = -0.5 * K + 0.5 * float(da @ da) / sa_sq
 
-        # GP level on the slopes. Gradients w.r.t. the kernel hyperparameters
-        # are assembled as sum(dSigma/dtheta * S) for a single adjoint matrix
-        # S, so the four parameters share two triangular solves.
+        # GP level on the slopes
         i_e, i_r1, i_r2, i_b = 3 * K + 3, 3 * K + 4, 3 * K + 5, 3 * K + 6
-        if self.centered:
-            q = solve_triangular(chol, beta - m_b, lower=True, check_finite=False)
-            v = solve_triangular(chol, q, lower=True, trans="T", check_finite=False)
-            logp += -float(np.sum(np.log(np.diag(chol)))) - 0.5 * float(q @ q) \
-                - 0.5 * K * LOG_2PI
-            grad[K:2 * K] = g_beta - v
-            grad[3 * K + 2] = float(np.sum(v))
-            cov_inv = solve_triangular(chol, np.eye(K), lower=True, check_finite=False)
-            cov_inv = cov_inv.T @ cov_inv
-            s_adj = 0.5 * (np.outer(v, v) - cov_inv)
-        else:
-            z = b_raw
-            logp += -0.5 * float(z @ z) - 0.5 * K * LOG_2PI
-            grad[K:2 * K] = chol.T @ g_beta - z
-            grad[3 * K + 2] = float(np.sum(g_beta))
-            # d(g_beta . L z)/dSigma through dL = L Phi(L^-1 dS L^-T) reduces
-            # to sum(dS * L^-T Phi-mask(w z^T) L^-1) with w = L^T g_beta
-            m_adj = np.tril(np.outer(chol.T @ g_beta, z))
-            m_adj[np.diag_indices_from(m_adj)] *= 0.5
-            s_adj = solve_triangular(chol, m_adj, lower=True, trans="T", check_finite=False)
-            s_adj = solve_triangular(chol, s_adj.T, lower=True, trans="T", check_finite=False).T
-        es = e_mat * s_adj
-        tr_s = float(np.trace(s_adj))
-        grad[i_e] += eta_sq * float(np.sum(es)) + jit * tr_s
-        grad[i_r1] += -rho1 * eta_sq * float(np.sum(self.dv2 * es))
-        grad[i_r2] += -rho2 * eta_sq * float(np.sum(self.df2 * es))
-        grad[i_b] += sb_sq * tr_s
+        lp_gp, d_r, grad[i_e:] = gp_level(beta - m_b, eta_sq, rho1, rho2, sb_sq,
+                                          self.dv2, self.df2)
+        logp += lp_gp
+        grad[K:2 * K] = g_beta + d_r
+        grad[3 * K + 2] = -float(np.sum(d_r))
 
         # hyperpriors (Half-Cauchy on variances, normals on means), with
         # log-Jacobians of the log-scale transform folded in
-        def hc_log_exp(t, x, scale):
-            # x = exp(t) ~ HC(scale); returns (logpdf + jacobian, d/dt)
-            lp = half_cauchy_logpdf(x, scale) + t
-            return lp, 1.0 - 2.0 * x * x / (scale * scale + x * x)
-
         for ts_i, ss_i, slot in zip(t_s, sig_sq, range(2 * K, 3 * K)):
-            lp_i, dlp_i = hc_log_exp(ts_i, ss_i, pri.sigma_sq_scale)
+            lp_i, dlp_i = hc_log_scale(ts_i, ss_i, pri.sigma_sq_scale)
             logp += lp_i
             grad[slot] += dlp_i
         for t, x, scale, slot in (
@@ -272,23 +261,17 @@ class ForceChannelModel:
             (t_e, eta_sq, pri.eta_sq_scale, i_e),
             (t_b, sb_sq, pri.sigma_b_sq_scale, i_b),
         ):
-            lp_t, dlp_t = hc_log_exp(t, x, scale)
+            lp_t, dlp_t = hc_log_scale(t, x, scale)
             logp += lp_t
             grad[slot] += dlp_t
-        # rho_k^{-1} ~ Half-Cauchy: x = exp(-t), jacobian |dx/dt| = x
         for t, rho, slot in ((t_r1, rho1, i_r1), (t_r2, rho2, i_r2)):
-            x = 1.0 / rho
-            s = pri.inv_rho_scale
-            logp += half_cauchy_logpdf(x, s) - t
-            grad[slot] += 2.0 * x * x / (s * s + x * x) - 1.0
-
-        # normal priors on the means
-        logp += -0.5 * (LOG_2PI + 2.0 * math.log(pri.mu_alpha_sd)) \
-            - 0.5 * m_a * m_a / pri.mu_alpha_sd**2
-        grad[3 * K] += -m_a / pri.mu_alpha_sd**2
-        logp += -0.5 * (LOG_2PI + 2.0 * math.log(pri.mu_beta_sd)) \
-            - 0.5 * m_b * m_b / pri.mu_beta_sd**2
-        grad[3 * K + 2] += -m_b / pri.mu_beta_sd**2
+            lp_t, dlp_t = hc_inv_rho(t, rho, pri.inv_rho_scale)
+            logp += lp_t
+            grad[slot] += dlp_t
+        for m, sd, slot in ((m_a, pri.mu_alpha_sd, 3 * K), (m_b, pri.mu_beta_sd, 3 * K + 2)):
+            lp_m, dlp_m = normal_prior(m, sd)
+            logp += lp_m
+            grad[slot] += dlp_m
 
         return logp, grad
 
@@ -299,24 +282,15 @@ class ForceChannelModel:
 
     def constrain(self, u: np.ndarray) -> np.ndarray:
         """Map an unconstrained state to the reported constrained vector."""
-        K = self.K
-        a, b_raw, t_s, m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = self._split(u)
-        eta_sq, rho1, rho2 = math.exp(t_e), math.exp(t_r1), math.exp(t_r2)
-        sb_sq = math.exp(t_b)
-        if self.centered:
-            beta = b_raw
-        else:
-            _, _, chol, _ = self._chol_sigma(eta_sq, rho1, rho2, sb_sq)
-            beta = m_b + chol @ b_raw
+        a, beta, t_s, m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = self._split(u)
         return np.concatenate([
             a, beta, np.exp(0.5 * t_s),
-            [m_a, math.exp(0.5 * t_a), m_b, eta_sq, rho1, rho2, sb_sq],
+            [m_a, math.exp(0.5 * t_a), m_b,
+             math.exp(t_e), math.exp(t_r1), math.exp(t_r2), math.exp(t_b)],
         ])
 
     def unconstrain(self, params: ModelParams) -> np.ndarray:
-        """Inverse of :meth:`constrain` (centered parameterization only)."""
-        if not self.centered:
-            raise InvalidDataError("unconstrain is defined for the centered parameterization")
+        """Inverse of :meth:`constrain`: the unconstrained state of ``params``."""
         k = params.kernel
         return np.concatenate([
             params.alpha, params.beta, 2.0 * np.log(params.sigma),
@@ -332,15 +306,6 @@ class ForceChannelModel:
             mu_alpha=c[3 * K], sigma_alpha=c[3 * K + 1], mu_beta=c[3 * K + 2],
             kernel=KernelConfig(c[3 * K + 3], c[3 * K + 4], c[3 * K + 5], c[3 * K + 6]),
         )
-
-
-def _chol_diff(chol: np.ndarray, d_cov: np.ndarray) -> np.ndarray:
-    """Forward-mode derivative of the Cholesky factor: dL = L * Phi(L^-1 dS L^-T)."""
-    tmp = solve_triangular(chol, d_cov, lower=True)
-    tmp = solve_triangular(chol, tmp.T, lower=True).T
-    phi = np.tril(tmp)
-    phi[np.diag_indices_from(phi)] *= 0.5
-    return chol @ phi
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +334,7 @@ def log_prior(
 
     Includes the log-Jacobian terms of the internal log-scale parameterization
     of the positive parameters, so ``log_likelihood + log_prior`` equals the
-    (centered) sampler target exactly.
+    sampler target exactly.
     """
     pri = priors or PriorConfig()
     K = len(records)
@@ -421,10 +386,10 @@ def grad_log_posterior(
     priors: PriorConfig | None = None,
     channel: str = "Ft",
 ) -> np.ndarray:
-    """Analytic gradient over the centered unconstrained parameterization.
+    """Analytic gradient over the unconstrained parameterization.
 
     Coordinates follow the layout documented on :class:`ForceChannelModel`,
     with beta raw and every positive parameter on the log scale.
     """
-    model = ForceChannelModel(records, channel=channel, priors=priors, centered=True)
+    model = ForceChannelModel(records, channel=channel, priors=priors)
     return model.logp_grad(model.unconstrain(params))[1]

@@ -18,8 +18,16 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateFitError, DomainError, ExtrapolationError, InsufficientDataError
-from .kernel import JITTER_MAX, JITTER_START, KernelConfig, Standardizer, cholesky_cov, cross_cov
-from .model import LOG_2PI, ExperimentRecord, PriorConfig, controls_array, half_cauchy_logpdf
+from .kernel import KernelConfig, Standardizer, cholesky_cov, cross_cov
+from .model import (
+    ExperimentRecord,
+    PriorConfig,
+    controls_array,
+    gp_level,
+    hc_inv_rho,
+    hc_log_scale,
+    normal_prior,
+)
 from .sampler import ChainSet, run_chains
 
 DEFAULT_RESOLUTION = 20
@@ -157,7 +165,6 @@ def surface(
     grid_spec=None,
     channel: str = "Ft",
     margin: float = DEFAULT_MARGIN,
-    transform=None,
 ) -> SurfaceGrid:
     """Predictive mean/sd of the slope field on a regular (v_c, f) grid.
 
@@ -169,8 +176,6 @@ def surface(
     vv, ff = np.meshgrid(v_axis, f_axis, indexing="ij")
     stars = np.column_stack([vv.ravel(), ff.ravel()])
     draws = _conditional_draws(chains, train, stars, seed_tag=2)
-    if transform is not None:
-        draws = transform(draws)
     shape = (len(v_axis), len(f_axis))
     return SurfaceGrid(
         v_axis=v_axis, f_axis=f_axis,
@@ -213,50 +218,22 @@ class ToolLifeModel:
             return -math.inf, np.zeros_like(u)
         m, t_e, t_r1, t_r2, t_b = u
         eta_sq, rho1, rho2, sb_sq = map(math.exp, (t_e, t_r1, t_r2, t_b))
-        e_mat = np.exp(-rho1 * self.dv2 - rho2 * self.df2)
-        jit = JITTER_START * eta_sq
-        cov = eta_sq * e_mat
-        cov[np.diag_indices_from(cov)] = eta_sq + sb_sq + jit
-        while True:
-            try:
-                chol = np.linalg.cholesky(cov)
-                break
-            except np.linalg.LinAlgError:
-                if jit >= JITTER_MAX * eta_sq:
-                    raise
-                jit *= 10.0
-                cov[np.diag_indices_from(cov)] += jit
-
-        r = self.y - m
-        q = solve_triangular(chol, r, lower=True)
-        v = solve_triangular(chol, q, lower=True, trans="T")
-        logp = -float(np.sum(np.log(np.diag(chol)))) - 0.5 * float(q @ q) \
-            - 0.5 * self.K * LOG_2PI
-        cinv = solve_triangular(chol, np.eye(self.K), lower=True)
-        cinv = cinv.T @ cinv
-
         grad = np.zeros(5)
-        grad[0] = float(np.sum(v)) - m / pri.mu_beta_sd**2
-        logp += -0.5 * (LOG_2PI + 2.0 * math.log(pri.mu_beta_sd)) \
-            - 0.5 * m * m / pri.mu_beta_sd**2
-        d_cov = {
-            1: eta_sq * e_mat + jit * np.eye(self.K),
-            2: -rho1 * self.dv2 * (eta_sq * e_mat),
-            3: -rho2 * self.df2 * (eta_sq * e_mat),
-            4: sb_sq * np.eye(self.K),
-        }
-        for i, dc in d_cov.items():
-            grad[i] = 0.5 * float(v @ dc @ v) - 0.5 * float(np.sum(cinv * dc))
-
+        logp, d_r, grad[1:] = gp_level(self.y - m, eta_sq, rho1, rho2, sb_sq,
+                                       self.dv2, self.df2)
+        grad[0] = -float(np.sum(d_r))
+        lp_m, dlp_m = normal_prior(m, pri.mu_beta_sd)
+        logp += lp_m
+        grad[0] += dlp_m
         for t, x, scale, slot in ((t_e, eta_sq, pri.eta_sq_scale, 1),
                                   (t_b, sb_sq, pri.sigma_b_sq_scale, 4)):
-            logp += half_cauchy_logpdf(x, scale) + t
-            grad[slot] += 1.0 - 2.0 * x * x / (scale * scale + x * x)
+            lp_t, dlp_t = hc_log_scale(t, x, scale)
+            logp += lp_t
+            grad[slot] += dlp_t
         for t, rho, slot in ((t_r1, rho1, 2), (t_r2, rho2, 3)):
-            inv = 1.0 / rho
-            s = pri.inv_rho_scale
-            logp += half_cauchy_logpdf(inv, s) - t
-            grad[slot] += 2.0 * inv * inv / (s * s + inv * inv) - 1.0
+            lp_t, dlp_t = hc_inv_rho(t, rho, pri.inv_rho_scale)
+            logp += lp_t
+            grad[slot] += dlp_t
         return logp, grad
 
     def logp(self, u):

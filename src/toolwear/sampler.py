@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import NotPositiveDefiniteError, SamplingError
 
 DIVERGENCE_THRESHOLD = 1000.0
 
@@ -45,20 +45,23 @@ class ChainSet:
         return self.draws[:, :, self.param_names.index(name)]
 
 
-def leapfrog(position, momentum, step_size, grad_fn, inv_mass=None):
+def leapfrog(x, p, grad, step, logp_grad_fn, inv_mass):
     """One symplectic leapfrog step: half kick, full drift, half kick.
 
-    ``grad_fn`` returns the gradient of the log density. With ``inv_mass``
-    (diagonal) the drift uses velocity ``inv_mass * momentum``.
+    ``grad`` is the log-density gradient at ``x``, so each step evaluates
+    ``logp_grad_fn`` once; the drift uses velocity ``inv_mass * p`` (diagonal
+    inverse mass). Returns ``(x, p, logp, grad)`` at the new state. A
+    covariance that cannot be factored there reads as ``logp = -inf`` with a
+    zero gradient, which the caller counts as a divergence.
     """
-    position = np.asarray(position, dtype=float)
-    momentum = np.asarray(momentum, dtype=float)
-    if inv_mass is None:
-        inv_mass = np.ones_like(position)
-    momentum = momentum + 0.5 * step_size * grad_fn(position)
-    position = position + step_size * inv_mass * momentum
-    momentum = momentum + 0.5 * step_size * grad_fn(position)
-    return position, momentum
+    p = p + 0.5 * step * grad
+    x = x + step * inv_mass * p
+    try:
+        logp, grad = logp_grad_fn(x)
+    except NotPositiveDefiniteError:
+        logp, grad = -math.inf, np.zeros_like(x)
+    p = p + 0.5 * step * grad
+    return x, p, logp, grad
 
 
 class _Tree:
@@ -103,10 +106,8 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
         """Build a subtree of 2^depth states starting one step from (x, p)."""
         tree = _Tree()
         if depth == 0:
-            p1 = p + 0.5 * direction * step_size * g
-            x1 = x + direction * step_size * inv_mass * p1
-            logp1, g1 = logp_grad_fn(x1)
-            p1 = p1 + 0.5 * direction * step_size * g1
+            x1, p1, logp1, g1 = leapfrog(x, p, g, direction * step_size,
+                                         logp_grad_fn, inv_mass)
             if np.all(np.isfinite(x1)) and math.isfinite(logp1):
                 h1 = -logp1 + _kinetic(p1, inv_mass)
             else:
@@ -224,18 +225,6 @@ class DualAveraging:
         return math.exp(self.log_step_bar)
 
 
-def adapt_step_size(accept_history, target_accept=0.8, step_size0=1.0):
-    """Step-size schedule from an acceptance-probability history.
-
-    Replays dual averaging over the history; returns the per-iteration step
-    sizes with the frozen post-warmup value appended.
-    """
-    da = DualAveraging(step_size0, target_accept)
-    schedule = [da.update(a) for a in accept_history]
-    schedule.append(da.adapted_step_size)
-    return np.array(schedule)
-
-
 def find_reasonable_step_size(logp_grad_fn, x0, rng, inv_mass) -> float:
     """Double/halve the step size until the one-step acceptance crosses 1/2."""
     eps = 1.0
@@ -244,13 +233,8 @@ def find_reasonable_step_size(logp_grad_fn, x0, rng, inv_mass) -> float:
     h0 = -logp0 + _kinetic(p0, inv_mass)
 
     def energy_after(eps):
-        p = p0 + 0.5 * eps * grad0
-        x = x0 + eps * inv_mass * p
-        logp, grad = logp_grad_fn(x)
-        if not math.isfinite(logp):
-            return math.inf
-        p = p + 0.5 * eps * grad
-        return -logp + _kinetic(p, inv_mass)
+        _, p, logp, _ = leapfrog(x0, p0, grad0, eps, logp_grad_fn, inv_mass)
+        return -logp + _kinetic(p, inv_mass) if math.isfinite(logp) else math.inf
 
     delta = energy_after(eps) - h0
     direction = 1 if delta < math.log(2.0) else -1

@@ -28,7 +28,6 @@ class RawTrace:
 
     forces: dict[str, np.ndarray]
     length_per_sample: float = 1.0
-    t: np.ndarray | None = None
 
     def __post_init__(self):
         self.forces = {k: np.asarray(v, dtype=float) for k, v in self.forces.items()}
@@ -41,8 +40,6 @@ class RawTrace:
         for k, v in self.forces.items():
             if not np.all(np.isfinite(v)):
                 raise InvalidDataError(f"non-finite samples in channel {k}")
-        if self.t is None:
-            self.t = np.arange(self.n_samples)
 
 
 @dataclass

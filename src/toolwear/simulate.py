@@ -7,7 +7,7 @@ with non-contact gaps for exercising the segmentation stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class GroundTruth:
     kernel: KernelConfig
     controls: np.ndarray
     tool_life: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def simulate_dataset(

@@ -7,11 +7,15 @@ import pytest
 
 from toolwear.errors import DomainError, NotPositiveDefiniteError
 from toolwear.kernel import (
+    JITTER_MAX,
+    JITTER_START,
+    JITTER_TRIES,
     KernelConfig,
     Standardizer,
     cholesky_cov,
     cov_matrix,
     cross_cov,
+    jittered_cholesky,
     kernel_eval,
 )
 
@@ -94,19 +98,46 @@ class TestCovMatrix:
             np.linalg.cholesky(cov_matrix(pts, cfg, jitter=0.0))
 
     def test_jitter_escalation_handles_duplicates(self):
-        """Many coincident points factor thanks to jitter escalation."""
+        """Many coincident points factor thanks to jitter escalation, and the
+        reported jitter is the one on the factor's diagonal."""
         cfg = KernelConfig(eta_sq=1.0, rho1=1.0, rho2=1.0, sigma_b_sq=1e-300)
         pts = np.zeros((6, 2))
         chol, jitter = cholesky_cov(pts, cfg)
         assert np.all(np.isfinite(chol))
         assert 0 < jitter <= 1e-4 * cfg.eta_sq
+        assert np.allclose(np.diag(chol @ chol.T) - cfg.eta_sq - cfg.sigma_b_sq,
+                           jitter, rtol=1e-4, atol=0)
+        # a kernel matrix rounded slightly indefinite (eigenvalue -5e-9 * eta_sq)
+        # needs two escalation steps: 1e-10 and 1e-9 fail, 1e-8 factors
+        eta_sq, sigma_b_sq = 3.0, 1e-300
+        e_mat = np.array([[1.0, 1.0 + 5e-9], [1.0 + 5e-9, 1.0]])
+        chol, jitter = jittered_cholesky(e_mat, eta_sq, sigma_b_sq)
+        assert jitter == pytest.approx(1e-8 * eta_sq, rel=1e-12)
+        expected = eta_sq * e_mat + (sigma_b_sq + jitter) * np.eye(2)
+        assert np.allclose(chol @ chol.T, expected, rtol=0, atol=1e-14)
 
     def test_cholesky_failure_raises(self):
-        """With escalation disabled, an exactly singular matrix must raise."""
+        """With escalation disabled, an exactly singular matrix must raise;
+        with it, escalation stops at JITTER_MAX * eta_sq and then raises."""
         cfg = KernelConfig(eta_sq=1.0, rho1=1.0, rho2=1.0, sigma_b_sq=1e-300)
         pts = np.zeros((6, 2))
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_cov(pts, cfg, jitter=0.0)
+
+        tried = []
+
+        def never_factors(cov):
+            tried.append(cov[0, 0] - 1.0)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        with pytest.raises(NotPositiveDefiniteError):
+            jittered_cholesky(np.ones((3, 3)), 1.0, 0.0, factor=never_factors)
+        assert tried == pytest.approx([JITTER_START * 10.0**k for k in range(JITTER_TRIES)],
+                                      rel=1e-6)
+        assert tried[-1] == pytest.approx(JITTER_MAX, rel=1e-6)
+        # an eigenvalue of -0.5 * eta_sq is beyond any allowed jitter
+        with pytest.raises(NotPositiveDefiniteError):
+            jittered_cholesky(np.ones((3, 3)), 1.0, -0.5)
 
 
 class TestCrossCov:

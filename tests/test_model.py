@@ -212,24 +212,6 @@ class TestGradient:
                 fd = (model.logp(u + e) - model.logp(u - e)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
-    def test_noncentered_matches_finite_differences(self):
-        rng = np.random.default_rng(41)
-        records, _, _ = make_records(rng, k=3, n=6, sigma=1.0)
-        for rec in records:
-            rec.length = rec.length / 50.0
-            rec.forces = {ch: (v - 200.0) / 50.0 for ch, v in rec.forces.items()}
-            rec.__post_init__()
-        model = ForceChannelModel(records, channel="Ft", centered=False)
-        h = 1e-5
-        for _ in range(10):
-            u = rng.uniform(-1.0, 1.0, size=model.dim)
-            _, grad = model.logp_grad(u)
-            for j in rng.choice(model.dim, size=6, replace=False):
-                e = np.zeros(model.dim)
-                e[j] = h
-                fd = (model.logp(u + e) - model.logp(u - e)) / (2 * h)
-                assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
     def test_likelihood_stationary_at_ols(self):
         rng = np.random.default_rng(43)
         records, _, _ = make_records(rng, k=1, n=15, sigma=2.0)

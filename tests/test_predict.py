@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from toolwear.errors import (
     DegenerateFitError,
@@ -11,10 +12,11 @@ from toolwear.errors import (
     ExtrapolationError,
     InsufficientDataError,
 )
-from toolwear.kernel import KernelConfig, cov_matrix, cross_cov
-from toolwear.model import ExperimentRecord
+from toolwear.kernel import JITTER_START, KernelConfig, cov_matrix, cross_cov
+from toolwear.model import ExperimentRecord, PriorConfig
 from toolwear.predict import (
     SurfaceGrid,
+    ToolLifeModel,
     fit_taylor,
     gp_conditional,
     predictive_draws,
@@ -233,6 +235,49 @@ class TestToolLife:
                 tool_life=float(life),
             ))
         return records
+
+    @staticmethod
+    def life_model(rng, k):
+        controls = rng.uniform([20, 20], [60, 50], size=(k, 2))
+        return ToolLifeModel(controls, rng.uniform(10.0, 255.0, size=k))
+
+    @staticmethod
+    def random_state(rng):
+        return np.concatenate([[rng.normal(4.0, 1.0)], rng.uniform(-2.0, 2.0, size=4)])
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(57)
+        h = 1e-5
+        for k in (3, 5, 8, 21):
+            model = self.life_model(rng, k)
+            for _ in range(10):
+                u = self.random_state(rng)
+                _, grad = model.logp_grad(u)
+                for j in range(model.dim):
+                    e = np.zeros(model.dim)
+                    e[j] = h
+                    fd = (model.logp(u + e) - model.logp(u - e)) / (2 * h)
+                    assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+    def test_density_matches_dense_mvn(self):
+        """GP term against a dense MVN log density, hyperpriors from scipy."""
+        rng = np.random.default_rng(59)
+        pri = PriorConfig()
+        for k in (3, 5, 21):
+            model = self.life_model(rng, k)
+            x = model.standardizer.transform(model.controls)
+            for _ in range(10):
+                u = self.random_state(rng)
+                m, eta_sq, rho1, rho2, sb_sq = model.constrain(u)
+                cfg = KernelConfig(eta_sq, rho1, rho2, sb_sq)
+                cov = cov_matrix(x, cfg, jitter=JITTER_START * eta_sq)
+                gp = stats.multivariate_normal.logpdf(model.y, mean=np.full(k, m), cov=cov)
+                hyper = stats.norm.logpdf(m, 0.0, pri.mu_beta_sd)
+                hyper += stats.halfcauchy.logpdf(eta_sq, scale=pri.eta_sq_scale) + u[1]
+                hyper += stats.halfcauchy.logpdf(sb_sq, scale=pri.sigma_b_sq_scale) + u[4]
+                for t, rho in ((u[2], rho1), (u[3], rho2)):
+                    hyper += stats.halfcauchy.logpdf(1.0 / rho, scale=pri.inv_rho_scale) - t
+                assert model.logp(u) == pytest.approx(gp + hyper, rel=1e-10)
 
     def test_requires_three_lives(self):
         from toolwear.predict import fit_tool_life

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from toolwear.errors import SamplingError
+from toolwear.errors import NotPositiveDefiniteError, SamplingError
 from toolwear.sampler import (
     DualAveraging,
     GaussianTarget,
@@ -31,27 +31,30 @@ class TestLeapfrog:
     def test_free_particle(self):
         q = np.array([1.0, -2.0])
         p = np.array([0.5, 3.0])
-        q2, p2 = leapfrog(q, p, 0.25, lambda x: np.zeros_like(x))
+        zero = np.zeros_like(q)
+        q2, p2, _, _ = leapfrog(q, p, zero, 0.25, lambda x: (0.0, np.zeros_like(x)),
+                                np.ones_like(q))
         assert np.allclose(q2, q + 0.25 * p)
         assert np.allclose(p2, p)
 
     def test_energy_conservation_on_gaussian(self):
         q, p = np.array([1.0]), np.array([0.7])
+        g = std_normal_grad(q)
         h0 = 0.5 * float(q @ q) + 0.5 * float(p @ p)
         for _ in range(1000):
-            q, p = leapfrog(q, p, 0.1, std_normal_grad)
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(1))
         h1 = 0.5 * float(q @ q) + 0.5 * float(p @ p)
         assert abs(h1 - h0) < 0.01
 
     def test_reversibility(self):
         rng = np.random.default_rng(2)
         q0, p0 = rng.normal(size=(2, 3))
-        q, p = q0.copy(), p0.copy()
+        q, p, g = q0.copy(), p0.copy(), std_normal_grad(q0)
         for _ in range(25):
-            q, p = leapfrog(q, p, 0.1, std_normal_grad)
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(3))
         p = -p
         for _ in range(25):
-            q, p = leapfrog(q, p, 0.1, std_normal_grad)
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(3))
         assert np.allclose(q, q0, atol=1e-12)
         assert np.allclose(-p, p0, atol=1e-12)
 
@@ -61,7 +64,8 @@ class TestLeapfrog:
         eps, h = 0.2, 1e-6
 
         def step(z):
-            q, p = leapfrog(z[:2], z[2:], eps, std_normal_grad)
+            q, p, _, _ = leapfrog(z[:2], z[2:], std_normal_grad(z[:2]), eps,
+                                  std_normal_logp_grad, np.ones(2))
             return np.concatenate([q, p])
 
         for _ in range(10):
@@ -191,3 +195,32 @@ class TestRunChains:
         assert chains.n_retained == 60
         assert len(chains.param_names) == 4
         assert chains.column(chains.param_names[2]).shape == (3, 60)
+
+    def test_unfactorable_states_count_as_divergences(self):
+        """A target that cannot be factored beyond a radius does not abort the
+        fit: those states count as divergent exactly like a -inf density."""
+        inner = standard_target(2)
+
+        class Bounded:
+            dim = 2
+
+            def __init__(self, raises):
+                self.raises = raises
+                self.failed = 0
+
+            def logp_grad(self, u):
+                if float(u @ u) <= 3.0 ** 2:  # chains start inside [-2, 2]^2
+                    return inner.logp_grad(u)
+                self.failed += 1
+                if self.raises:
+                    raise NotPositiveDefiniteError("covariance not positive definite")
+                return -np.inf, np.zeros_like(u)
+
+        raising, guarded = Bounded(raises=True), Bounded(raises=False)
+        a = run_chains(raising, n_chains=2, n_warmup=100, n_samples=400, seed=11)
+        b = run_chains(guarded, n_chains=2, n_warmup=100, n_samples=400, seed=11)
+        assert raising.failed > 0
+        assert a.divergences.sum() > 0
+        assert np.array_equal(a.divergences, b.divergences)
+        assert np.array_equal(a.draws, b.draws)
+        assert np.all(np.sum(a.flat() ** 2, axis=1) <= 3.0 ** 2)

@@ -142,14 +142,15 @@ def _run_stages(config, result, stages_done):
             grid_spec=_grid_spec(config),
             max_tree_depth=smp["max_tree_depth"], target_accept=smp["target_accept"],
         )
+        life_summary = summarize(life_chains)
         for path, writer, obj in (
             (out / "draws_life.csv", tio.write_draws_csv, life_chains),
-            (out / "summary_life.csv", tio.write_summary_csv, summarize(life_chains)),
+            (out / "summary_life.csv", tio.write_summary_csv, life_summary),
             (out / "surface_life.csv", tio.write_surface_csv, life_grid),
         ):
             writer(path, obj)
             result.artifacts.append(path)
-        flagged = summarize(life_chains).flagged(PSRF_THRESHOLD)
+        flagged = life_summary.flagged(PSRF_THRESHOLD)
         if flagged:
             result.warnings.append(f"psrf>{PSRF_THRESHOLD} for life: {flagged}")
 

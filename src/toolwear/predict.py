@@ -2,10 +2,11 @@
 
 Predictions at new (v_c, f) settings use the Gaussian conditional of the GP:
 ``mean = mu + k*' Sigma^-1 (beta - mu)``,
-``var = eta^2 + sigma_b^2 - k*' Sigma^-1 k*``,
-averaged over the retained posterior draws so hyperparameter uncertainty is
-integrated out. Tool life is modeled on the log scale by a direct GP
-regression (no per-experiment linear stage) and exponentiated for reporting.
+``var = eta^2 + sigma_b^2 - k*' Sigma^-1 k*``, one per retained posterior draw.
+Surfaces report the closed-form mean and sd of the mixture of these, which
+integrates out hyperparameter uncertainty without sampling or any seed. Tool
+life is modeled on the log scale by a direct GP regression (no per-experiment
+linear stage) and reported through its log-normal moments.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DegenerateFitError, DomainError, ExtrapolationError, InsufficientDataError
+from .errors import (DegenerateFitError, DomainError, ExtrapolationError,
+                     InsufficientDataError, ValidationError)
 from .kernel import KernelConfig, Standardizer, cholesky_cov, cross_cov
 from .model import (
     ExperimentRecord,
@@ -70,7 +72,6 @@ def gp_conditional(
     train: np.ndarray,
     star: np.ndarray,
     jitter: float | None = None,
-    chol: np.ndarray | None = None,
 ):
     """Gaussian conditional of the slope field at one or more new points.
 
@@ -83,8 +84,7 @@ def gp_conditional(
     star = np.asarray(star, dtype=float)
     single = star.ndim == 1
     stars = np.atleast_2d(star)
-    if chol is None:
-        chol, _ = cholesky_cov(train, kernel, jitter=jitter)
+    chol, _ = cholesky_cov(train, kernel, jitter=jitter)
     k_star = cross_cov(stars, train, kernel)  # (M, K)
     a = solve_triangular(chol, k_star.T, lower=True)            # (K, M)
     b = solve_triangular(chol, beta - mu_beta, lower=True)      # (K,)
@@ -98,36 +98,57 @@ def gp_conditional(
     return mean, var
 
 
-def _draw_params(chains: ChainSet, k_train: int):
-    """Extract (beta, mu_beta, KernelConfig) arrays from pooled draws."""
-    flat = chains.flat()
-    names = chains.param_names
-    idx = {n: i for i, n in enumerate(names)}
-    beta_cols = [idx[f"beta[{i+1}]"] for i in range(k_train)]
-    return (
-        flat[:, beta_cols],
-        flat[:, idx["mu_beta"]],
-        flat[:, [idx["eta_sq"], idx["rho1"], idx["rho2"], idx["sigma_b_sq"]]],
-    )
+def _conditionals(chains: ChainSet, train, stars, y=None):
+    """GP conditional ``(mean, var)`` at ``stars`` for each retained draw.
 
-
-def _conditional_draws(chains, train, stars, seed_tag):
-    """Sampled predictive values at ``stars`` for every retained draw.
-
-    Returns (n_draws, M). Deterministic for a fixed ChainSet and stars.
+    Force draws (``y`` omitted) condition their own ``beta[1..K]`` around
+    ``mu_beta``; life draws condition the observed log life ``y`` around
+    ``mu_life``. ``train`` has one row per experiment; inputs are
+    standardized on it. Draws lacking a needed column, or carrying slopes for
+    more experiments than ``train`` has, raise :class:`ValidationError`.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
+    k = len(train)
+    field = [f"beta[{i + 1}]" for i in range(k)] if y is None else []
+    mu = "mu_beta" if y is None else "mu_life"
+    hyper = ["eta_sq", "rho1", "rho2", "sigma_b_sq"]
+    names = chains.param_names
+    missing = [n for n in (*field, mu, *hyper) if n not in names]
+    extra = [n for n in names if n.startswith("beta[") and n not in field]
+    if missing or extra:
+        raise ValidationError(f"draws lack column {missing[0]!r}" if missing else
+                              f"draws have column {extra[0]!r} beyond the {k} experiments given")
+    flat = chains.flat()
+    fields = (flat[:, [names.index(n) for n in field]] if y is None
+              else np.broadcast_to(y, (len(flat), k)))
     std = Standardizer.fit(train)
-    x_train = std.transform(train)
-    x_stars = std.transform(np.atleast_2d(stars))
-    betas, mus, kernels = _draw_params(chains, len(train))
-    rng = np.random.default_rng(np.random.SeedSequence([chains.seed & 0xFFFFFFFF, seed_tag]))
-    out = np.empty((len(betas), len(x_stars)))
-    for d in range(len(betas)):
-        cfg = KernelConfig(*kernels[d])
-        mean, var = gp_conditional(betas[d], mus[d], cfg, x_train, x_stars)
-        out[d] = mean + np.sqrt(var) * rng.standard_normal(len(x_stars))
-    return out
+    x_train, x_stars = std.transform(train), std.transform(np.atleast_2d(stars))
+    return (gp_conditional(f, m, KernelConfig(*h), x_train, x_stars)
+            for f, m, h in zip(fields, flat[:, names.index(mu)],
+                               flat[:, [names.index(n) for n in hyper]]))
+
+
+def _mixture(pairs):
+    """Mean and sd of the equal-weight mixture of components given as (mean, var).
+
+    Its variance is the average component variance plus the variance of the
+    component means, which Welford's one-pass update accumulates.
+    """
+    n, mean, m2, var_sum = 0, 0.0, 0.0, 0.0
+    for n, (mean_d, var_d) in enumerate(pairs, start=1):
+        delta = mean_d - mean
+        mean += delta / n
+        m2 += delta * (mean_d - mean)
+        var_sum += var_d
+    return mean, np.sqrt((var_sum + m2) / n)
+
+
+def _sample_at(chains: ChainSet, train, star, stream: int, y=None) -> np.ndarray:
+    """One sample from each draw's conditional at ``star``, from RNG ``stream`` of the seed."""
+    pairs = _conditionals(chains, train, np.atleast_2d(star), y)
+    mean, var = np.array([(m[0], v[0]) for m, v in pairs]).T
+    rng = np.random.default_rng(np.random.SeedSequence([chains.seed & 0xFFFFFFFF, stream]))
+    return mean + np.sqrt(var) * rng.standard_normal(len(mean))
 
 
 def predictive_draws(chains: ChainSet, train: np.ndarray, star: np.ndarray) -> np.ndarray:
@@ -136,10 +157,11 @@ def predictive_draws(chains: ChainSet, train: np.ndarray, star: np.ndarray) -> n
     One conditional draw per retained posterior draw, which integrates the
     GP identity over the posterior of all other parameters.
     """
-    return _conditional_draws(chains, train, np.atleast_2d(star), seed_tag=1)[:, 0]
+    return _sample_at(chains, train, star, stream=1)
 
 
-def _grid_axes(train, grid_spec, margin):
+def _grid(train, grid_spec, margin):
+    """Grid axes and their (v_c, f) nodes in row-major order."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     v_lo, v_hi = train[:, 0].min(), train[:, 0].max()
     f_lo, f_hi = train[:, 1].min(), train[:, 1].max()
@@ -156,7 +178,9 @@ def _grid_axes(train, grid_spec, margin):
             f"({margin:.0%} past the training hull); the fitted surface is "
             "not valid far outside the tested range"
         )
-    return np.linspace(v_min, v_max, int(nv)), np.linspace(f_min, f_max, int(nf))
+    v_axis, f_axis = np.linspace(v_min, v_max, int(nv)), np.linspace(f_min, f_max, int(nf))
+    vv, ff = np.meshgrid(v_axis, f_axis, indexing="ij")
+    return v_axis, f_axis, np.column_stack([vv.ravel(), ff.ravel()])
 
 
 def surface(
@@ -168,21 +192,17 @@ def surface(
 ) -> SurfaceGrid:
     """Predictive mean/sd of the slope field on a regular (v_c, f) grid.
 
+    Each node reports the closed-form moments of the mixture of per-draw
+    conditionals, with no sampling and no dependence on ``chains.seed``.
     ``grid_spec`` is (v_min, v_max, nv, f_min, f_max, nf); the default covers
     the training hull at 20 x 20 = 400 nodes. Grids reaching beyond
     ``margin`` past the hull raise :class:`ExtrapolationError`.
     """
-    v_axis, f_axis = _grid_axes(train, grid_spec, margin)
-    vv, ff = np.meshgrid(v_axis, f_axis, indexing="ij")
-    stars = np.column_stack([vv.ravel(), ff.ravel()])
-    draws = _conditional_draws(chains, train, stars, seed_tag=2)
+    v_axis, f_axis, stars = _grid(train, grid_spec, margin)
+    mean, sd = _mixture(_conditionals(chains, train, stars))
     shape = (len(v_axis), len(f_axis))
-    return SurfaceGrid(
-        v_axis=v_axis, f_axis=f_axis,
-        mean=draws.mean(axis=0).reshape(shape),
-        sd=draws.std(axis=0, ddof=1).reshape(shape),
-        channel=channel,
-    )
+    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean.reshape(shape),
+                       sd=sd.reshape(shape), channel=channel)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +277,7 @@ def fit_tool_life(
 ) -> tuple[ChainSet, SurfaceGrid]:
     """Fit the life GP and materialize its predictive surface (metres).
 
-    Life draws at each node are exp-transformed samples of the conditional
-    log-life, so the surface reports the life scale directly.
+    The surface reports the closed-form moments of :func:`life_surface`.
     """
     with_life = [r for r in records if r.tool_life is not None]
     if len(with_life) < 3:
@@ -283,51 +302,25 @@ def life_surface(
 ) -> SurfaceGrid:
     """Predictive tool-life surface (m) from life-GP draws.
 
-    Conditional log-life is sampled per posterior draw and exponentiated, so
-    the reported mean/sd are on the life scale.
+    Each draw's conditional life is log-normal, with mean ``exp(m + v/2)``
+    and variance ``expm1(v) exp(2m + v)``; nodes report the closed-form
+    moments of their mixture, with no sampling and no dependence on the seed.
     """
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    life = np.asarray(life, dtype=float)
-    y = np.log(life)
-    std = Standardizer.fit(controls)
-    v_axis, f_axis = _grid_axes(controls, grid_spec, margin)
-    vv, ff = np.meshgrid(v_axis, f_axis, indexing="ij")
-    stars = np.column_stack([vv.ravel(), ff.ravel()])
-    x_train = std.transform(controls)
-    x_stars = std.transform(stars)
-    flat = chains.flat()
-    rng = np.random.default_rng(np.random.SeedSequence([chains.seed & 0xFFFFFFFF, 3]))
-    draws = np.empty((len(flat), len(stars)))
-    for d, row in enumerate(flat):
-        cfg = KernelConfig(*row[1:])
-        mean, var = gp_conditional(y, row[0], cfg, x_train, x_stars)
-        draws[d] = np.exp(mean + np.sqrt(var) * rng.standard_normal(len(stars)))
+    v_axis, f_axis, stars = _grid(controls, grid_spec, margin)
+    y = np.log(np.asarray(life, dtype=float))
+    mean, sd = _mixture((np.exp(m + v / 2), np.expm1(v) * np.exp(2 * m + v))
+                        for m, v in _conditionals(chains, controls, stars, y))
     shape = (len(v_axis), len(f_axis))
-    return SurfaceGrid(
-        v_axis=v_axis, f_axis=f_axis,
-        mean=draws.mean(axis=0).reshape(shape),
-        sd=draws.std(axis=0, ddof=1).reshape(shape),
-        channel="life",
-    )
+    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean.reshape(shape),
+                       sd=sd.reshape(shape), channel="life")
 
 
 def predict_life(chains: ChainSet, records: list[ExperimentRecord], star) -> np.ndarray:
     """Posterior-predictive life draws (m) at one control point."""
     with_life = [r for r in records if r.tool_life is not None]
-    controls = controls_array(with_life)
     life = np.array([r.tool_life for r in with_life], dtype=float)
-    std = Standardizer.fit(controls)
-    x_train = std.transform(controls)
-    x_star = std.transform(np.atleast_2d(star))
-    y = np.log(life)
-    flat = chains.flat()
-    rng = np.random.default_rng(np.random.SeedSequence([chains.seed & 0xFFFFFFFF, 4]))
-    out = np.empty(len(flat))
-    for d, row in enumerate(flat):
-        cfg = KernelConfig(*row[1:])
-        mean, var = gp_conditional(y, row[0], cfg, x_train, x_star[0])
-        out[d] = math.exp(mean + math.sqrt(var) * rng.standard_normal())
-    return out
+    return np.exp(_sample_at(chains, controls_array(with_life), star, stream=4,
+                             y=np.log(life)))
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,8 @@ def run_chains(
     ``target`` provides ``dim``, ``logp_grad(u) -> (logp, grad)`` and
     optionally ``constrain(u)`` / ``param_names``. Chains start from uniform
     draws in ``[-init_radius, init_radius]`` with seeds split from ``seed``,
-    so results are reproducible regardless of execution order.
+    so results are reproducible regardless of execution order. Each
+    transition starts from the density and gradient the previous one returned.
     """
     if n_chains < 2:
         raise SamplingError("need at least 2 chains (convergence diagnostics require it)")
@@ -301,6 +302,7 @@ def run_chains(
     for c, ss in enumerate(seeds):
         rng = np.random.default_rng(ss)
         x = rng.uniform(-init_radius, init_radius, dim)
+        logp, grad = target.logp_grad(x)
         inv_mass = np.ones(dim)
         eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass)
         da = DualAveraging(eps, target_accept)
@@ -309,8 +311,9 @@ def run_chains(
 
         for it in range(n_warmup):
             x, stats = nuts_transition(x, target.logp_grad, eps, rng,
-                                       inv_mass=inv_mass,
-                                       max_tree_depth=max_tree_depth)
+                                       inv_mass=inv_mass, max_tree_depth=max_tree_depth,
+                                       logp0=logp, grad0=grad)
+            logp, grad = stats["logp"], stats["grad"]
             eps = da.update(stats["accept_prob"])
             if it >= init_buffer:
                 window_draws.append(x)
@@ -329,8 +332,9 @@ def run_chains(
         accept_sum = 0.0
         for it in range(n_samples):
             x, stats = nuts_transition(x, target.logp_grad, eps, rng,
-                                       inv_mass=inv_mass,
-                                       max_tree_depth=max_tree_depth)
+                                       inv_mass=inv_mass, max_tree_depth=max_tree_depth,
+                                       logp0=logp, grad0=grad)
+            logp, grad = stats["logp"], stats["grad"]
             accept_sum += stats["accept_prob"]
             divergences[c] += bool(stats["divergent"])
             draws[c, it] = constrain(x)

@@ -9,6 +9,7 @@ import pytest
 from toolwear import io as tio
 from toolwear.cli import main
 from toolwear.errors import ValidationError
+from toolwear.predict import ToolLifeModel
 from toolwear.sampler import ChainSet
 
 
@@ -241,6 +242,67 @@ class TestCli:
         assert code == 0
         assert surf.read_text().startswith("v_c,f,mean,sd")
         assert len(surf.read_text().strip().splitlines()) == 401
+
+    @staticmethod
+    def draws_file(path, names, rng):
+        """Draws CSV with the given columns, all values positive."""
+        tio.write_draws_csv(path, ChainSet(
+            draws=np.exp(0.1 * rng.normal(size=(2, 10, len(names)))), param_names=names,
+            n_warmup=0, n_retained=10, seed=0, accept_stats=np.ones(2),
+            divergences=np.zeros(2, dtype=int)))
+        return str(path)
+
+    def mismatch_inputs(self, tmp_path):
+        """Controls of 6 and of 4 experiments, force draws for 6, life draws."""
+        rng = np.random.default_rng(13)
+        k = 6
+        force = ([f"{p}[{i + 1}]" for p in ("alpha", "beta", "sigma") for i in range(k)]
+                 + ["mu_alpha", "sigma_alpha", "mu_beta", "eta_sq", "rho1", "rho2",
+                    "sigma_b_sq"])
+        rows = [f"{i + 1}," + ",".join(map(tio.fmt, row)) for i, row in
+                enumerate(rng.uniform([20, 20, 10], [60, 50, 255], size=(k, 3)))]
+        return {
+            "controls6": write(tmp_path / "c6.csv", "\n".join(["id,v_c,f,tool_life", *rows])),
+            "controls4": write(tmp_path / "c4.csv", "\n".join(["id,v_c,f,tool_life", *rows[:4]])),
+            "force": self.draws_file(tmp_path / "draws_Ft.csv", force, rng),
+            "life": self.draws_file(tmp_path / "draws_life.csv", ToolLifeModel.param_names, rng),
+        }
+
+    @pytest.mark.parametrize("draws, controls, channel, column", [
+        ("life", "controls6", "Ft", "beta[1]"),
+        ("force", "controls6", "life", "mu_life"),
+        ("force", "controls4", "Ft", "beta[5]"),
+    ])
+    def test_predict_rejects_draws_that_do_not_fit(self, tmp_path, capsys,
+                                                   draws, controls, channel, column):
+        files = self.mismatch_inputs(tmp_path)
+        code = main(["predict", "--draws", files[draws], "--controls", files[controls],
+                     "--channel", channel, "-o", str(tmp_path / "surface.csv")])
+        assert code == 1
+        assert repr(column) in capsys.readouterr().err
+        assert not (tmp_path / "surface.csv").exists()
+
+    def test_run_surfaces_match_predict_on_its_draws(self, tmp_path):
+        """``run`` and ``predict`` on the draws it wrote give byte-identical surfaces."""
+        data = tmp_path / "data"
+        main(["simulate", "--output-dir", str(data), "--n-experiments", "4",
+              "--n-points", "25", "--seed", "6"])
+        cfg = write(tmp_path / "run.yaml", "\n".join([
+            "seed: 5",
+            "output_dir: out",
+            "controls: data/controls.csv",
+            "series_dir: data",
+            "channels: [Ft]",
+            "sampler: {chains: 2, warmup: 100, samples: 60}",
+        ]))
+        assert main(["run", "--config", cfg]) in (0, 2)
+        out = tmp_path / "out"
+        for channel in ("Ft", "life"):
+            predicted = tmp_path / f"predicted_{channel}.csv"
+            assert main(["predict", "--draws", str(out / f"draws_{channel}.csv"),
+                         "--controls", str(data / "controls.csv"),
+                         "--channel", channel, "-o", str(predicted)]) == 0
+            assert predicted.read_bytes() == (out / f"surface_{channel}.csv").read_bytes()
 
     def test_taylor_prints_closed_form(self, tmp_path, capsys):
         path = write(tmp_path / "life.csv",

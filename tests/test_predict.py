@@ -1,24 +1,27 @@
 """Tests for GP prediction, response surfaces, tool life, and the Taylor fit."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from toolwear import io as tio
 from toolwear.errors import (
     DegenerateFitError,
     DomainError,
     ExtrapolationError,
     InsufficientDataError,
 )
-from toolwear.kernel import JITTER_START, KernelConfig, cov_matrix, cross_cov
+from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix, cross_cov
 from toolwear.model import ExperimentRecord, PriorConfig
 from toolwear.predict import (
     SurfaceGrid,
     ToolLifeModel,
     fit_taylor,
     gp_conditional,
+    life_surface,
     predictive_draws,
     surface,
     taylor_life,
@@ -222,6 +225,91 @@ class TestSurface:
         chains = self.make_chains(rng, train)
         with pytest.raises(DomainError):
             surface(chains, train, grid_spec=(25.0, 55.0, 1, 25.0, 45.0, 5))
+
+
+HYPER_NAMES = ["eta_sq", "rho1", "rho2", "sigma_b_sq"]
+
+
+def mixed_chainsets(rng, k, n_draws=150, seed=5):
+    """(force, life) ChainSets whose hyperparameters vary from draw to draw."""
+    hyper = np.exp(rng.normal([0.0, 0.0, 0.0, -2.0], 0.3, size=(n_draws, 4)))
+    force = force_chainset(
+        np.column_stack([rng.normal(2.0, 0.5, size=(n_draws, k)),
+                         rng.normal(2.0, 0.1, size=n_draws), hyper]),
+        [f"beta[{i + 1}]" for i in range(k)] + ["mu_beta"] + HYPER_NAMES, seed=seed)
+    life = force_chainset(np.column_stack([rng.normal(4.0, 0.1, size=n_draws), hyper]),
+                          ["mu_life"] + HYPER_NAMES, seed=seed)
+    return force, life
+
+
+def dense_moments(chains, train, nodes, y=None):
+    """Per-draw conditional (mean, var) at ``nodes``, each (draws, nodes), by dense inverse."""
+    std = Standardizer.fit(train)
+    x_train, x_nodes = std.transform(train), std.transform(nodes)
+    idx = {n: i for i, n in enumerate(chains.param_names)}
+    means, variances = [], []
+    for row in chains.flat():
+        cfg = KernelConfig(*(row[idx[n]] for n in HYPER_NAMES))
+        if y is None:
+            field = row[[idx[f"beta[{i + 1}]"] for i in range(len(train))]]
+            mu = row[idx["mu_beta"]]
+        else:
+            field, mu = y, row[idx["mu_life"]]
+        m, v = dense_conditional(field, mu, cfg, x_train, x_nodes,
+                                 jitter=JITTER_START * cfg.eta_sq)
+        means.append(m)
+        variances.append(v)
+    return np.array(means), np.array(variances)
+
+
+class TestClosedFormSurfaces:
+    """Surfaces report the exact moments of the mixture of per-draw conditionals."""
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        train = rng.uniform([20, 20], [60, 50], size=(6, 2))
+        life = rng.uniform(10.0, 255.0, size=6)
+        return (train, life, *mixed_chainsets(rng, 6))
+
+    def test_surface_matches_dense_mixture(self):
+        train, _, force, _ = self.inputs(61)
+        grid = surface(force, train)
+        m, v = dense_moments(force, train, grid.nodes())
+        mean = m.mean(axis=0)
+        sd = np.sqrt(v.mean(axis=0) + m.var(axis=0))
+        assert np.allclose(grid.mean.ravel(), mean, rtol=1e-10, atol=0.0)
+        assert np.allclose(grid.sd.ravel(), sd, rtol=1e-10, atol=0.0)
+
+    def test_life_surface_matches_lognormal_mixture(self):
+        train, life, _, chains = self.inputs(63)
+        grid = life_surface(chains, train, life)
+        m, v = dense_moments(chains, train, grid.nodes(), y=np.log(life))
+        node_mean = np.exp(m + v / 2)
+        node_var = np.expm1(v) * np.exp(2 * m + v)
+        sd = np.sqrt(node_var.mean(axis=0) + node_mean.var(axis=0))
+        assert np.allclose(grid.mean.ravel(), node_mean.mean(axis=0), rtol=1e-10, atol=0.0)
+        assert np.allclose(grid.sd.ravel(), sd, rtol=1e-10, atol=0.0)
+
+    def test_independent_of_seed_and_storage(self, tmp_path):
+        """Seed, CSV round-trip (which resets the seed) and npz give one surface."""
+        train, life, force, life_chains = self.inputs(65)
+
+        def variants(chains, name):
+            yield replace(chains, seed=chains.seed + 1)
+            for ext, write, read in ((".csv", tio.write_draws_csv, tio.read_draws_csv),
+                                     (".npz", tio.write_draws_npz, tio.read_draws_npz)):
+                path = tmp_path / (name + ext)
+                write(path, chains)
+                yield read(path)
+
+        for chains, name, make in (
+                (force, "force", lambda c: surface(c, train)),
+                (life_chains, "life", lambda c: life_surface(c, train, life))):
+            ref = make(chains)
+            for other in variants(chains, name):
+                grid = make(other)
+                assert np.array_equal(grid.mean, ref.mean)
+                assert np.array_equal(grid.sd, ref.sd)
 
 
 class TestToolLife:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from toolwear import sampler
 from toolwear.errors import NotPositiveDefiniteError, SamplingError
 from toolwear.sampler import (
     DualAveraging,
@@ -166,6 +167,35 @@ class TestRunChains:
         b = run_chains(standard_target(3), n_chains=2, n_warmup=100, n_samples=100, seed=42)
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.step_sizes, b.step_sizes)
+
+    def test_transitions_reuse_cached_density(self, monkeypatch):
+        """Each transition starts from the logp/grad the previous one returned.
+
+        Against a run whose transitions re-evaluate their start state, the
+        draws are bit-identical and exactly one call per iteration is saved.
+        The 60 warmup iterations include a mass-matrix window that restarts
+        the step size.
+        """
+        n_chains, n_warmup, n_samples = 2, 60, 40
+        target = standard_target(3)
+        calls = []
+
+        def counted(u):
+            calls.append(1)
+            return GaussianTarget.logp_grad(target, u)
+
+        target.logp_grad = counted
+        cached = run_chains(target, n_chains=n_chains, n_warmup=n_warmup,
+                            n_samples=n_samples, seed=8)
+        n_cached, calls[:] = len(calls), []
+        plain = sampler.nuts_transition
+        monkeypatch.setattr(sampler, "nuts_transition",
+                            lambda *a, logp0=None, grad0=None, **kw: plain(*a, **kw))
+        uncached = run_chains(target, n_chains=n_chains, n_warmup=n_warmup,
+                              n_samples=n_samples, seed=8)
+        assert np.array_equal(cached.draws, uncached.draws)
+        assert np.array_equal(cached.step_sizes, uncached.step_sizes)
+        assert len(calls) - n_cached == n_chains * (n_warmup + n_samples)
 
     def test_different_seeds_agree_in_mean(self):
         a = run_chains(standard_target(3), n_chains=2, n_warmup=300, n_samples=500, seed=1)

@@ -123,19 +123,6 @@ def _lowest_zero_bit(i: int) -> int:
     return c
 
 
-def sobol_unit_direct(dim: int, n: int, skip: int = 0) -> np.ndarray:
-    """Same sequence as :func:`sobol_unit` via the direct binary construction.
-
-    Slower; kept as an independent cross-check of the Gray-code path.
-    """
-    if not 1 <= dim <= MAX_DIM:
-        raise UnsupportedDimensionError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    v = _direction_integers(dim)
-    return np.array(
-        [_sobol_state(skip + i, v).astype(float) * _SCALE for i in range(n)]
-    )
-
-
 def scale_design(points: np.ndarray, bounds: DesignBounds, start_index: int = 0) -> list[DesignPoint]:
     """Affine-map unit-square points onto the design rectangle, order preserved."""
     pts = np.asarray(points, dtype=float)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from scipy.linalg import cholesky, LinAlgError
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DomainError, NotPositiveDefiniteError
 
@@ -94,26 +93,26 @@ def jittered_cholesky(
     eta_sq: float,
     sigma_b_sq: float,
     jitter: float | None = None,
-    factor=np.linalg.cholesky,
 ) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``eta_sq * e_mat + (sigma_b_sq + jitter) * I``.
 
     ``e_mat`` is the unit-variance kernel matrix. Jitter starts at
     ``JITTER_START * eta_sq`` and grows tenfold per failed factorization up to
     ``JITTER_MAX * eta_sq``; near-duplicate design points can make the matrix
-    numerically singular. A given ``jitter`` is tried alone. Returns the factor
-    and the jitter on its diagonal, or raises :class:`NotPositiveDefiniteError`.
+    numerically singular. A given ``jitter`` is tried alone. Factors with
+    LAPACK ``dpotrf`` (upper triangle zeroed). Returns the factor and the
+    jitter on its diagonal, or raises :class:`NotPositiveDefiniteError`.
     """
     if jitter is not None and jitter < 0:
         raise DomainError("jitter must be >= 0")
     cov = eta_sq * e_mat
     jit = JITTER_START * eta_sq if jitter is None else jitter
     for _ in range(1 if jitter is not None else JITTER_TRIES):
-        cov[np.diag_indices_from(cov)] = eta_sq + sigma_b_sq + jit
-        try:
-            return factor(cov), jit
-        except LinAlgError:
-            tried, jit = jit, jit * 10.0
+        cov.flat[::len(cov) + 1] = eta_sq + sigma_b_sq + jit
+        chol, info = dpotrf(cov, lower=1, clean=1)
+        if info == 0:
+            return chol, jit
+        tried, jit = jit, jit * 10.0
     raise NotPositiveDefiniteError(f"covariance not positive definite at jitter={tried:g}")
 
 
@@ -122,11 +121,8 @@ def cholesky_cov(
 ) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of :func:`cov_matrix`, escalating jitter on failure.
 
-    See :func:`jittered_cholesky`. This factors with scipy's LAPACK, whose
-    results differ from numpy's in the last bits; simulated datasets and
-    surfaces keep the values they had.
+    See :func:`jittered_cholesky`.
     """
     dv2, df2 = _sq_dists(points, points)
     e_mat = np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2)
-    return jittered_cholesky(e_mat, cfg.eta_sq, cfg.sigma_b_sq, jitter,
-                             factor=partial(cholesky, lower=True))
+    return jittered_cholesky(e_mat, cfg.eta_sq, cfg.sigma_b_sq, jitter)

@@ -9,8 +9,10 @@ stated in :class:`PriorConfig`.
 Positive quantities are handled internally on the log scale (with the
 log-Jacobian terms included in the prior), so densities and gradients are
 defined over a fully unconstrained vector. The slopes are carried directly;
-the long force series identify them strongly. The GP level and the
-hyperprior terms are shared with the tool-life model.
+the long force series identify them strongly. The likelihood depends on each
+series only through per-experiment sufficient statistics computed once, so
+one density evaluation costs the same whatever the series lengths. The GP
+level and the hyperprior terms are shared with the tool-life model.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .errors import InsufficientDataError, InvalidDataError
 from .kernel import JITTER_START, KernelConfig, Standardizer, jittered_cholesky
 
 LOG_2PI = math.log(2.0 * math.pi)
+LOG_2_OVER_PI = math.log(2.0 / math.pi)
 
 
 @dataclass
@@ -95,15 +99,16 @@ def half_cauchy_logpdf(x: float, scale: float) -> float:
     return math.log(2.0) - math.log(math.pi) - math.log(scale) - math.log1p((x / scale) ** 2)
 
 
-def hc_log_scale(t: float, x: float, scale: float) -> tuple[float, float]:
-    """x = exp(t) ~ Half-Cauchy(scale), with the log-Jacobian: (log density, d/dt)."""
-    return half_cauchy_logpdf(x, scale) + t, 1.0 - 2.0 * x * x / (scale * scale + x * x)
+def hc_log_scale(t, scale, sign):
+    """exp(sign * t) ~ Half-Cauchy(scale) with the log-Jacobian, elementwise:
+    (log density, d/dt).
 
-
-def hc_inv_rho(t: float, rho: float, scale: float) -> tuple[float, float]:
-    """1/rho ~ Half-Cauchy(scale) for rho = exp(t), with the log-Jacobian: (log density, d/dt)."""
-    x = 1.0 / rho
-    return half_cauchy_logpdf(x, scale) - t, 2.0 * x * x / (scale * scale + x * x) - 1.0
+    ``sign`` is +1 for a prior on a variance exp(t) and -1 for a prior on an
+    inverse length scale 1/rho with rho = exp(t).
+    """
+    st = sign * t
+    z2 = (np.exp(st) / scale) ** 2
+    return LOG_2_OVER_PI - np.log(scale) - np.log1p(z2) + st, sign * (1.0 - z2) / (1.0 + z2)
 
 
 def normal_prior(m: float, sd: float) -> tuple[float, float]:
@@ -119,23 +124,24 @@ def gp_level(r, eta_sq, rho1, rho2, sigma_b_sq, dv2, df2):
     dSigma/dtheta) with v = Sigma^-1 r (Rasmussen & Williams 2006, eq. 5.9):
     one adjoint matrix shared by the four parameters. The jitter added to the
     diagonal by :func:`jittered_cholesky` scales with eta_sq and is
-    differentiated as such.
+    differentiated as such. The solves and Sigma^-1 call LAPACK directly.
     """
     e_mat = np.exp(-rho1 * dv2 - rho2 * df2)
     chol, jit = jittered_cholesky(e_mat, eta_sq, sigma_b_sq)
-    K = len(r)
-    q = solve_triangular(chol, r, lower=True, check_finite=False)
-    v = solve_triangular(chol, q, lower=True, trans="T", check_finite=False)
-    logp = -float(np.sum(np.log(np.diag(chol)))) - 0.5 * float(q @ q) - 0.5 * K * LOG_2PI
-    cov_inv = solve_triangular(chol, np.eye(K), lower=True, check_finite=False)
-    cov_inv = cov_inv.T @ cov_inv
-    s_adj = 0.5 * (np.outer(v, v) - cov_inv)
+    q, _ = dtrtrs(chol, r, lower=1)
+    v, _ = dtrtrs(chol, q, lower=1, trans=1)
+    logp = -float(np.log(chol.diagonal()).sum()) - 0.5 * float(q @ q) - 0.5 * len(r) * LOG_2PI
+    # Sigma^-1 = C^-T C^-1 from the triangular inverse: unlike dpotri, whose
+    # OpenBLAS result changes with the thread count, this keeps draws
+    # independent of it
+    chol_inv, _ = dtrtri(chol, lower=1)
+    s_adj = 0.5 * (v[:, None] * v - chol_inv.T @ chol_inv)
     es = e_mat * s_adj
-    tr_s = float(np.trace(s_adj))
+    tr_s = float(s_adj.trace())
     d_theta = np.array([
-        eta_sq * float(np.sum(es)) + jit * tr_s,
-        -rho1 * eta_sq * float(np.sum(dv2 * es)),
-        -rho2 * eta_sq * float(np.sum(df2 * es)),
+        eta_sq * float(es.sum()) + jit * tr_s,
+        -rho1 * eta_sq * float(np.vdot(dv2, es)),
+        -rho2 * eta_sq * float(np.vdot(df2, es)),
         sigma_b_sq * tr_s,
     ])
     return logp, -v, d_theta
@@ -156,6 +162,12 @@ class ForceChannelModel:
         [ alpha(K) | beta(K) | log sigma_i^2 (K) |
           mu_alpha | log sigma_alpha^2 | mu_beta |
           log eta^2 | log rho1 | log rho2 | log sigma_b^2 ]
+
+    The likelihood runs on per-experiment sufficient statistics taken once
+    from the series about their means (count, mean length, mean force, the
+    length sum of squares, the least-squares slope and its residual sum of
+    squares), so a density evaluation costs O(K^2) whatever the series
+    lengths.
     """
 
     def __init__(
@@ -170,21 +182,41 @@ class ForceChannelModel:
         self.records = records
         self.channel = channel
         self.priors = priors or PriorConfig()
-        self.K = len(records)
+        self.K = K = len(records)
         if self.K < 1:
             raise InvalidDataError("need at least one experiment")
 
-        self.L = np.concatenate([r.length for r in records])
-        self.F = np.concatenate([r.forces[channel] for r in records])
-        if not (np.all(np.isfinite(self.L)) and np.all(np.isfinite(self.F))):
+        # centered about the experiment means, sum(r^2) = rss + s_ll (b_hat - beta)^2
+        # + n d^2 with d = f_bar - alpha - beta l_bar: no cancellation at force offsets
+        sums = []
+        for rec in records:
+            length, force = rec.length, rec.forces[channel]
+            dl, df = length - length.mean(), force - force.mean()
+            s_ll = float(dl @ dl)
+            b_hat = float(df @ dl) / s_ll
+            res = df - b_hat * dl
+            sums.append((len(length), length.mean(), force.mean(), s_ll, b_hat, res @ res))
+        sums = np.array(sums, dtype=float)
+        if not np.all(np.isfinite(sums)):
             raise InvalidDataError("non-finite measurements")
-        self.n_per_exp = np.array([len(r.length) for r in records])
-        self.exp_index = np.repeat(np.arange(self.K), self.n_per_exp)
+        self.n, self.l_bar, self.f_bar, self.s_ll, self.b_hat, self.rss = sums.T
+        self._log_norm = -0.5 * (self.n.sum() + K) * LOG_2PI  # likelihood and alpha level
 
         self.standardizer = standardizer or Standardizer.fit(controls_array(records))
         x = self.standardizer.transform(controls_array(records))
         self.dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
         self.df2 = (x[:, 1:2] - x[None, :, 1]) ** 2
+
+        # Half-Cauchy terms on u[idx]: the K + 3 variances, then the inverse
+        # length scales
+        pri = self.priors
+        names = self.param_names
+        self._hc_idx = np.r_[2 * K:3 * K, [names.index(n) for n in (
+            "sigma_alpha", "eta_sq", "sigma_b_sq", "rho1", "rho2")]]
+        self._hc_sign = np.r_[np.ones(K + 3), -1.0, -1.0]
+        self._hc_scale = np.r_[np.full(K, pri.sigma_sq_scale), pri.sigma_alpha_sq_scale,
+                               pri.eta_sq_scale, pri.sigma_b_sq_scale,
+                               pri.inv_rho_scale, pri.inv_rho_scale]
 
     # -- layout ------------------------------------------------------------
 
@@ -212,68 +244,49 @@ class ForceChannelModel:
     def logp_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         """Joint unnormalized log density and its gradient at ``u``."""
         K = self.K
-        pri = self.priors
         u = np.asarray(u, dtype=float)
         # overflow guard: far-out leapfrog excursions land here and must read
         # as -inf energy rather than raise
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u[2 * K:])) > 300.0:
+        if not np.isfinite(u).all() or np.abs(u[2 * K:]).max() > 300.0:
             return -math.inf, np.zeros_like(u)
-        a, beta, t_s, m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = self._split(u)
-        sig_sq = np.exp(t_s)
+        a, beta, t_s = u[:K], u[K:2 * K], u[2 * K:3 * K]
+        m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = u[3 * K:].tolist()
+        inv_s = np.exp(-t_s)  # 1 / sigma_i^2
         sa_sq = math.exp(t_a)
-        eta_sq, rho1, rho2 = math.exp(t_e), math.exp(t_r1), math.exp(t_r2)
-        sb_sq = math.exp(t_b)
+        grad = np.empty_like(u)
 
-        grad = np.zeros_like(u)
-
-        # likelihood
-        r = self.F - a[self.exp_index] - beta[self.exp_index] * self.L
-        ssr = np.bincount(self.exp_index, weights=r * r, minlength=K)
-        logp = -0.5 * self.n_per_exp.sum() * LOG_2PI \
-            - 0.5 * float(self.n_per_exp @ t_s) - 0.5 * float(np.sum(ssr / sig_sq))
-        g_a = np.bincount(self.exp_index, weights=r, minlength=K) / sig_sq
-        g_beta = np.bincount(self.exp_index, weights=r * self.L, minlength=K) / sig_sq
-        grad[2 * K:3 * K] = -0.5 * self.n_per_exp + 0.5 * ssr / sig_sq
+        # likelihood, from the per-experiment sums
+        d = self.f_bar - a - beta * self.l_bar
+        db = self.b_hat - beta
+        ssr_s = (self.rss + self.s_ll * db * db + self.n * d * d) * inv_s
+        nd_s = self.n * d * inv_s
+        logp = self._log_norm - 0.5 * float(self.n @ t_s + ssr_s.sum())
+        grad[2 * K:3 * K] = 0.5 * (ssr_s - self.n)
 
         # alpha level: alpha_i ~ N(mu_alpha, sigma_alpha^2)
         da = a - m_a
-        logp += -0.5 * K * (LOG_2PI + t_a) - 0.5 * float(da @ da) / sa_sq
-        grad[:K] = g_a - da / sa_sq
-        grad[3 * K] = float(np.sum(da)) / sa_sq
-        grad[3 * K + 1] = -0.5 * K + 0.5 * float(da @ da) / sa_sq
+        da2 = float(da @ da) / sa_sq
+        logp -= 0.5 * (K * t_a + da2)
+        grad[:K] = nd_s - da / sa_sq
+        grad[3 * K] = float(da.sum()) / sa_sq
+        grad[3 * K + 1] = 0.5 * (da2 - K)
 
         # GP level on the slopes
-        i_e, i_r1, i_r2, i_b = 3 * K + 3, 3 * K + 4, 3 * K + 5, 3 * K + 6
-        lp_gp, d_r, grad[i_e:] = gp_level(beta - m_b, eta_sq, rho1, rho2, sb_sq,
-                                          self.dv2, self.df2)
-        logp += lp_gp
-        grad[K:2 * K] = g_beta + d_r
-        grad[3 * K + 2] = -float(np.sum(d_r))
+        lp_gp, d_r, grad[3 * K + 3:] = gp_level(
+            beta - m_b, math.exp(t_e), math.exp(t_r1), math.exp(t_r2), math.exp(t_b),
+            self.dv2, self.df2)
+        grad[K:2 * K] = self.s_ll * db * inv_s + nd_s * self.l_bar + d_r
+        grad[3 * K + 2] = -float(d_r.sum())
 
-        # hyperpriors (Half-Cauchy on variances, normals on means), with
-        # log-Jacobians of the log-scale transform folded in
-        for ts_i, ss_i, slot in zip(t_s, sig_sq, range(2 * K, 3 * K)):
-            lp_i, dlp_i = hc_log_scale(ts_i, ss_i, pri.sigma_sq_scale)
-            logp += lp_i
-            grad[slot] += dlp_i
-        for t, x, scale, slot in (
-            (t_a, sa_sq, pri.sigma_alpha_sq_scale, 3 * K + 1),
-            (t_e, eta_sq, pri.eta_sq_scale, i_e),
-            (t_b, sb_sq, pri.sigma_b_sq_scale, i_b),
-        ):
-            lp_t, dlp_t = hc_log_scale(t, x, scale)
-            logp += lp_t
-            grad[slot] += dlp_t
-        for t, rho, slot in ((t_r1, rho1, i_r1), (t_r2, rho2, i_r2)):
-            lp_t, dlp_t = hc_inv_rho(t, rho, pri.inv_rho_scale)
-            logp += lp_t
-            grad[slot] += dlp_t
-        for m, sd, slot in ((m_a, pri.mu_alpha_sd, 3 * K), (m_b, pri.mu_beta_sd, 3 * K + 2)):
-            lp_m, dlp_m = normal_prior(m, sd)
-            logp += lp_m
-            grad[slot] += dlp_m
-
-        return logp, grad
+        # hyperpriors (Half-Cauchy on variances and inverse length scales,
+        # normals on means), with the log-scale Jacobians folded in
+        lp_hc, dlp_hc = hc_log_scale(u[self._hc_idx], self._hc_scale, self._hc_sign)
+        grad[self._hc_idx] += dlp_hc
+        lp_ma, dlp_ma = normal_prior(m_a, self.priors.mu_alpha_sd)
+        lp_mb, dlp_mb = normal_prior(m_b, self.priors.mu_beta_sd)
+        grad[3 * K] += dlp_ma
+        grad[3 * K + 2] += dlp_mb
+        return logp + lp_gp + float(lp_hc.sum()) + lp_ma + lp_mb, grad
 
     def logp(self, u: np.ndarray) -> float:
         return self.logp_grad(u)[0]

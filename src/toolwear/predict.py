@@ -26,7 +26,6 @@ from .model import (
     PriorConfig,
     controls_array,
     gp_level,
-    hc_inv_rho,
     hc_log_scale,
     normal_prior,
 )
@@ -34,6 +33,8 @@ from .sampler import ChainSet, run_chains
 
 DEFAULT_RESOLUTION = 20
 DEFAULT_MARGIN = 0.10
+# Half-Cauchy priors of the life GP on eta^2, 1/rho1, 1/rho2, sigma_b^2
+_HC_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -230,31 +231,22 @@ class ToolLifeModel:
         x = self.standardizer.transform(self.controls)
         self.dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
         self.df2 = (x[:, 1:2] - x[None, :, 1]) ** 2
+        pri = self.priors
+        self._hc_scale = np.array([pri.eta_sq_scale, pri.inv_rho_scale,
+                                   pri.inv_rho_scale, pri.sigma_b_sq_scale])
 
     def logp_grad(self, u):
-        pri = self.priors
         u = np.asarray(u, dtype=float)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u[1:])) > 300.0:
+        if not np.isfinite(u).all() or np.abs(u[1:]).max() > 300.0:
             return -math.inf, np.zeros_like(u)
-        m, t_e, t_r1, t_r2, t_b = u
-        eta_sq, rho1, rho2, sb_sq = map(math.exp, (t_e, t_r1, t_r2, t_b))
-        grad = np.zeros(5)
-        logp, d_r, grad[1:] = gp_level(self.y - m, eta_sq, rho1, rho2, sb_sq,
-                                       self.dv2, self.df2)
-        grad[0] = -float(np.sum(d_r))
-        lp_m, dlp_m = normal_prior(m, pri.mu_beta_sd)
-        logp += lp_m
-        grad[0] += dlp_m
-        for t, x, scale, slot in ((t_e, eta_sq, pri.eta_sq_scale, 1),
-                                  (t_b, sb_sq, pri.sigma_b_sq_scale, 4)):
-            lp_t, dlp_t = hc_log_scale(t, x, scale)
-            logp += lp_t
-            grad[slot] += dlp_t
-        for t, rho, slot in ((t_r1, rho1, 2), (t_r2, rho2, 3)):
-            lp_t, dlp_t = hc_inv_rho(t, rho, pri.inv_rho_scale)
-            logp += lp_t
-            grad[slot] += dlp_t
-        return logp, grad
+        m, t = float(u[0]), u[1:]
+        grad = np.empty(5)
+        logp, d_r, grad[1:] = gp_level(self.y - m, *np.exp(t).tolist(), self.dv2, self.df2)
+        lp_m, dlp_m = normal_prior(m, self.priors.mu_beta_sd)
+        grad[0] = dlp_m - float(d_r.sum())
+        lp_hc, dlp_hc = hc_log_scale(t, self._hc_scale, _HC_SIGN)
+        grad[1:] += dlp_hc
+        return logp + lp_m + float(lp_hc.sum()), grad
 
     def logp(self, u):
         return self.logp_grad(u)[0]

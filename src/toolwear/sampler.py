@@ -225,10 +225,15 @@ class DualAveraging:
         return math.exp(self.log_step_bar)
 
 
-def find_reasonable_step_size(logp_grad_fn, x0, rng, inv_mass) -> float:
-    """Double/halve the step size until the one-step acceptance crosses 1/2."""
+def find_reasonable_step_size(logp_grad_fn, x0, rng, inv_mass,
+                              logp0=None, grad0=None) -> float:
+    """Double/halve the step size until the one-step acceptance crosses 1/2.
+
+    ``logp0``/``grad0``, when given, are the density and gradient at ``x0``.
+    """
     eps = 1.0
-    logp0, grad0 = logp_grad_fn(x0)
+    if logp0 is None or grad0 is None:
+        logp0, grad0 = logp_grad_fn(x0)
     p0 = rng.standard_normal(x0.shape) / np.sqrt(inv_mass)
     h0 = -logp0 + _kinetic(p0, inv_mass)
 
@@ -279,8 +284,9 @@ def run_chains(
     ``target`` provides ``dim``, ``logp_grad(u) -> (logp, grad)`` and
     optionally ``constrain(u)`` / ``param_names``. Chains start from uniform
     draws in ``[-init_radius, init_radius]`` with seeds split from ``seed``,
-    so results are reproducible regardless of execution order. Each
-    transition starts from the density and gradient the previous one returned.
+    so results are reproducible regardless of execution order. The density
+    is evaluated once at each chain's start; every step-size search and
+    transition then starts from the density and gradient already held.
     """
     if n_chains < 2:
         raise SamplingError("need at least 2 chains (convergence diagnostics require it)")
@@ -304,7 +310,7 @@ def run_chains(
         x = rng.uniform(-init_radius, init_radius, dim)
         logp, grad = target.logp_grad(x)
         inv_mass = np.ones(dim)
-        eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass)
+        eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass, logp, grad)
         da = DualAveraging(eps, target_accept)
         init_buffer, window_ends = _warmup_schedule(n_warmup) if n_warmup > 0 else (0, [])
         window_draws = []
@@ -323,7 +329,8 @@ def run_chains(
                     var = np.var(np.asarray(window_draws), axis=0, ddof=1)
                     n = len(window_draws)
                     inv_mass = (n / (n + 5.0)) * var + (5.0 / (n + 5.0)) * 1e-3
-                    eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass)
+                    eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass,
+                                                    logp, grad)
                     da = DualAveraging(eps, target_accept)
                 window_draws = []
         eps = da.adapted_step_size if n_warmup > 0 else eps

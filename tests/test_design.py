@@ -5,13 +5,22 @@ import pytest
 from scipy.stats import qmc
 
 from toolwear.design import (
+    _SCALE,
     DesignBounds,
+    _direction_integers,
+    _sobol_state,
     augmentation_plan,
     scale_design,
     sobol_unit,
-    sobol_unit_direct,
 )
 from toolwear.errors import DomainError, UnsupportedDimensionError
+
+
+def sobol_unit_direct(dim, n, skip=0):
+    """Same sequence as ``sobol_unit`` via the direct binary construction:
+    an independent cross-check of the Gray-code path."""
+    v = _direction_integers(dim)
+    return np.array([_sobol_state(skip + i, v).astype(float) * _SCALE for i in range(n)])
 
 
 def scipy_sobol(dim, n, skip=0):

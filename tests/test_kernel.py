@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from toolwear import kernel
 from toolwear.errors import DomainError, NotPositiveDefiniteError
 from toolwear.kernel import (
     JITTER_MAX,
@@ -116,7 +117,7 @@ class TestCovMatrix:
         expected = eta_sq * e_mat + (sigma_b_sq + jitter) * np.eye(2)
         assert np.allclose(chol @ chol.T, expected, rtol=0, atol=1e-14)
 
-    def test_cholesky_failure_raises(self):
+    def test_cholesky_failure_raises(self, monkeypatch):
         """With escalation disabled, an exactly singular matrix must raise;
         with it, escalation stops at JITTER_MAX * eta_sq and then raises."""
         cfg = KernelConfig(eta_sq=1.0, rho1=1.0, rho2=1.0, sigma_b_sq=1e-300)
@@ -126,12 +127,13 @@ class TestCovMatrix:
 
         tried = []
 
-        def never_factors(cov):
+        def never_factors(cov, **kwargs):
             tried.append(cov[0, 0] - 1.0)
-            raise np.linalg.LinAlgError("not positive definite")
+            return cov, 1  # LAPACK info > 0: leading minor not positive definite
 
-        with pytest.raises(NotPositiveDefiniteError):
-            jittered_cholesky(np.ones((3, 3)), 1.0, 0.0, factor=never_factors)
+        with monkeypatch.context() as m, pytest.raises(NotPositiveDefiniteError):
+            m.setattr(kernel, "dpotrf", never_factors)
+            jittered_cholesky(np.ones((3, 3)), 1.0, 0.0)
         assert tried == pytest.approx([JITTER_START * 10.0**k for k in range(JITTER_TRIES)],
                                       rel=1e-6)
         assert tried[-1] == pytest.approx(JITTER_MAX, rel=1e-6)

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve
 
-from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix
+from toolwear.kernel import (JITTER_START, KernelConfig, Standardizer, cov_matrix,
+                             jittered_cholesky)
 from toolwear.model import (
     LOG_2PI,
     ExperimentRecord,
@@ -15,6 +18,7 @@ from toolwear.model import (
     ModelParams,
     PriorConfig,
     controls_array,
+    gp_level,
     grad_log_posterior,
     half_cauchy_logpdf,
     log_likelihood,
@@ -273,6 +277,99 @@ class TestGradient:
         target = model.logp(model.unconstrain(params))
         direct = log_likelihood(params, records, "Ft") + log_prior(params, records)
         assert target == pytest.approx(direct, rel=1e-9)
+
+
+def central_differences(fn, u, h):
+    grad = np.empty_like(u)
+    for j in range(len(u)):
+        e = np.zeros_like(u)
+        e[j] = h
+        grad[j] = (fn(u + e) - fn(u - e)) / (2 * h)
+    return grad
+
+
+@st.composite
+def offset_force_problems(draw):
+    """K experiments of 2..80 points each, forces offset to about 200 N with
+    noise sd about 1, and a state near the least-squares fit: the case where
+    sums of raw squares would cancel."""
+    k = draw(st.integers(1, 25))
+    lengths = draw(st.lists(st.integers(2, 80), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records, alpha, beta = [], [], []
+    for i, n in enumerate(lengths):
+        length = np.cumsum(rng.uniform(0.5, 2.0, n))
+        a_i, b_i = 200.0 + rng.normal(0.0, 5.0), rng.normal(2.0, 1.0)
+        forces = {ch: a_i + b_i * length + rng.normal(0.0, 1.0, n) for ch in ("Ft", "Ff", "Fp")}
+        records.append(ExperimentRecord(id=i + 1, v_c=float(rng.uniform(20, 60)),
+                                        f=float(rng.uniform(20, 50)), length=length,
+                                        forces=forces))
+        alpha.append(a_i)
+        beta.append(b_i)
+    model = ForceChannelModel(records, channel="Ft")
+    u = np.concatenate([
+        np.asarray(alpha) + rng.normal(0.0, 0.3, k), np.asarray(beta) + rng.normal(0.0, 0.02, k),
+        rng.normal(0.0, 0.3, k),
+        [200.0 + rng.normal(0.0, 3.0), rng.normal(3.0, 0.5), rng.normal(2.0, 0.5)],
+        rng.normal(0.0, 0.5, 4),
+    ])
+    return records, model, u
+
+
+class TestSufficientStatistics:
+    """``logp_grad`` runs on per-experiment sums; the oracles walk every point."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(offset_force_problems())
+    def test_density_matches_pointwise_oracle(self, problem):
+        records, model, u = problem
+        params = model.params_from_constrained(model.constrain(u))
+        direct = log_likelihood(params, records, "Ft") + log_prior(params, records)
+        assert model.logp(u) == pytest.approx(direct, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(offset_force_problems())
+    def test_every_coordinate_matches_finite_differences(self, problem):
+        _, model, u = problem
+        _, grad = model.logp_grad(u)
+        fd = central_differences(model.logp, u, 1e-5)
+        assert np.all(np.abs(grad - fd) <= 1e-6 * (1.0 + np.abs(grad)))
+
+    def test_gp_level_gradient_at_escalated_jitter(self):
+        """A duplicated design point whose kernel entry is 1 + 5e-9, set
+        through a negative squared distance (a kernel matrix rounded
+        indefinite, eigenvalue -5e-9 eta_sq), factors only after two jitter
+        escalations, at 1e-8 eta_sq. The gradient, whose log eta^2 coordinate
+        includes the jitter's scaling with eta_sq, matches differences taken
+        at that same jitter level. The duplicated pair shares its value, so
+        the near-singular direction does not swamp the differences with
+        rounding noise."""
+        rng = np.random.default_rng(63)
+        x = rng.uniform(-1.5, 1.5, size=(6, 2))
+        x[4] = x[1]
+        dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
+        df2 = (x[:, 1:2] - x[None, :, 1]) ** 2
+        rho1, rho2, eta_sq, sigma_b_sq = 0.8, 1.3, 2.0, 1e-300
+        dv2[1, 4] = dv2[4, 1] = -5e-9 / rho1
+        r = rng.normal(0.0, 1.0, 6)
+        r[4] = r[1]
+
+        def jitter_level(w):
+            eta, rho_1, rho_2, sb = np.exp(w[6:])
+            return jittered_cholesky(np.exp(-rho_1 * dv2 - rho_2 * df2), eta, sb)[1] / eta
+
+        def logp(w):
+            return gp_level(w[:6], *np.exp(w[6:]), dv2, df2)[0]
+
+        w = np.concatenate([r, np.log([eta_sq, rho1, rho2, sigma_b_sq])])
+        h = 1e-3
+        for j in range(6, 10):
+            for step in (-h, 0.0, h):
+                assert jitter_level(w + step * np.eye(10)[j]) == pytest.approx(1e-8, rel=1e-12)
+        _, d_r, d_theta = gp_level(r, eta_sq, rho1, rho2, sigma_b_sq, dv2, df2)
+        grad = np.concatenate([d_r, d_theta])
+        fd = central_differences(logp, w, h)
+        assert np.all(np.abs(grad - fd) <= 1e-4 * (1.0 + np.abs(grad)))
 
 
 class TestExperimentRecord:

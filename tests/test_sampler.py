@@ -197,6 +197,36 @@ class TestRunChains:
         assert np.array_equal(cached.step_sizes, uncached.step_sizes)
         assert len(calls) - n_cached == n_chains * (n_warmup + n_samples)
 
+    def test_step_size_search_reuses_cached_density(self, monkeypatch):
+        """The step-size search starts from the logp/grad run_chains holds.
+
+        Against a run whose searches re-evaluate their start state, the draws
+        are bit-identical and one call is saved per search: at each chain's
+        start and at each mass-matrix window restart.
+        """
+        n_chains, n_warmup, n_samples = 2, 60, 40
+        _, window_ends = sampler._warmup_schedule(n_warmup)
+        assert len(window_ends) == 1  # one restart per chain (45 window draws)
+        target = standard_target(3)
+        calls = []
+
+        def counted(u):
+            calls.append(1)
+            return GaussianTarget.logp_grad(target, u)
+
+        target.logp_grad = counted
+        cached = run_chains(target, n_chains=n_chains, n_warmup=n_warmup,
+                            n_samples=n_samples, seed=8)
+        n_cached, calls[:] = len(calls), []
+        plain = sampler.find_reasonable_step_size
+        monkeypatch.setattr(sampler, "find_reasonable_step_size",
+                            lambda fn, x, rng, inv_mass, *_: plain(fn, x, rng, inv_mass))
+        uncached = run_chains(target, n_chains=n_chains, n_warmup=n_warmup,
+                              n_samples=n_samples, seed=8)
+        assert np.array_equal(cached.draws, uncached.draws)
+        assert np.array_equal(cached.step_sizes, uncached.step_sizes)
+        assert len(calls) - n_cached == n_chains * (1 + len(window_ends))
+
     def test_different_seeds_agree_in_mean(self):
         a = run_chains(standard_target(3), n_chains=2, n_warmup=300, n_samples=500, seed=1)
         b = run_chains(standard_target(3), n_chains=2, n_warmup=300, n_samples=500, seed=2)

@@ -199,7 +199,10 @@ class ForceChannelModel:
         sums = np.array(sums, dtype=float)
         if not np.all(np.isfinite(sums)):
             raise InvalidDataError("non-finite measurements")
-        self.n, self.l_bar, self.f_bar, self.s_ll, self.b_hat, self.rss = sums.T
+        # contiguous rows: a strided view takes another BLAS path in `n @ t_s`,
+        # so a pickled or copied model would differ in the last bits
+        self.n, self.l_bar, self.f_bar, self.s_ll, self.b_hat, self.rss = \
+            np.ascontiguousarray(sums.T)
         self._log_norm = -0.5 * (self.n.sum() + K) * LOG_2PI  # likelihood and alpha level
 
         self.standardizer = standardizer or Standardizer.fit(controls_array(records))

@@ -35,20 +35,24 @@ def run_pipeline(config: tio.RunConfig) -> PipelineResult:
     """Execute every stage of the analysis described by ``config``.
 
     Stage failures abort with a stage-tagged error; a partial manifest listing
-    the completed artifacts is still written.
+    the completed artifacts and naming the failed stage is written whatever
+    the error. Package errors become a ``ValidationError``; any other error
+    (a dead worker process, an I/O error) propagates unchanged.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = PipelineResult(out)
     stages_done = []
+    failed = None
     try:
         _run_stages(config, result, stages_done)
-        failed = None
-    except ToolwearError as exc:
+    except BaseException as exc:
         failed = f"{stages_done[-1] if stages_done else 'validate'}: {exc}"
-    _write_manifest(config, result, stages_done, failed)
-    if failed:
-        raise ValidationError(f"pipeline aborted at stage {failed}")
+        if isinstance(exc, ToolwearError):
+            raise ValidationError(f"pipeline aborted at stage {failed}") from exc
+        raise
+    finally:
+        _write_manifest(config, result, stages_done, failed)
     return result
 
 

@@ -11,6 +11,7 @@ exceeds :data:`DIVERGENCE_THRESHOLD`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,6 +270,81 @@ def _warmup_schedule(n_warmup, init_buffer=75, term_buffer=50, base_window=25):
     return init_buffer, window_ends
 
 
+def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth,
+               target_accept, init_radius):
+    """One NUTS chain seeded by ``seed_seq``: windowed warmup, then sampling.
+
+    Returns ``(draws, accept_stat, divergences, step_size)``: the retained
+    draws on the constrained scale, shape (n_samples, n_params), their mean
+    acceptance probability, their divergence count and the adapted step size.
+    """
+    constrain = getattr(target, "constrain", lambda u: u)
+    rng = np.random.default_rng(seed_seq)
+    x = rng.uniform(-init_radius, init_radius, target.dim)
+    logp, grad = target.logp_grad(x)
+    inv_mass = np.ones(target.dim)
+    eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass, logp, grad)
+    da = DualAveraging(eps, target_accept)
+    init_buffer, window_ends = _warmup_schedule(n_warmup) if n_warmup > 0 else (0, [])
+    window_draws = []
+
+    for it in range(n_warmup):
+        x, stats = nuts_transition(x, target.logp_grad, eps, rng,
+                                   inv_mass=inv_mass, max_tree_depth=max_tree_depth,
+                                   logp0=logp, grad0=grad)
+        logp, grad = stats["logp"], stats["grad"]
+        eps = da.update(stats["accept_prob"])
+        if it >= init_buffer:
+            window_draws.append(x)
+        if window_ends and it + 1 == window_ends[0]:
+            window_ends.pop(0)
+            if len(window_draws) >= 10:
+                var = np.var(np.asarray(window_draws), axis=0, ddof=1)
+                n = len(window_draws)
+                inv_mass = (n / (n + 5.0)) * var + (5.0 / (n + 5.0)) * 1e-3
+                eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass,
+                                                logp, grad)
+                da = DualAveraging(eps, target_accept)
+            window_draws = []
+    eps = da.adapted_step_size if n_warmup > 0 else eps
+
+    draws = []
+    accept_sum = 0.0
+    divergences = 0
+    for it in range(n_samples):
+        x, stats = nuts_transition(x, target.logp_grad, eps, rng,
+                                   inv_mass=inv_mass, max_tree_depth=max_tree_depth,
+                                   logp0=logp, grad0=grad)
+        logp, grad = stats["logp"], stats["grad"]
+        accept_sum += stats["accept_prob"]
+        divergences += bool(stats["divergent"])
+        draws.append(constrain(x))
+    return np.asarray(draws, dtype=float), accept_sum / n_samples, divergences, eps
+
+
+def _worker_count(n_chains: int) -> int:
+    """Worker processes for ``n_chains`` chains: one per CPU in this process's
+    affinity mask, at most one per chain, and 1 where fork is not offered."""
+    import multiprocessing
+
+    if not hasattr(os, "sched_getaffinity") or \
+            "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(n_chains, len(os.sched_getaffinity(0)))
+
+
+_ADOPTED = None  # the target of a worker process, set by ``_adopt``
+
+
+def _adopt(target):
+    global _ADOPTED
+    _ADOPTED = target
+
+
+def _run_adopted(seed_seq, settings):
+    return _run_chain(seed_seq, _ADOPTED, *settings)
+
+
 def run_chains(
     target,
     n_chains: int = 4,
@@ -287,73 +363,43 @@ def run_chains(
     so results are reproducible regardless of execution order. The density
     is evaluated once at each chain's start; every step-size search and
     transition then starts from the density and gradient already held.
+
+    The chains run in parallel, one worker process per CPU in this process's
+    affinity mask (never more workers than chains). The workers are forked,
+    so they inherit ``target`` as it is, closures and local classes
+    included; only each chain's seed and the scalar settings are pickled,
+    and the draws come back in chain order. The draws do not depend on the
+    number of workers. With one CPU (``taskset -c 0``), or where fork is not
+    offered, the chains run one after another in this process.
     """
     if n_chains < 2:
         raise SamplingError("need at least 2 chains (convergence diagnostics require it)")
     if n_samples < 1:
         raise SamplingError("n_samples must be >= 1")
 
-    dim = target.dim
-    constrain = getattr(target, "constrain", lambda u: u)
-    names = getattr(target, "param_names", [f"u[{i+1}]" for i in range(dim)])
+    names = getattr(target, "param_names", [f"u[{i+1}]" for i in range(target.dim)])
     seeds = np.random.SeedSequence(seed).spawn(n_chains)
+    settings = (n_warmup, n_samples, max_tree_depth, target_accept, init_radius)
+    workers = _worker_count(n_chains)
+    if workers == 1:
+        results = [_run_chain(ss, target, *settings) for ss in seeds]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    first = constrain(np.zeros(dim))
-    n_con = len(np.atleast_1d(first))
-    draws = np.empty((n_chains, n_samples, n_con))
-    accept_stats = np.empty(n_chains)
-    divergences = np.zeros(n_chains, dtype=int)
-    step_sizes = np.empty(n_chains)
-
-    for c, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        x = rng.uniform(-init_radius, init_radius, dim)
-        logp, grad = target.logp_grad(x)
-        inv_mass = np.ones(dim)
-        eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass, logp, grad)
-        da = DualAveraging(eps, target_accept)
-        init_buffer, window_ends = _warmup_schedule(n_warmup) if n_warmup > 0 else (0, [])
-        window_draws = []
-
-        for it in range(n_warmup):
-            x, stats = nuts_transition(x, target.logp_grad, eps, rng,
-                                       inv_mass=inv_mass, max_tree_depth=max_tree_depth,
-                                       logp0=logp, grad0=grad)
-            logp, grad = stats["logp"], stats["grad"]
-            eps = da.update(stats["accept_prob"])
-            if it >= init_buffer:
-                window_draws.append(x)
-            if window_ends and it + 1 == window_ends[0]:
-                window_ends.pop(0)
-                if len(window_draws) >= 10:
-                    var = np.var(np.asarray(window_draws), axis=0, ddof=1)
-                    n = len(window_draws)
-                    inv_mass = (n / (n + 5.0)) * var + (5.0 / (n + 5.0)) * 1e-3
-                    eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass,
-                                                    logp, grad)
-                    da = DualAveraging(eps, target_accept)
-                window_draws = []
-        eps = da.adapted_step_size if n_warmup > 0 else eps
-        step_sizes[c] = eps
-
-        accept_sum = 0.0
-        for it in range(n_samples):
-            x, stats = nuts_transition(x, target.logp_grad, eps, rng,
-                                       inv_mass=inv_mass, max_tree_depth=max_tree_depth,
-                                       logp0=logp, grad0=grad)
-            logp, grad = stats["logp"], stats["grad"]
-            accept_sum += stats["accept_prob"]
-            divergences[c] += bool(stats["divergent"])
-            draws[c, it] = constrain(x)
-        accept_stats[c] = accept_sum / n_samples
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_adopt, initargs=(target,)) as pool:
+            results = list(pool.map(_run_adopted, seeds, [settings] * n_chains))
+    draws, accept_stats, divergences, step_sizes = zip(*results)
+    divergences = np.array(divergences, dtype=int)
 
     if np.all(divergences >= n_samples):
         raise SamplingError("all transitions diverged; model is numerically unstable")
 
     return ChainSet(
-        draws=draws, param_names=list(names), n_warmup=n_warmup,
-        n_retained=n_samples, seed=seed, accept_stats=accept_stats,
-        divergences=divergences, step_sizes=step_sizes,
+        draws=np.stack(draws), param_names=list(names), n_warmup=n_warmup,
+        n_retained=n_samples, seed=seed, accept_stats=np.array(accept_stats),
+        divergences=divergences, step_sizes=np.array(step_sizes),
     )
 
 

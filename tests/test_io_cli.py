@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from toolwear import io as tio
+from toolwear import pipeline, sampler
 from toolwear.cli import main
-from toolwear.errors import ValidationError
+from toolwear.errors import InvalidDataError, ValidationError
+from toolwear.model import ForceChannelModel
 from toolwear.predict import ToolLifeModel
 from toolwear.sampler import ChainSet
 
@@ -353,3 +355,88 @@ class TestCli:
         assert code in (0, 2)
         manifest = json.loads((tmp_path / "out2" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [["diagnose", "draws_Ft.csv"], ["run", "config.yaml"],
+                                      ["fit", "--chains", "x"], ["no-such-command"]])
+    def test_usage_error_is_validation_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage: toolwear" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: toolwear" in capsys.readouterr().out
+
+
+class TestParallelChains:
+    """``fit`` and ``run`` write the same files whatever the worker count,
+    and a failure in a worker or a stage exits with its documented code."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "data"
+        main(["simulate", "--output-dir", str(data), "--n-experiments", "5",
+              "--n-points", "30", "--seed", "2"])
+        return data
+
+    @staticmethod
+    def fit(data, out, tag):
+        draws, summary = out / f"draws_{tag}.csv", out / f"summary_{tag}.csv"
+        code = main(["fit", "--controls", str(data / "controls.csv"),
+                     "--series-dir", str(data), "--chains", "3", "--warmup", "60",
+                     "--samples", "40", "--seed", "4", "--draws-out", str(draws),
+                     "--summary-out", str(summary)])
+        return code, draws, summary
+
+    @staticmethod
+    def run_config(tmp_path):
+        return write(tmp_path / "run.yaml", "\n".join([
+            "seed: 5",
+            "output_dir: out",
+            "controls: data/controls.csv",
+            "series_dir: data",
+            "channels: [Ft]",
+            "sampler: {chains: 2, warmup: 60, samples: 40}",
+        ]))
+
+    def test_fit_files_do_not_depend_on_workers(self, tmp_path, monkeypatch, data):
+        files = []
+        for n in (1, 2):
+            monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: n)
+            code, draws, summary = self.fit(data, tmp_path, n)
+            assert code in (0, 2)
+            files.append((draws.read_bytes(), summary.read_bytes()))
+        assert files[0] == files[1]
+
+    def test_run_manifest_does_not_depend_on_workers(self, tmp_path, monkeypatch, data):
+        cfg = self.run_config(tmp_path)
+        manifests = []
+        for n in (1, 2):
+            monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: n)
+            assert main(["run", "--config", cfg]) in (0, 2)
+            manifests.append((tmp_path / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert "draws_life.csv" in json.loads(manifests[0])["artifacts"]
+
+    def test_error_in_a_worker_keeps_its_exit_code(self, tmp_path, monkeypatch, data, capsys):
+        def invalid(self, u):
+            raise InvalidDataError("non-finite measurements")
+
+        monkeypatch.setattr(ForceChannelModel, "logp_grad", invalid)
+        monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: 2)
+        code, draws, _ = self.fit(data, tmp_path, "bad")
+        assert code == 1
+        assert "error: non-finite measurements" in capsys.readouterr().err
+        assert not draws.exists()
+
+    def test_run_writes_manifest_on_any_error(self, tmp_path, monkeypatch, data, capsys):
+        def dead_worker(*args, **kwargs):
+            raise RuntimeError("a worker process died")
+
+        monkeypatch.setattr(pipeline, "run_chains", dead_worker)
+        assert main(["run", "--config", self.run_config(tmp_path)]) == 3
+        assert "RuntimeError: a worker process died" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "fit:Ft: a worker process died"
+        assert manifest["stages"] == ["load", "load-series", "fit:Ft"]

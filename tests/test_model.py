@@ -1,6 +1,8 @@
 """Tests for the hierarchical force-channel model density and gradient."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from toolwear.model import (
     log_posterior,
     log_prior,
 )
+from toolwear.sampler import run_chains
+from toolwear.simulate import simulate_dataset
 
 
 def make_records(rng, k=4, n=12, alpha=None, beta=None, sigma=0.0):
@@ -370,6 +374,40 @@ class TestSufficientStatistics:
         grad = np.concatenate([d_r, d_theta])
         fd = central_differences(logp, w, h)
         assert np.all(np.abs(grad - fd) <= 1e-4 * (1.0 + np.abs(grad)))
+
+
+class TestCopies:
+    """A pickled or deep-copied model evaluates bit for bit like the original."""
+
+    COPIES = {"pickle": lambda m: pickle.loads(pickle.dumps(m)), "deepcopy": copy.deepcopy}
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        records, _ = simulate_dataset(n_experiments=21, n_points=20, seed=3)
+        return ForceChannelModel(records, channel="Ft")
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_logp_grad_bitwise_equal(self, model, how):
+        """Large noise variances make the n_i log sigma_i^2 sum dominate the
+        density, so a change in its summation order shows in the last bit."""
+        other = self.COPIES[how](model)
+        rng = np.random.default_rng(5)
+        K = model.K
+        for _ in range(50):
+            u = rng.uniform(-2.0, 2.0, model.dim)
+            u[2 * K:3 * K] = rng.uniform(10.0, 60.0, K)
+            logp, grad = model.logp_grad(u)
+            logp_copy, grad_copy = other.logp_grad(u)
+            assert logp == logp_copy
+            assert np.array_equal(grad, grad_copy)
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_copy_samples_identical_draws(self, model, how):
+        kw = dict(n_chains=2, n_warmup=40, n_samples=20, seed=104)
+        a = run_chains(model, **kw)
+        b = run_chains(self.COPIES[how](model), **kw)
+        assert np.array_equal(a.draws, b.draws)
+        assert np.array_equal(a.step_sizes, b.step_sizes)
 
 
 class TestExperimentRecord:

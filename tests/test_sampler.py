@@ -1,11 +1,14 @@
 """Tests for leapfrog integration, NUTS transitions, and multi-chain runs."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from toolwear import sampler
-from toolwear.errors import NotPositiveDefiniteError, SamplingError
+from toolwear.errors import InvalidDataError, NotPositiveDefiniteError, SamplingError
+from toolwear.model import ForceChannelModel
 from toolwear.sampler import (
     DualAveraging,
     GaussianTarget,
@@ -14,6 +17,7 @@ from toolwear.sampler import (
     nuts_transition,
     run_chains,
 )
+from toolwear.simulate import simulate_dataset
 
 
 def std_normal_grad(x):
@@ -126,6 +130,78 @@ class TestNutsTransition:
         assert info["divergent"]
 
 
+def use_workers(monkeypatch, n):
+    monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: n)
+
+
+class TestWorkers:
+    """The chains run in forked worker processes; the draws do not depend on
+    how many there are."""
+
+    @staticmethod
+    def assert_worker_count_free(monkeypatch, target, **kw):
+        runs = []
+        for n in (1, 2, 4):
+            use_workers(monkeypatch, n)
+            runs.append(run_chains(target, **kw))
+        for run in runs[1:]:
+            for attr in ("draws", "step_sizes", "accept_stats", "divergences"):
+                assert np.array_equal(getattr(run, attr), getattr(runs[0], attr))
+        return runs[0]
+
+    def test_default_is_one_worker_per_cpu(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert sampler._worker_count(4) == min(4, cpus)
+        assert sampler._worker_count(2 * cpus) == cpus
+
+    def test_gaussian(self, monkeypatch):
+        target = GaussianTarget(np.array([1.0, -2.0, 0.5]), np.diag([1.0, 4.0, 0.25]))
+        self.assert_worker_count_free(monkeypatch, target, n_chains=4,
+                                      n_warmup=100, n_samples=100, seed=21)
+
+    def test_unfactorable_beyond_a_radius(self, monkeypatch):
+        """A local class reaches the workers: they inherit it through fork."""
+        inner = standard_target(2)
+
+        class Bounded:
+            dim = 2
+
+            def logp_grad(self, u):
+                if float(u @ u) > 3.0 ** 2:  # chains start inside [-2, 2]^2
+                    raise NotPositiveDefiniteError("covariance not positive definite")
+                return inner.logp_grad(u)
+
+        chains = self.assert_worker_count_free(monkeypatch, Bounded(), n_chains=3,
+                                               n_warmup=100, n_samples=400, seed=11)
+        assert chains.divergences.sum() > 0
+
+    def test_short_force_fit(self, monkeypatch):
+        records, _ = simulate_dataset(n_experiments=21, n_points=20, seed=3)
+        model = ForceChannelModel(records, channel="Ft")
+        self.assert_worker_count_free(monkeypatch, model, n_chains=4,
+                                      n_warmup=30, n_samples=20, seed=104)
+
+    def test_chains_run_outside_this_process(self, monkeypatch):
+        class Tagged(GaussianTarget):
+            def constrain(self, u):
+                return np.r_[u, os.getpid()]
+
+        use_workers(monkeypatch, 2)
+        chains = run_chains(Tagged(np.zeros(2), np.eye(2)), n_chains=2,
+                            n_warmup=20, n_samples=10, seed=1)
+        assert os.getpid() not in chains.flat()[:, 2]
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        class Invalid(GaussianTarget):
+            def logp_grad(self, u):
+                raise InvalidDataError("non-finite measurements")
+
+        use_workers(monkeypatch, 2)
+        with pytest.raises(InvalidDataError, match="non-finite measurements"):
+            run_chains(Invalid(np.zeros(2), np.eye(2)), n_chains=4,
+                       n_warmup=10, n_samples=10)
+
+
 class TestDualAveraging:
     def test_fixed_point_at_target(self):
         da = DualAveraging(0.5, target_accept=0.8)
@@ -176,6 +252,7 @@ class TestRunChains:
         The 60 warmup iterations include a mass-matrix window that restarts
         the step size.
         """
+        monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: 1)  # counts calls here
         n_chains, n_warmup, n_samples = 2, 60, 40
         target = standard_target(3)
         calls = []
@@ -204,6 +281,7 @@ class TestRunChains:
         are bit-identical and one call is saved per search: at each chain's
         start and at each mass-matrix window restart.
         """
+        monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: 1)  # counts calls here
         n_chains, n_warmup, n_samples = 2, 60, 40
         _, window_ends = sampler._warmup_schedule(n_warmup)
         assert len(window_ends) == 1  # one restart per chain (45 window draws)
@@ -256,9 +334,10 @@ class TestRunChains:
         assert len(chains.param_names) == 4
         assert chains.column(chains.param_names[2]).shape == (3, 60)
 
-    def test_unfactorable_states_count_as_divergences(self):
+    def test_unfactorable_states_count_as_divergences(self, monkeypatch):
         """A target that cannot be factored beyond a radius does not abort the
         fit: those states count as divergent exactly like a -inf density."""
+        monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: 1)  # counts calls here
         inner = standard_target(2)
 
         class Bounded:

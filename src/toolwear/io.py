@@ -2,6 +2,13 @@
 
 All numeric output uses ``repr`` of the Python float (shortest round-trip
 decimal), so ``read(write(x)) == x`` exactly and re-runs are byte-identical.
+
+Traces, series and draws are read by one numeric CSV reader: it checks the
+header, then parses the body with ``np.loadtxt``. Only when that fails does
+it walk the rows with ``csv`` and ``float()``, which accepts a few more
+spellings (``1_000``, whitespace-only rows, quoted cells) and otherwise
+finds the malformed row. Blank rows are skipped, and every error about a
+row names it as ``file:line``.
 """
 
 from __future__ import annotations
@@ -9,7 +16,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io as _io
+import warnings
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -69,33 +78,66 @@ def load_controls(path) -> list[ExperimentRecord]:
     return records
 
 
+def _data_rows(path):
+    """(file line, cells) of each body row that has a non-blank cell, as ``csv`` reads them."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for lineno, row in enumerate(reader, start=2):
+            if any(c.strip() for c in row):
+                yield lineno, row
+
+
+def _line_of(path, index: int) -> int:
+    """File line of the ``index``-th data row."""
+    return next(islice(_data_rows(path), index, None))[0]
+
+
+def _read_numeric(path, header_ok, expected: str, usecols=None):
+    """Numeric CSV body under a checked header -> (header cells, 2-D float array).
+
+    ``header_ok(cells)`` accepts the header, else ``ValidationError`` says
+    ``expected``. Rows need at least as many cells as the header. With
+    ``usecols`` only those columns are parsed and returned; without, every
+    cell is parsed and the first ``len(header)`` columns are returned.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if not header_ok(header):
+            raise ValidationError(f"{path}: expected {expected}")
+        width = len(header)
+        ncols = width if usecols is None else len(usecols)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+            except ValueError:
+                values = None
+    if values is not None and len(values) and values.shape[1] >= ncols:
+        return header, values[:, :ncols]
+    rows = []
+    for lineno, row in _data_rows(path):
+        try:
+            if len(row) < width:
+                raise ValueError(f"{len(row)} cells under a header of {width}")
+            rows.append([float(row[j]) for j in usecols or range(len(row))][:ncols])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
+    return header, np.array(rows, dtype=float).reshape(-1, ncols)
+
+
 def load_series(path, record: ExperimentRecord | None = None):
     """Per-experiment series: CSV with header L,Ft,Ff,Fp and strictly increasing L.
 
     Returns (L, forces); when ``record`` is given the series is attached to it.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["L", *CHANNELS]:
-            raise ValidationError(f"{path}: expected header L,Ft,Ff,Fp")
-        length, cols = [], {ch: [] for ch in CHANNELS}
-        prev = -np.inf
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
-            if values[0] <= prev:
-                raise ValidationError(f"{path}:{lineno}: L must be strictly increasing")
-            prev = values[0]
-            length.append(values[0])
-            for ch, v in zip(CHANNELS, values[1:]):
-                cols[ch].append(v)
-    length = np.array(length)
-    forces = {ch: np.array(v) for ch, v in cols.items()}
+    _, values = _read_numeric(path, lambda h: [c.strip() for c in h] == ["L", *CHANNELS],
+                              "header L,Ft,Ff,Fp")
+    length = np.ascontiguousarray(values[:, 0])
+    bad = np.flatnonzero(length <= np.concatenate(([-np.inf], length[:-1])))
+    if bad.size:
+        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: L must be strictly increasing")
+    forces = {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS, start=1)}
     if record is not None:
         record.length = length
         record.forces = forces
@@ -120,22 +162,10 @@ def write_trace(path, trace) -> None:
 
 
 def load_trace(path):
-    """Raw trace CSV (columns sample,Ft,Ff,Fp) -> forces dict."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["sample", *CHANNELS]:
-            raise ValidationError(f"{path}: expected header sample,Ft,Ff,Fp")
-        cols = {ch: [] for ch in CHANNELS}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                for ch, v in zip(CHANNELS, row[1:]):
-                    cols[ch].append(float(v))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
-    return {ch: np.array(v) for ch, v in cols.items()}
+    """Raw trace CSV (columns sample,Ft,Ff,Fp) -> forces dict; ``sample`` is not read."""
+    _, values = _read_numeric(path, lambda h: [c.strip() for c in h] == ["sample", *CHANNELS],
+                              "header sample,Ft,Ff,Fp", usecols=(1, 2, 3))
+    return {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS)}
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +181,29 @@ def write_draws_csv(path, chains: ChainSet) -> None:
 
 
 def read_draws_csv(path) -> ChainSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["chain", "iteration"]:
-            raise ValidationError(f"{path}: expected draws header chain,iteration,...")
-        names = header[2:]
-        rows = [(int(r[0]), int(r[1]), [float(v) for v in r[2:]]) for r in reader if r]
-    if not rows:
+    header, values = _read_numeric(path, lambda h: h[:2] == ["chain", "iteration"],
+                                   "draws header chain,iteration,...")
+    if not len(values):
         raise ValidationError(f"{path}: no draws")
-    n_chains = max(r[0] for r in rows) + 1
-    n_iter = max(r[1] for r in rows) + 1
-    draws = np.full((n_chains, n_iter, len(names)), np.nan)
-    for c, it, vals in rows:
-        draws[c, it] = vals
+    index = values[:, :2]
+    bad = np.flatnonzero(~(np.isfinite(index) & (index >= 0)
+                           & (index == np.floor(index))).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: chain and iteration "
+                              "must be non-negative integers")
+    n_chains, n_iter = (int(n) + 1 for n in index.max(axis=0))
+    missing = ValidationError(f"{path}: missing (chain, iteration) combinations")
+    if n_chains * n_iter > len(values):  # too few rows for the grid: allocate nothing
+        raise missing
+    flat = (index[:, 0] * n_iter + index[:, 1]).astype(np.intp)
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]  # a repeat's last row
+    draws = np.full((n_chains * n_iter, len(header) - 2), np.nan)
+    draws[flat[last]] = values[last, 2:]
+    draws = draws.reshape(n_chains, n_iter, -1)
     if np.any(np.isnan(draws)):
-        raise ValidationError(f"{path}: missing (chain, iteration) combinations")
+        raise missing
     return ChainSet(
-        draws=draws, param_names=names, n_warmup=0, n_retained=n_iter,
+        draws=draws, param_names=header[2:], n_warmup=0, n_retained=n_iter,
         seed=0, accept_stats=np.full(n_chains, np.nan),
         divergences=np.zeros(n_chains, dtype=int),
     )

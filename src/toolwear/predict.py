@@ -270,6 +270,8 @@ def fit_tool_life(
     """Fit the life GP and materialize its predictive surface (metres).
 
     The surface reports the closed-form moments of :func:`life_surface`.
+    Equal tool lives raise :class:`DegenerateFitError`: with no spread in the
+    log lives the signal and noise variances both collapse to zero.
     """
     with_life = [r for r in records if r.tool_life is not None]
     if len(with_life) < 3:
@@ -279,6 +281,8 @@ def fit_tool_life(
     controls = controls_array(with_life)
     life = np.array([r.tool_life for r in with_life], dtype=float)
     model = ToolLifeModel(controls, life, priors)
+    if np.ptp(model.y) == 0:
+        raise DegenerateFitError("all tool lives equal; the tool-life GP posterior is improper")
     chains = run_chains(model, n_chains=n_chains, n_warmup=n_warmup,
                         n_samples=n_samples, seed=seed,
                         max_tree_depth=max_tree_depth, target_accept=target_accept)

@@ -1,10 +1,15 @@
 """Tests for file formats, run configuration, and the command-line interface."""
 
+import csv
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toolwear import io as tio
 from toolwear import pipeline, sampler
@@ -125,6 +130,128 @@ class TestDrawsIO:
         for x in rng.normal(scale=1e6, size=50):
             assert float(tio.fmt(x)) == x
         assert float(tio.fmt(math.pi)) == math.pi
+
+
+# finite floats, with the awkward ones always in play
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                     1.7976931348623157e308, -1.5e308, 1e-308]),
+)
+READERS = {  # kind -> (reader, header, cells of row i before its 3 values, parsed columns)
+    "trace": (tio.load_trace, "sample,Ft,Ff,Fp", lambda i: [str(i)], (1, 2, 3)),
+    "series": (tio.load_series, "L,Ft,Ff,Fp", lambda i: [repr(float(i + 1))], (0, 1, 2, 3)),
+    "draws": (tio.read_draws_csv, "chain,iteration,a,b,c", lambda i: ["0", str(i)],
+              (0, 1, 2, 3, 4)),
+}
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def parsed(kind, result):
+    """The reader's output as one (rows, columns) array."""
+    if kind == "trace":
+        return np.column_stack([result[ch] for ch in ("Ft", "Ff", "Fp")])
+    if kind == "series":
+        return np.column_stack([result[0], *(result[1][ch] for ch in ("Ft", "Ff", "Fp"))])
+    index = np.indices(result.draws.shape[:2]).reshape(2, -1).T
+    return np.column_stack([index, result.draws.reshape(-1, result.draws.shape[2])])
+
+
+def reference(path, usecols):
+    """The row-by-row parse: ``csv`` and ``float()``, blank rows skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return np.array([[float(row[j]) for j in usecols] for row in reader
+                         if any(c.strip() for c in row)])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNumericReader:
+    """Traces, series and draws share one reader; it must agree with a
+    row-by-row parse bit for bit, and name the file line of any bad row."""
+
+    @PROPERTY
+    @given(st.integers(1, 3), st.integers(2, 12), st.data())
+    def test_writers_round_trip_bit_for_bit(self, tmp_path, m, n, data):
+        from toolwear.segmentation import RawTrace
+        cells = st.lists(FINITE, min_size=3 * n, max_size=3 * n)
+        forces = dict(zip(("Ft", "Ff", "Fp"), np.array(data.draw(cells)).reshape(3, n)))
+        tio.write_trace(tmp_path / "t.csv", RawTrace(forces=forces))
+        back = tio.load_trace(tmp_path / "t.csv")
+        assert all(same_bits(back[ch], forces[ch]) for ch in forces)
+        assert all(v.flags.c_contiguous for v in back.values())  # BLAS paths see no strides
+
+        length = np.sort(data.draw(st.lists(FINITE, min_size=n, max_size=n, unique=True)))
+        tio.write_series(tmp_path / "s.csv", length, forces)
+        l2, f2 = tio.load_series(tmp_path / "s.csv")
+        assert same_bits(l2, length) and all(same_bits(f2[ch], forces[ch]) for ch in forces)
+        assert all(v.flags.c_contiguous for v in (l2, *f2.values()))
+
+        draws = np.array(data.draw(st.lists(FINITE, min_size=m * n * 3, max_size=m * n * 3)))
+        chains = ChainSet(draws=draws.reshape(m, n, 3), param_names=["a", "b", "c"],
+                          n_warmup=0, n_retained=n, seed=0, accept_stats=np.zeros(m),
+                          divergences=np.zeros(m, dtype=int))
+        tio.write_draws_csv(tmp_path / "d.csv", chains)
+        back = tio.read_draws_csv(tmp_path / "d.csv")
+        assert same_bits(back.draws, chains.draws) and back.param_names == ["a", "b", "c"]
+        assert back.draws.flags.c_contiguous
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(READERS)), st.integers(1, 8), st.data())
+    def test_bad_cell_names_its_file_line(self, tmp_path, kind, n, data):
+        reader, header, lead, cols = READERS[kind]
+        rows = [",".join(lead(i) + ["1.5"] * 3) for i in range(n)]
+        bad = data.draw(st.integers(0, n - 1))
+        cells = rows[bad].split(",")
+        cells[data.draw(st.sampled_from(cols))] = data.draw(
+            st.sampled_from(["x", "1.0.0", "", "1e", "--1", "0x1p3", "1;5", "nan?"]))
+        rows[bad] = ",".join(cells)
+        lines, target = [header], None
+        for i, row in enumerate(rows):
+            lines += data.draw(st.lists(st.sampled_from(["", "  ", "\t", " , "]), max_size=2))
+            lines.append(row)
+            if i == bad:
+                target = len(lines)
+        path = write(tmp_path / f"{kind}.csv", "\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}:{target}: malformed"):
+            reader(path)
+
+    @PROPERTY
+    @given(st.sampled_from(sorted(READERS)), st.integers(1, 8), st.data())
+    def test_loose_spellings_match_row_by_row_parse(self, tmp_path, kind, n, data):
+        reader, header, lead, cols = READERS[kind]
+        cell = st.one_of(FINITE.map(repr), FINITE.map(lambda v: f" {v!r} "),
+                         st.integers(-10 ** 7, 10 ** 7).map(lambda i: f"{i:_d}"))
+        extra = st.lists(st.sampled_from(["", "x", "9", " "]), max_size=2)
+        lines = [header]
+        for i in range(n):
+            lines += data.draw(st.lists(st.sampled_from(["", "   ", "\t"]), max_size=2))
+            length = 1000 * (i + 1)
+            row = ([data.draw(st.sampled_from([repr(float(length)), f" {length:_d} "]))]
+                   if kind == "series" else lead(i))
+            row += [data.draw(cell) for _ in range(3)]
+            if kind == "trace":
+                row += data.draw(extra)
+            lines.append(",".join(row))
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes((eol.join(lines) + eol).encode())
+        assert same_bits(parsed(kind, reader(path)), reference(path, cols))
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("cell", ["1.5#", "#1.5", "1.5 # note"])
+    def test_comment_mark_is_a_bad_cell(self, tmp_path, kind, cell):
+        reader, header, lead, _ = READERS[kind]
+        rows = [lead(i) + ["2.5"] * 3 for i in range(3)]
+        rows[1][-1] = cell
+        path = write(tmp_path / "f.csv", "\n".join([header, *map(",".join, rows)]) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}:3: malformed row"):
+            reader(path)
 
 
 class TestRunConfig:
@@ -367,6 +494,31 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage: toolwear" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad_row, what", [
+        ("0,1,2.5,x", "malformed row"),            # non-numeric cell
+        ("0,1,2.5", "malformed row"),              # short row
+        ("0,1.5,2.5,3.5", "chain and iteration must be"),  # non-integral iteration
+        ("-1,1,2.5,3.5", "chain and iteration must be"),   # negative chain
+    ])
+    def test_malformed_draws_exit_1_naming_line(self, tmp_path, capsys, bad_row, what):
+        draws = write(tmp_path / "d.csv",
+                      f"chain,iteration,a,b\n0,0,1.5,2.5\n\n{bad_row}\n1,0,1.0,2.0\n")
+        assert main(["diagnose", "--draws", draws]) == 1
+        err = capsys.readouterr().err
+        assert f"{draws}:4: {what}" in err and "internal error" not in err
+
+    def test_trace_short_row_exits_1_naming_line(self, tmp_path, capsys):
+        trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n0,1,2,3\n1,4,5\n2,6,7,8\n")
+        assert main(["segment", "--trace", trace]) == 1
+        assert f"{trace}:3: malformed row" in capsys.readouterr().err
+
+    def test_header_only_trace_is_insufficient_data(self, tmp_path, capsys):
+        trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an escaping warning would exit 3
+            assert main(["segment", "--trace", trace]) == 1
+        assert "trace needs at least 2 samples" in capsys.readouterr().err
 
 
 class TestParallelChains:

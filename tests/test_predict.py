@@ -378,9 +378,8 @@ class TestToolLife:
         rng = np.random.default_rng(53)
         settings = rng.uniform([20, 20], [60, 50], size=(8, 2))
         records = self.life_records(settings, np.full(8, 50.0))
-        chains, grid = fit_tool_life(records, n_chains=2, n_warmup=300,
-                                     n_samples=300, seed=11)
-        assert np.all(np.abs(grid.mean - 50.0) <= 3.0 * grid.sd + 1.0)
+        with pytest.raises(DegenerateFitError, match="all tool lives equal"):
+            fit_tool_life(records, n_chains=2, n_warmup=300, n_samples=300, seed=11)
 
     def test_life_surface_spans_training_envelope(self):
         from toolwear.predict import fit_tool_life

@@ -186,11 +186,12 @@ def read_draws_csv(path) -> ChainSet:
     if not len(values):
         raise ValidationError(f"{path}: no draws")
     index = values[:, :2]
-    bad = np.flatnonzero(~(np.isfinite(index) & (index >= 0)
-                           & (index == np.floor(index))).all(axis=1))
-    if bad.size:
-        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: chain and iteration "
-                              "must be non-negative integers")
+    ok = (np.isfinite(index) & (index >= 0) & (index == np.floor(index))).all(axis=1)
+    bad = np.flatnonzero(~(ok & np.isfinite(values[:, 2:]).all(axis=1)))
+    if bad.size:  # before the NaN fill below, which would call a NaN cell a missing draw
+        what = ("parameter values must be finite" if ok[bad[0]]
+                else "chain and iteration must be non-negative integers")
+        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: {what}")
     n_chains, n_iter = (int(n) + 1 for n in index.max(axis=0))
     missing = ValidationError(f"{path}: missing (chain, iteration) combinations")
     if n_chains * n_iter > len(values):  # too few rows for the grid: allocate nothing

@@ -4,7 +4,10 @@ Predictions at new (v_c, f) settings use the Gaussian conditional of the GP:
 ``mean = mu + k*' Sigma^-1 (beta - mu)``,
 ``var = eta^2 + sigma_b^2 - k*' Sigma^-1 k*``, one per retained posterior draw.
 Surfaces report the closed-form mean and sd of the mixture of these, which
-integrates out hyperparameter uncertainty without sampling or any seed. Tool
+integrates out hyperparameter uncertainty without sampling or any seed. The
+kernel factors over the grid's v_c and f axes (Saatci 2011), so a draw costs one
+K x K factor plus about nv*K^2*nf multiply-adds, not nv*nf*K exponentials and a
+triangular solve, and its result does not depend on the BLAS thread count. Tool
 life is modeled on the log scale by a direct GP regression (no per-experiment
 linear stage) and reported through its log-normal moments.
 """
@@ -16,11 +19,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (DegenerateFitError, DomainError, ExtrapolationError,
                      InsufficientDataError, ValidationError)
-from .kernel import KernelConfig, Standardizer, cholesky_cov, cross_cov
+from .kernel import KernelConfig, Standardizer, cholesky_cov, cross_cov, jittered_cholesky
 from .model import (
     ExperimentRecord,
     PriorConfig,
@@ -81,32 +84,38 @@ def gp_conditional(
     from below; a warning is emitted if a value falls below -1e-10 first.
     Returns scalars for a single star, arrays for a batch.
     """
-    beta = np.asarray(beta, dtype=float)
-    star = np.asarray(star, dtype=float)
-    single = star.ndim == 1
-    stars = np.atleast_2d(star)
     chol, _ = cholesky_cov(train, kernel, jitter=jitter)
-    k_star = cross_cov(stars, train, kernel)  # (M, K)
-    a = solve_triangular(chol, k_star.T, lower=True)            # (K, M)
-    b = solve_triangular(chol, beta - mu_beta, lower=True)      # (K,)
-    mean = mu_beta + a.T @ b
-    var = kernel.eta_sq + kernel.sigma_b_sq - np.sum(a * a, axis=0)
+    mean, var = _moments(chol, beta, mu_beta, kernel.eta_sq + kernel.sigma_b_sq,
+                         cross_cov(np.atleast_2d(star), train, kernel), np.ones((len(chol), 1)))
+    if np.ndim(star) == 1:
+        return float(mean[0, 0]), float(var[0, 0])
+    return mean[:, 0], var[:, 0]
+
+
+def _moments(chol, field, mu, prior_var, ev, ef):
+    """Conditional (mean, var) at nodes (i, j) of cross-covariance ``ev[i] * ef[:, j]``.
+
+    ``w`` stacks nv (K, K) @ (K, nf) products, which, unlike one flattened GEMM,
+    give the same bits whatever the BLAS thread count. Variances are clamped at
+    zero; a warning is emitted if one falls below -1e-10 first.
+    """
+    chol_inv, _ = dtrtri(chol, lower=1)
+    w = (chol_inv * ev[:, None, :]) @ ef
+    var = prior_var - np.einsum("ikj,ikj->ij", w, w)
     if np.any(var < -1e-10):
         warnings.warn(f"conditional variance fell to {var.min():.3e}; clamping to 0")
-    var = np.maximum(var, 0.0)
-    if single:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return mu + (chol_inv @ np.subtract(field, mu)) @ w, np.maximum(var, 0.0)
 
 
-def _conditionals(chains: ChainSet, train, stars, y=None):
-    """GP conditional ``(mean, var)`` at ``stars`` for each retained draw.
+def _conditionals(chains: ChainSet, train, v_axis, f_axis, y=None):
+    """GP conditional ``(mean, var)`` on the ``v_axis`` x ``f_axis`` grid for each retained draw.
 
     Force draws (``y`` omitted) condition their own ``beta[1..K]`` around
     ``mu_beta``; life draws condition the observed log life ``y`` around
     ``mu_life``. ``train`` has one row per experiment; inputs are
-    standardized on it. Draws lacking a needed column, or carrying slopes for
-    more experiments than ``train`` has, raise :class:`ValidationError`.
+    standardized on it. Draws lacking a needed column, carrying slopes for
+    more experiments than ``train`` has, or non-finite in a column used raise
+    :class:`ValidationError` when iterated.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     k = len(train)
@@ -119,14 +128,22 @@ def _conditionals(chains: ChainSet, train, stars, y=None):
     if missing or extra:
         raise ValidationError(f"draws lack column {missing[0]!r}" if missing else
                               f"draws have column {extra[0]!r} beyond the {k} experiments given")
-    flat = chains.flat()
-    fields = (flat[:, [names.index(n) for n in field]] if y is None
-              else np.broadcast_to(y, (len(flat), k)))
+    cols = chains.flat()[:, [names.index(n) for n in (*field, mu, *hyper)]]
+    if not np.isfinite(cols).all():
+        raise ValidationError("draws hold non-finite values")
+    fields = cols[:, :k] if y is None else np.broadcast_to(y, (len(cols), k))
     std = Standardizer.fit(train)
-    x_train, x_stars = std.transform(train), std.transform(np.atleast_2d(stars))
-    return (gp_conditional(f, m, KernelConfig(*h), x_train, x_stars)
-            for f, m, h in zip(fields, flat[:, names.index(mu)],
-                               flat[:, [names.index(n) for n in hyper]]))
+    xv, xf = std.transform(train).T
+    zv, zf = ((np.asarray(a, dtype=float) - m) / s
+              for a, m, s in zip((v_axis, f_axis), std.mean, std.sd))
+    dv2, df2 = (xv[:, None] - xv) ** 2, (xf[:, None] - xf) ** 2
+    av2, af2 = (zv[:, None] - xv) ** 2, (xf[:, None] - zf) ** 2  # (nv, K), (K, nf)
+    for f, m, h in zip(fields, cols[:, -5], cols[:, -4:]):
+        cfg = KernelConfig(*h)
+        chol, _ = jittered_cholesky(np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2),
+                                    cfg.eta_sq, cfg.sigma_b_sq)
+        yield _moments(chol, f, m, cfg.eta_sq + cfg.sigma_b_sq,
+                       cfg.eta_sq * np.exp(-cfg.rho1 * av2), np.exp(-cfg.rho2 * af2))
 
 
 def _mixture(pairs):
@@ -146,8 +163,8 @@ def _mixture(pairs):
 
 def _sample_at(chains: ChainSet, train, star, stream: int, y=None) -> np.ndarray:
     """One sample from each draw's conditional at ``star``, from RNG ``stream`` of the seed."""
-    pairs = _conditionals(chains, train, np.atleast_2d(star), y)
-    mean, var = np.array([(m[0], v[0]) for m, v in pairs]).T
+    pairs = _conditionals(chains, train, *np.reshape(star, (2, 1)), y)
+    mean, var = np.array([(m[0, 0], v[0, 0]) for m, v in pairs]).T
     rng = np.random.default_rng(np.random.SeedSequence([chains.seed & 0xFFFFFFFF, stream]))
     return mean + np.sqrt(var) * rng.standard_normal(len(mean))
 
@@ -162,13 +179,15 @@ def predictive_draws(chains: ChainSet, train: np.ndarray, star: np.ndarray) -> n
 
 
 def _grid(train, grid_spec, margin):
-    """Grid axes and their (v_c, f) nodes in row-major order."""
+    """The grid's v_c and f axes."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     v_lo, v_hi = train[:, 0].min(), train[:, 0].max()
     f_lo, f_hi = train[:, 1].min(), train[:, 1].max()
     if grid_spec is None:
         grid_spec = (v_lo, v_hi, DEFAULT_RESOLUTION, f_lo, f_hi, DEFAULT_RESOLUTION)
     v_min, v_max, nv, f_min, f_max, nf = grid_spec
+    if not np.isfinite([v_min, v_max, f_min, f_max]).all():
+        raise DomainError("grid bounds must be finite")
     if nv < 2 or nf < 2:
         raise DomainError("grid resolution must be >= 2 per axis")
     v_span, f_span = v_hi - v_lo, f_hi - f_lo
@@ -179,9 +198,7 @@ def _grid(train, grid_spec, margin):
             f"({margin:.0%} past the training hull); the fitted surface is "
             "not valid far outside the tested range"
         )
-    v_axis, f_axis = np.linspace(v_min, v_max, int(nv)), np.linspace(f_min, f_max, int(nf))
-    vv, ff = np.meshgrid(v_axis, f_axis, indexing="ij")
-    return v_axis, f_axis, np.column_stack([vv.ravel(), ff.ravel()])
+    return np.linspace(v_min, v_max, int(nv)), np.linspace(f_min, f_max, int(nf))
 
 
 def surface(
@@ -199,11 +216,9 @@ def surface(
     the training hull at 20 x 20 = 400 nodes. Grids reaching beyond
     ``margin`` past the hull raise :class:`ExtrapolationError`.
     """
-    v_axis, f_axis, stars = _grid(train, grid_spec, margin)
-    mean, sd = _mixture(_conditionals(chains, train, stars))
-    shape = (len(v_axis), len(f_axis))
-    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean.reshape(shape),
-                       sd=sd.reshape(shape), channel=channel)
+    v_axis, f_axis = _grid(train, grid_spec, margin)
+    mean, sd = _mixture(_conditionals(chains, train, v_axis, f_axis))
+    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd, channel=channel)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +317,11 @@ def life_surface(
     and variance ``expm1(v) exp(2m + v)``; nodes report the closed-form
     moments of their mixture, with no sampling and no dependence on the seed.
     """
-    v_axis, f_axis, stars = _grid(controls, grid_spec, margin)
+    v_axis, f_axis = _grid(controls, grid_spec, margin)
     y = np.log(np.asarray(life, dtype=float))
     mean, sd = _mixture((np.exp(m + v / 2), np.expm1(v) * np.exp(2 * m + v))
-                        for m, v in _conditionals(chains, controls, stars, y))
-    shape = (len(v_axis), len(f_axis))
-    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean.reshape(shape),
-                       sd=sd.reshape(shape), channel="life")
+                        for m, v in _conditionals(chains, controls, v_axis, f_axis, y))
+    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd, channel="life")
 
 
 def predict_life(chains: ChainSet, records: list[ExperimentRecord], star) -> np.ndarray:

@@ -500,6 +500,8 @@ class TestExitCodes:
         ("0,1,2.5", "malformed row"),              # short row
         ("0,1.5,2.5,3.5", "chain and iteration must be"),  # non-integral iteration
         ("-1,1,2.5,3.5", "chain and iteration must be"),   # negative chain
+        ("0,1,nan,3.5", "parameter values must be finite"),  # not a missing draw
+        ("0,1,2.5,-inf", "parameter values must be finite"),
     ])
     def test_malformed_draws_exit_1_naming_line(self, tmp_path, capsys, bad_row, what):
         draws = write(tmp_path / "d.csv",
@@ -507,6 +509,22 @@ class TestExitCodes:
         assert main(["diagnose", "--draws", draws]) == 1
         err = capsys.readouterr().err
         assert f"{draws}:4: {what}" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("grid, what", [
+        ("nan:50:5,25:45:5", "grid bounds must be finite"),
+        (None, "draws hold non-finite values"),  # an infinite slope in npz draws
+    ])
+    def test_predict_non_finite_input_exits_1(self, tmp_path, capsys, grid, what):
+        files = TestCli().mismatch_inputs(tmp_path)
+        draws = tio.read_draws_csv(files["force"])
+        draws.draws[1, 3, draws.param_names.index("beta[2]")] = math.inf
+        tio.write_draws_npz(tmp_path / "draws_Ft.npz", draws)
+        argv = ["predict", "--draws", files["force"] if grid else str(tmp_path / "draws_Ft.npz"),
+                "--controls", files["controls6"], "-o", str(tmp_path / "surface.csv")]
+        assert main(argv + (["--grid", grid] if grid else [])) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
+        assert not (tmp_path / "surface.csv").exists()
 
     def test_trace_short_row_exits_1_naming_line(self, tmp_path, capsys):
         trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n0,1,2,3\n1,4,5\n2,6,7,8\n")

@@ -1,18 +1,25 @@
 """Tests for GP prediction, response surfaces, tool life, and the Taylor fit."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import toolwear
 from toolwear import io as tio
+from toolwear import kernel
 from toolwear.errors import (
     DegenerateFitError,
     DomainError,
     ExtrapolationError,
     InsufficientDataError,
+    ValidationError,
 )
 from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix, cross_cov
 from toolwear.model import ExperimentRecord, PriorConfig
@@ -226,6 +233,28 @@ class TestSurface:
         with pytest.raises(DomainError):
             surface(chains, train, grid_spec=(25.0, 55.0, 1, 25.0, 45.0, 5))
 
+    @pytest.mark.parametrize("bound", [0, 1, 3, 4])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_grid_bounds_must_be_finite(self, bound, value):
+        rng = np.random.default_rng(52)
+        train = rng.uniform([20, 20], [60, 50], size=(5, 2))
+        spec = [train[:, 0].min(), train[:, 0].max(), 5, train[:, 1].min(),
+                train[:, 1].max(), 5]
+        spec[bound] = value
+        with pytest.raises(DomainError, match="grid bounds must be finite"):
+            surface(self.make_chains(rng, train), train, grid_spec=tuple(spec))
+
+    @pytest.mark.parametrize("column", ["beta[2]", "mu_beta", "rho2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_draws_are_rejected(self, column, value):
+        """In-memory draws bypass the CSV reader's check; the conditional rejects them."""
+        rng = np.random.default_rng(53)
+        train = rng.uniform([20, 20], [60, 50], size=(5, 2))
+        chains = self.make_chains(rng, train, n_draws=20)
+        chains.draws[0, 7, chains.param_names.index(column)] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            surface(chains, train)
+
 
 HYPER_NAMES = ["eta_sq", "rho1", "rho2", "sigma_b_sq"]
 
@@ -262,6 +291,11 @@ def dense_moments(chains, train, nodes, y=None):
     return np.array(means), np.array(variances)
 
 
+def lognormal(m, v):
+    """Per-draw (mean, var) of the life, given those of the log life."""
+    return np.exp(m + v / 2), np.expm1(v) * np.exp(2 * m + v)
+
+
 class TestClosedFormSurfaces:
     """Surfaces report the exact moments of the mixture of per-draw conditionals."""
 
@@ -289,6 +323,93 @@ class TestClosedFormSurfaces:
         sd = np.sqrt(node_var.mean(axis=0) + node_mean.var(axis=0))
         assert np.allclose(grid.mean.ravel(), node_mean.mean(axis=0), rtol=1e-10, atol=0.0)
         assert np.allclose(grid.sd.ravel(), sd, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("nv, nf", [(2, 7), (7, 2)])
+    def test_non_square_grids_match_dense_mixture(self, nv, nf):
+        """Unequal axes catch a v/f transposition or a wrong reshape."""
+        train, life, force, life_chains = self.inputs(67)
+        lo, hi = train.min(axis=0), train.max(axis=0)
+        spec = (lo[0], hi[0], nv, lo[1], hi[1], nf)
+        force_grid = surface(force, train, grid_spec=spec)
+        life_grid = life_surface(life_chains, train, life, grid_spec=spec)
+        for grid, (m, v) in (
+                (force_grid, dense_moments(force, train, force_grid.nodes())),
+                (life_grid, lognormal(*dense_moments(life_chains, train, life_grid.nodes(),
+                                                     y=np.log(life))))):
+            assert grid.mean.shape == grid.sd.shape == (nv, nf)
+            assert np.allclose(grid.mean.ravel(), m.mean(axis=0), rtol=1e-10, atol=0.0)
+            assert np.allclose(grid.sd.ravel(), np.sqrt(v.mean(axis=0) + m.var(axis=0)),
+                               rtol=1e-10, atol=0.0)
+
+    def test_surface_is_mixture_of_gp_conditional(self, monkeypatch):
+        """At every node the surface equals the mixture of ``gp_conditional``
+        taken on the standardized inputs, also for draws whose factor needs an
+        escalated jitter. Those draws have eta_sq = 1 and a nugget of 1e-12
+        eta_sq; a small nugget alone never rounds a K = 6 kernel matrix
+        indefinite, so LAPACK is made to refuse their first jitter level."""
+        train, _, force, _ = self.inputs(69)
+        idx = {n: i for i, n in enumerate(force.param_names)}
+        force.draws[0, ::10, idx["eta_sq"]] = 1.0
+        force.draws[0, ::10, idx["sigma_b_sq"]] = 1e-12
+        refused = []
+        dpotrf = kernel.dpotrf
+
+        def first_level_refused(cov, **kw):
+            chol, info = dpotrf(cov, **kw)
+            if abs(cov[0, 0] - 1.0 - 1e-12 - JITTER_START) < 1e-13:  # eta_sq = 1, first try
+                refused.append(cov[0, 0])
+                return chol, 1
+            return chol, info
+
+        monkeypatch.setattr(kernel, "dpotrf", first_level_refused)
+        grid = surface(force, train)
+        n_refused = len(refused)
+        assert n_refused == len(force.draws[0, ::10])
+        std = Standardizer.fit(train)
+        x_train, x_nodes = std.transform(train), std.transform(grid.nodes())
+        means, variances = [], []
+        for row in force.flat():
+            cfg = KernelConfig(*(row[idx[n]] for n in HYPER_NAMES))
+            m, v = gp_conditional(row[[idx[f"beta[{i + 1}]"] for i in range(len(train))]],
+                                  row[idx["mu_beta"]], cfg, x_train, x_nodes)
+            means.append(m)
+            variances.append(v)
+        assert len(refused) == 2 * n_refused  # gp_conditional escalated the same draws
+        m, v = np.array(means), np.array(variances)
+        assert np.allclose(grid.mean.ravel(), m.mean(axis=0), rtol=1e-12, atol=0.0)
+        assert np.allclose(grid.sd.ravel(), np.sqrt(v.mean(axis=0) + m.var(axis=0)),
+                           rtol=1e-12, atol=0.0)
+
+    def test_blas_thread_count_does_not_change_surfaces(self, tmp_path):
+        """``toolwear predict`` on K = 21 draws over a 60 x 60 grid writes the
+        same bytes with one and with two BLAS threads."""
+        rng = np.random.default_rng(71)
+        k = 21
+        train = rng.uniform([20, 20], [60, 50], size=(k, 2))
+        life = rng.uniform(10.0, 255.0, size=k)
+        (tmp_path / "controls.csv").write_text("\n".join(
+            ["id,v_c,f,tool_life"] + [f"{i + 1},{v!r},{f!r},{t!r}"
+                                      for i, ((v, f), t) in enumerate(zip(train.tolist(),
+                                                                          life.tolist()))]))
+        force, life_chains = mixed_chainsets(rng, k, n_draws=100)
+        tio.write_draws_csv(tmp_path / "draws_Ft.csv", force)
+        tio.write_draws_csv(tmp_path / "draws_life.csv", life_chains)
+        lo, hi = train.min(axis=0).tolist(), train.max(axis=0).tolist()
+        grid = f"{lo[0]!r}:{hi[0]!r}:60,{lo[1]!r}:{hi[1]!r}:60"
+        script = ("import sys; from toolwear.cli import main; d = sys.argv[1]; sys.exit(max("
+                  "main(['predict', '--draws', f'{d}/draws_{c}.csv', '--controls', "
+                  "f'{d}/controls.csv', '--channel', c, '--grid', sys.argv[2], "
+                  "'-o', f'{d}/{sys.argv[3]}_{c}.csv']) for c in ('Ft', 'life')))")
+        src = str(Path(toolwear.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, str(tmp_path), grid, f"t{threads}"],
+                           env=env, check=True, capture_output=True)
+        for channel in ("Ft", "life"):
+            one = (tmp_path / f"t1_{channel}.csv").read_bytes()
+            assert one.count(b"\n") == 60 * 60 + 1
+            assert one == (tmp_path / f"t2_{channel}.csv").read_bytes()
 
     def test_independent_of_seed_and_storage(self, tmp_path):
         """Seed, CSV round-trip (which resets the seed) and npz give one surface."""

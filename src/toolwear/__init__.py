@@ -23,14 +23,13 @@ from .errors import (
     ValidationError,
 )
 from .io import RunConfig, load_controls, load_series, load_trace
-from .kernel import KernelConfig, Standardizer, cholesky_cov, cov_matrix, cross_cov, kernel_eval
+from .kernel import KernelConfig, Standardizer, cholesky_cov, cov_matrix, cross_cov
 from .model import (
     ExperimentRecord,
     ForceChannelModel,
     ModelParams,
     PriorConfig,
     controls_array,
-    grad_log_posterior,
     log_likelihood,
     log_posterior,
     log_prior,
@@ -44,8 +43,6 @@ from .predict import (
     fit_tool_life,
     gp_conditional,
     life_surface,
-    predict_life,
-    predictive_draws,
     surface,
     taylor_life,
 )
@@ -69,13 +66,13 @@ __all__ = [
     "EmptyContactError", "NotPositiveDefiniteError", "InvalidDataError",
     "ExtrapolationError", "ValidationError", "DegenerateFitError", "SamplingError",
     "RunConfig", "load_controls", "load_series", "load_trace",
-    "KernelConfig", "Standardizer", "kernel_eval", "cross_cov", "cov_matrix", "cholesky_cov",
+    "KernelConfig", "Standardizer", "cross_cov", "cov_matrix", "cholesky_cov",
     "ExperimentRecord", "ModelParams", "PriorConfig", "ForceChannelModel",
     "controls_array",
-    "log_likelihood", "log_prior", "log_posterior", "grad_log_posterior",
+    "log_likelihood", "log_prior", "log_posterior",
     "PipelineResult", "run_pipeline",
-    "SurfaceGrid", "TaylorFit", "ToolLifeModel", "gp_conditional", "predictive_draws",
-    "surface", "life_surface", "fit_tool_life", "predict_life", "fit_taylor", "taylor_life",
+    "SurfaceGrid", "TaylorFit", "ToolLifeModel", "gp_conditional",
+    "surface", "life_surface", "fit_tool_life", "fit_taylor", "taylor_life",
     "ChainSet", "run_chains",
     "RawTrace", "Segmentation", "ExperimentSeries", "binary_segmentation",
     "default_penalty", "extract_contact_phases",

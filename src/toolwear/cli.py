@@ -21,12 +21,12 @@ from . import io as tio
 from .design import DesignBounds, augmentation_plan
 from .diagnostics import PSRF_THRESHOLD, summarize
 from .errors import SamplingError, ToolwearError, ValidationError
-from .model import ForceChannelModel, PriorConfig, controls_array
+from .model import ForceChannelModel, controls_array
 from .pipeline import run_pipeline
 from .predict import fit_taylor, fit_tool_life, life_surface, surface
 from .sampler import run_chains
 from .segmentation import CHANNELS, RawTrace, binary_segmentation, extract_contact_phases
-from .simulate import DEFAULT_BOUNDS, simulate_dataset, simulate_raw_trace
+from .simulate import simulate_dataset, simulate_raw_trace
 
 ENV_OUTPUT_DIR = "TOOLWEAR_OUTPUT_DIR"
 
@@ -60,24 +60,6 @@ def _parse_grid(spec: str):
         raise ValidationError(
             f"invalid --grid {spec!r}; expected v_min:v_max:nv,f_min:f_max:nf"
         ) from exc
-
-
-def _load_priors(path: str | None) -> PriorConfig:
-    if path is None:
-        return PriorConfig()
-    raw = yaml.safe_load(Path(path).read_text())
-    if raw is None:
-        return PriorConfig()
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: priors file must be a mapping")
-    try:
-        cfg = PriorConfig(**raw)
-    except TypeError as exc:
-        raise ValidationError(f"{path}: unknown prior key ({exc})") from exc
-    for name, val in raw.items():
-        if val <= 0:
-            raise ValidationError(f"{path}: prior scale {name} must be positive")
-    return cfg
 
 
 def _read_draws(path: str):
@@ -178,13 +160,14 @@ def _cmd_fit(args) -> int:
     records = tio.load_controls(args.controls)
     if not records:
         raise ValidationError("controls table is empty")
-    priors = _load_priors(args.priors)
+    priors = tio.parse_priors(None if args.priors is None
+                              else yaml.safe_load(Path(args.priors).read_text()))
     kwargs = dict(n_chains=args.chains, n_warmup=args.warmup,
                   n_samples=args.samples, seed=args.seed,
                   max_tree_depth=args.max_tree_depth,
                   target_accept=args.target_accept)
     if args.channel == "life":
-        chains, _ = fit_tool_life(records, priors=priors, **kwargs)
+        chains = fit_tool_life(records, priors=priors, **kwargs)
     else:
         if args.series_dir is None:
             raise ValidationError("--series-dir is required for force channels")
@@ -282,17 +265,14 @@ def _cmd_taylor(args) -> int:
 
 def _cmd_run(args) -> int:
     config = tio.RunConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
+    overrides = {key: val for key, val in (("seed", args.seed), ("output_dir", args.output_dir))
+                 if val is not None}
     for item in args.set or []:
         key, _, value = item.partition("=")
         if not value:
             raise ValidationError(f"--set expects key=value, got {item!r}")
-        if not hasattr(config, key):
-            raise ValidationError(f"unknown config key {key!r}")
-        setattr(config, key, yaml.safe_load(value))
+        overrides[key] = yaml.safe_load(value)
+    config.override(overrides)
     result = run_pipeline(config)
     print(f"pipeline complete: {len(result.artifacts)} artifacts, "
           f"manifest {result.manifest_path}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io as _io
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import islice
@@ -221,6 +220,8 @@ def write_draws_npz(path, chains: ChainSet) -> None:
 
 def read_draws_npz(path) -> ChainSet:
     with np.load(path, allow_pickle=False) as z:
+        if not z["draws"].size:
+            raise ValidationError(f"{path}: no draws")
         return ChainSet(
             draws=z["draws"], param_names=[str(n) for n in z["param_names"]],
             n_warmup=int(z["n_warmup"]), n_retained=z["draws"].shape[1],
@@ -258,6 +259,35 @@ def write_surface_matrix(path, grid) -> None:
 # ---------------------------------------------------------------------------
 # run configuration
 
+# the keys the ``segmentation`` and ``sampler`` sections of a run config may
+# set, with the values used for the keys they leave out
+SECTION_DEFAULTS = {
+    "segmentation": {"penalty": None, "min_seg_len": 20, "threshold": 50.0,
+                     "length_per_sample": 1.0},
+    "sampler": {"chains": 4, "warmup": 1000, "samples": 1000,
+                "max_tree_depth": 10, "target_accept": 0.8},
+}
+
+
+def _check_keys(mapping, allowed, what: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{what} must be a mapping")
+    unknown = sorted(set(mapping) - set(allowed), key=str)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {unknown}")
+
+
+def parse_priors(raw) -> PriorConfig:
+    """Prior scales from a mapping (None for the defaults); unknown keys and
+    scales that are not finite positive numbers raise ValidationError."""
+    raw = {} if raw is None else raw
+    _check_keys(raw, {f.name for f in fields(PriorConfig)}, "prior")
+    for key, val in raw.items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < np.inf:
+            raise ValidationError(f"prior scale {key} must be a finite positive number")
+    return PriorConfig(**raw)
+
+
 @dataclass
 class RunConfig:
     """Validated pipeline settings from a YAML key-value file."""
@@ -280,17 +310,22 @@ class RunConfig:
             raw = yaml.safe_load(Path(path).read_text())
         except yaml.YAMLError as exc:
             raise ValidationError(f"{path}: invalid YAML: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: config must be a mapping")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
+        _check_keys(raw, {f.name for f in fields(cls)}, "config")
         cfg = cls(**raw)
         cfg.validate(base=Path(path).parent)
         return cfg
 
+    def override(self, values: dict) -> None:
+        """Set ``values`` and check the result as a file is checked; relative
+        paths given here resolve against the working directory."""
+        _check_keys(values, {f.name for f in fields(self)}, "config")
+        for key, val in values.items():
+            setattr(self, key, val)
+        self.validate()
+
     def validate(self, base: Path | None = None) -> None:
+        """Resolve relative paths against ``base`` (the working directory if
+        omitted), then check every value. Run again, it changes nothing."""
         if self.seed is None:
             raise ValidationError("seed is required (no wall-clock default)")
         base = base or Path(".")
@@ -309,14 +344,16 @@ class RunConfig:
         if bad:
             raise ValidationError(f"unknown channels {bad}")
         self.output_dir = str(base / self.output_dir)
-        for key, val in self.priors.items():
-            if key not in {f.name for f in fields(PriorConfig)}:
-                raise ValidationError(f"unknown prior key {key}")
-            if val <= 0:
-                raise ValidationError(f"prior scale {key} must be positive")
+        for name, defaults in SECTION_DEFAULTS.items():
+            _check_keys(getattr(self, name), defaults, name)
+        parse_priors(self.priors)
 
     def prior_config(self) -> PriorConfig:
-        return PriorConfig(**self.priors)
+        return parse_priors(self.priors)
+
+    def settings(self, section: str) -> dict:
+        """The ``segmentation`` or ``sampler`` section over its defaults."""
+        return {**SECTION_DEFAULTS[section], **getattr(self, section)}
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -64,15 +64,6 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dv**2, df**2
 
 
-def kernel_eval(a, b, cfg: KernelConfig) -> float:
-    """Covariance between two control points; no nugget."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    return float(
-        cfg.eta_sq * np.exp(-cfg.rho1 * (a[0] - b[0]) ** 2 - cfg.rho2 * (a[1] - b[1]) ** 2)
-    )
-
-
 def cross_cov(stars: np.ndarray, train: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """M x K covariance between prediction and training points; never nugget."""
     dv2, df2 = _sq_dists(stars, train)

@@ -56,10 +56,6 @@ class ExperimentRecord:
                 if not np.all(np.isfinite(v)):
                     raise InvalidDataError(f"experiment {self.id}: non-finite force in {k}")
 
-    @property
-    def control(self) -> np.ndarray:
-        return np.array([self.v_c, self.f])
-
 
 @dataclass
 class ModelParams:
@@ -175,7 +171,6 @@ class ForceChannelModel:
         records: list[ExperimentRecord],
         channel: str = "Ft",
         priors: PriorConfig | None = None,
-        standardizer: Standardizer | None = None,
     ):
         if channel not in {"Ft", "Ff", "Fp"}:
             raise InvalidDataError(f"unknown channel {channel!r}")
@@ -205,8 +200,8 @@ class ForceChannelModel:
             np.ascontiguousarray(sums.T)
         self._log_norm = -0.5 * (self.n.sum() + K) * LOG_2PI  # likelihood and alpha level
 
-        self.standardizer = standardizer or Standardizer.fit(controls_array(records))
-        x = self.standardizer.transform(controls_array(records))
+        controls = controls_array(records)
+        x = Standardizer.fit(controls).transform(controls)
         self.dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
         self.df2 = (x[:, 1:2] - x[None, :, 1]) ** 2
 
@@ -344,7 +339,6 @@ def log_prior(
     params: ModelParams,
     records: list[ExperimentRecord],
     priors: PriorConfig | None = None,
-    standardizer: Standardizer | None = None,
 ) -> float:
     """GP density of the slopes + alpha regularization + hyperpriors.
 
@@ -355,8 +349,7 @@ def log_prior(
     pri = priors or PriorConfig()
     K = len(records)
     controls = controls_array(records)
-    std = standardizer or Standardizer.fit(controls)
-    x = std.transform(controls)
+    x = Standardizer.fit(controls).transform(controls)
     ker = params.kernel
 
     dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
@@ -394,18 +387,3 @@ def log_posterior(
 ) -> float:
     """Unnormalized joint log density: likelihood plus prior."""
     return log_likelihood(params, records, channel) + log_prior(params, records, priors)
-
-
-def grad_log_posterior(
-    params: ModelParams,
-    records: list[ExperimentRecord],
-    priors: PriorConfig | None = None,
-    channel: str = "Ft",
-) -> np.ndarray:
-    """Analytic gradient over the unconstrained parameterization.
-
-    Coordinates follow the layout documented on :class:`ForceChannelModel`,
-    with beta raw and every positive parameter on the log scale.
-    """
-    model = ForceChannelModel(records, channel=channel, priors=priors)
-    return model.logp_grad(model.unconstrain(params))[1]

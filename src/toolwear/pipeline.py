@@ -14,7 +14,7 @@ from . import io as tio
 from .diagnostics import PSRF_THRESHOLD, summarize
 from .errors import ToolwearError, ValidationError
 from .model import ForceChannelModel, controls_array
-from .predict import fit_tool_life, surface
+from .predict import fit_tool_life, life_surface, surface
 from .sampler import run_chains
 from .segmentation import RawTrace, binary_segmentation, extract_contact_phases
 
@@ -58,15 +58,9 @@ def run_pipeline(config: tio.RunConfig) -> PipelineResult:
 
 def _run_stages(config, result, stages_done):
     out = result.output_dir
-    seg_cfg = {
-        "penalty": None, "min_seg_len": 20, "threshold": 50.0,
-        "length_per_sample": 1.0, **config.segmentation,
-    }
+    seg_cfg = config.settings("segmentation")
     priors = config.prior_config()
-    smp = {
-        "chains": 4, "warmup": 1000, "samples": 1000,
-        "max_tree_depth": 10, "target_accept": 0.8, **config.sampler,
-    }
+    smp = config.settings("sampler")
 
     stages_done.append("load")
     records = tio.load_controls(config.controls)
@@ -138,14 +132,16 @@ def _run_stages(config, result, stages_done):
         tio.write_surface_csv(surf_path, grid)
         result.artifacts.append(surf_path)
 
-    if config.fit_tool_life and sum(r.tool_life is not None for r in records) >= 3:
+    with_life = [r for r in records if r.tool_life is not None]
+    if config.fit_tool_life and len(with_life) >= 3:
         stages_done.append("tool-life")
-        life_chains, life_grid = fit_tool_life(
+        life_chains = fit_tool_life(
             records, priors=priors, n_chains=smp["chains"], n_warmup=smp["warmup"],
             n_samples=smp["samples"], seed=config.seed,
-            grid_spec=_grid_spec(config),
             max_tree_depth=smp["max_tree_depth"], target_accept=smp["target_accept"],
         )
+        life_grid = life_surface(life_chains, controls_array(with_life),
+                                 [r.tool_life for r in with_life], grid_spec=_grid_spec(config))
         life_summary = summarize(life_chains)
         for path, writer, obj in (
             (out / "draws_life.csv", tio.write_draws_csv, life_chains),

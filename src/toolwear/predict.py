@@ -54,11 +54,6 @@ class SurfaceGrid:
     def n_nodes(self) -> int:
         return self.mean.size
 
-    def nodes(self) -> np.ndarray:
-        """All (v_c, f) pairs in row-major node order, shape (n_nodes, 2)."""
-        vv, ff = np.meshgrid(self.v_axis, self.f_axis, indexing="ij")
-        return np.column_stack([vv.ravel(), ff.ravel()])
-
 
 @dataclass
 class TaylorFit:
@@ -161,24 +156,7 @@ def _mixture(pairs):
     return mean, np.sqrt((var_sum + m2) / n)
 
 
-def _sample_at(chains: ChainSet, train, star, stream: int, y=None) -> np.ndarray:
-    """One sample from each draw's conditional at ``star``, from RNG ``stream`` of the seed."""
-    pairs = _conditionals(chains, train, *np.reshape(star, (2, 1)), y)
-    mean, var = np.array([(m[0, 0], v[0, 0]) for m, v in pairs]).T
-    rng = np.random.default_rng(np.random.SeedSequence([chains.seed & 0xFFFFFFFF, stream]))
-    return mean + np.sqrt(var) * rng.standard_normal(len(mean))
-
-
-def predictive_draws(chains: ChainSet, train: np.ndarray, star: np.ndarray) -> np.ndarray:
-    """Posterior-predictive sample of the slope at one new control point.
-
-    One conditional draw per retained posterior draw, which integrates the
-    GP identity over the posterior of all other parameters.
-    """
-    return _sample_at(chains, train, star, stream=1)
-
-
-def _grid(train, grid_spec, margin):
+def _grid(train, grid_spec):
     """The grid's v_c and f axes."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     v_lo, v_hi = train[:, 0].min(), train[:, 0].max()
@@ -190,12 +168,12 @@ def _grid(train, grid_spec, margin):
         raise DomainError("grid bounds must be finite")
     if nv < 2 or nf < 2:
         raise DomainError("grid resolution must be >= 2 per axis")
-    v_span, f_span = v_hi - v_lo, f_hi - f_lo
-    if (v_min < v_lo - margin * v_span or v_max > v_hi + margin * v_span
-            or f_min < f_lo - margin * f_span or f_max > f_hi + margin * f_span):
+    v_pad, f_pad = DEFAULT_MARGIN * (v_hi - v_lo), DEFAULT_MARGIN * (f_hi - f_lo)
+    if (v_min < v_lo - v_pad or v_max > v_hi + v_pad
+            or f_min < f_lo - f_pad or f_max > f_hi + f_pad):
         raise ExtrapolationError(
             "grid extends beyond the extrapolation margin "
-            f"({margin:.0%} past the training hull); the fitted surface is "
+            f"({DEFAULT_MARGIN:.0%} past the training hull); the fitted surface is "
             "not valid far outside the tested range"
         )
     return np.linspace(v_min, v_max, int(nv)), np.linspace(f_min, f_max, int(nf))
@@ -206,7 +184,6 @@ def surface(
     train: np.ndarray,
     grid_spec=None,
     channel: str = "Ft",
-    margin: float = DEFAULT_MARGIN,
 ) -> SurfaceGrid:
     """Predictive mean/sd of the slope field on a regular (v_c, f) grid.
 
@@ -214,9 +191,10 @@ def surface(
     conditionals, with no sampling and no dependence on ``chains.seed``.
     ``grid_spec`` is (v_min, v_max, nv, f_min, f_max, nf); the default covers
     the training hull at 20 x 20 = 400 nodes. Grids reaching beyond
-    ``margin`` past the hull raise :class:`ExtrapolationError`.
+    :data:`DEFAULT_MARGIN` past the hull raise :class:`ExtrapolationError`.
+    A spec (v, v, 2, f, f, 2) gives the moments at the single node (v, f).
     """
-    v_axis, f_axis = _grid(train, grid_spec, margin)
+    v_axis, f_axis = _grid(train, grid_spec)
     mean, sd = _mixture(_conditionals(chains, train, v_axis, f_axis))
     return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd, channel=channel)
 
@@ -277,16 +255,14 @@ def fit_tool_life(
     n_warmup: int = 1000,
     n_samples: int = 1000,
     seed: int = 0,
-    grid_spec=None,
-    margin: float = DEFAULT_MARGIN,
     max_tree_depth: int = 10,
     target_accept: float = 0.8,
-) -> tuple[ChainSet, SurfaceGrid]:
-    """Fit the life GP and materialize its predictive surface (metres).
+) -> ChainSet:
+    """Sample the life GP on the experiments that have a tool life.
 
-    The surface reports the closed-form moments of :func:`life_surface`.
-    Equal tool lives raise :class:`DegenerateFitError`: with no spread in the
-    log lives the signal and noise variances both collapse to zero.
+    :func:`life_surface` maps the draws to the predictive surface. Equal
+    tool lives raise :class:`DegenerateFitError`: with no spread in the log
+    lives the signal and noise variances both collapse to zero.
     """
     with_life = [r for r in records if r.tool_life is not None]
     if len(with_life) < 3:
@@ -298,10 +274,9 @@ def fit_tool_life(
     model = ToolLifeModel(controls, life, priors)
     if np.ptp(model.y) == 0:
         raise DegenerateFitError("all tool lives equal; the tool-life GP posterior is improper")
-    chains = run_chains(model, n_chains=n_chains, n_warmup=n_warmup,
-                        n_samples=n_samples, seed=seed,
-                        max_tree_depth=max_tree_depth, target_accept=target_accept)
-    return chains, life_surface(chains, controls, life, grid_spec=grid_spec, margin=margin)
+    return run_chains(model, n_chains=n_chains, n_warmup=n_warmup,
+                      n_samples=n_samples, seed=seed,
+                      max_tree_depth=max_tree_depth, target_accept=target_accept)
 
 
 def life_surface(
@@ -309,27 +284,18 @@ def life_surface(
     controls: np.ndarray,
     life: np.ndarray,
     grid_spec=None,
-    margin: float = DEFAULT_MARGIN,
 ) -> SurfaceGrid:
-    """Predictive tool-life surface (m) from life-GP draws.
+    """Predictive tool-life surface (m) from life-GP draws, gridded as by :func:`surface`.
 
     Each draw's conditional life is log-normal, with mean ``exp(m + v/2)``
     and variance ``expm1(v) exp(2m + v)``; nodes report the closed-form
     moments of their mixture, with no sampling and no dependence on the seed.
     """
-    v_axis, f_axis = _grid(controls, grid_spec, margin)
+    v_axis, f_axis = _grid(controls, grid_spec)
     y = np.log(np.asarray(life, dtype=float))
     mean, sd = _mixture((np.exp(m + v / 2), np.expm1(v) * np.exp(2 * m + v))
                         for m, v in _conditionals(chains, controls, v_axis, f_axis, y))
     return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd, channel="life")
-
-
-def predict_life(chains: ChainSet, records: list[ExperimentRecord], star) -> np.ndarray:
-    """Posterior-predictive life draws (m) at one control point."""
-    with_life = [r for r in records if r.tool_life is not None]
-    life = np.array([r.tool_life for r in with_life], dtype=float)
-    return np.exp(_sample_at(chains, controls_array(with_life), star, stream=4,
-                             y=np.log(life)))
 
 
 # ---------------------------------------------------------------------------

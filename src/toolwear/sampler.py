@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, SamplingError
 
 DIVERGENCE_THRESHOLD = 1000.0
+INIT_RADIUS = 2.0  # chains start uniform in [-INIT_RADIUS, INIT_RADIUS] per coordinate
 
 
 @dataclass
@@ -41,9 +42,6 @@ class ChainSet:
     def flat(self) -> np.ndarray:
         """Draws pooled over chains, shape (n_chains * n_retained, n_params)."""
         return self.draws.reshape(-1, self.draws.shape[2])
-
-    def column(self, name: str) -> np.ndarray:
-        return self.draws[:, :, self.param_names.index(name)]
 
 
 def leapfrog(x, p, grad, step, logp_grad_fn, inv_mass):
@@ -200,13 +198,17 @@ def _uturn(x_min, x_max, p_min, p_max, inv_mass):
 
 
 class DualAveraging:
-    """Nesterov dual averaging of log step size toward a target acceptance."""
+    """Nesterov dual averaging of log step size toward a target acceptance.
 
-    def __init__(self, step_size0, target_accept=0.8,
-                 gamma=0.05, t0=10.0, kappa=0.75):
+    ``gamma``, ``t0`` and ``kappa`` take the values of Hoffman & Gelman
+    (2014, sec. 3.2.1).
+    """
+
+    gamma, t0, kappa = 0.05, 10.0, 0.75
+
+    def __init__(self, step_size0, target_accept=0.8):
         self.mu = math.log(10.0 * step_size0)
         self.target = target_accept
-        self.gamma, self.t0, self.kappa = gamma, t0, kappa
         self.count = 0
         self.h_bar = 0.0
         self.log_step = math.log(step_size0)
@@ -270,8 +272,7 @@ def _warmup_schedule(n_warmup, init_buffer=75, term_buffer=50, base_window=25):
     return init_buffer, window_ends
 
 
-def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth,
-               target_accept, init_radius):
+def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_accept):
     """One NUTS chain seeded by ``seed_seq``: windowed warmup, then sampling.
 
     Returns ``(draws, accept_stat, divergences, step_size)``: the retained
@@ -280,7 +281,7 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth,
     """
     constrain = getattr(target, "constrain", lambda u: u)
     rng = np.random.default_rng(seed_seq)
-    x = rng.uniform(-init_radius, init_radius, target.dim)
+    x = rng.uniform(-INIT_RADIUS, INIT_RADIUS, target.dim)
     logp, grad = target.logp_grad(x)
     inv_mass = np.ones(target.dim)
     eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass, logp, grad)
@@ -353,13 +354,12 @@ def run_chains(
     seed: int = 0,
     max_tree_depth: int = 10,
     target_accept: float = 0.8,
-    init_radius: float = 2.0,
 ) -> ChainSet:
     """Sample ``target`` with independent NUTS chains.
 
     ``target`` provides ``dim``, ``logp_grad(u) -> (logp, grad)`` and
     optionally ``constrain(u)`` / ``param_names``. Chains start from uniform
-    draws in ``[-init_radius, init_radius]`` with seeds split from ``seed``,
+    draws in ``[-INIT_RADIUS, INIT_RADIUS]`` with seeds split from ``seed``,
     so results are reproducible regardless of execution order. The density
     is evaluated once at each chain's start; every step-size search and
     transition then starts from the density and gradient already held.
@@ -379,7 +379,7 @@ def run_chains(
 
     names = getattr(target, "param_names", [f"u[{i+1}]" for i in range(target.dim)])
     seeds = np.random.SeedSequence(seed).spawn(n_chains)
-    settings = (n_warmup, n_samples, max_tree_depth, target_accept, init_radius)
+    settings = (n_warmup, n_samples, max_tree_depth, target_accept)
     workers = _worker_count(n_chains)
     if workers == 1:
         results = [_run_chain(ss, target, *settings) for ss in seeds]
@@ -401,25 +401,3 @@ def run_chains(
         n_retained=n_samples, seed=seed, accept_stats=np.array(accept_stats),
         divergences=divergences, step_sizes=np.array(step_sizes),
     )
-
-
-@dataclass
-class GaussianTarget:
-    """Multivariate normal test target (diagonal or full covariance)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        self._prec = np.linalg.inv(self.cov)
-
-    @property
-    def dim(self) -> int:
-        return len(self.mean)
-
-    def logp_grad(self, u):
-        d = u - self.mean
-        g = -self._prec @ d
-        return 0.5 * float(d @ g), g

@@ -17,6 +17,11 @@ from .model import ExperimentRecord
 from .segmentation import CHANNELS, RawTrace
 
 DEFAULT_BOUNDS = DesignBounds(20.0, 60.0, 20.0, 50.0)
+# the data-generating truth: slope-field GP, intercept mean and sd, noise sd (N),
+# and the cutting length (m) each series spans
+TRUE_KERNEL = KernelConfig(eta_sq=4.0, rho1=1.0, rho2=1.0, sigma_b_sq=0.1)
+TRUE_MU_BETA, ALPHA_MEAN, ALPHA_SD, NOISE_SD, MAX_LENGTH = 2.0, 200.0, 10.0, 5.0, 100.0
+N_PASSES = 4  # contact passes per raw trace, separated by air cuts of unit-sd noise
 
 
 @dataclass
@@ -28,67 +33,53 @@ class GroundTruth:
     sigma: float
     mu_beta: float
     kernel: KernelConfig
-    controls: np.ndarray
-    tool_life: np.ndarray | None = None
 
 
 def simulate_dataset(
     n_experiments: int = 21,
     n_points: int = 50,
-    bounds: DesignBounds = DEFAULT_BOUNDS,
-    kernel: KernelConfig = KernelConfig(eta_sq=4.0, rho1=1.0, rho2=1.0, sigma_b_sq=0.1),
-    mu_beta: float = 2.0,
-    alpha_mean: float = 200.0,
-    alpha_sd: float = 10.0,
-    sigma: float = 5.0,
-    max_length: float = 100.0,
-    with_tool_life: bool = True,
     seed: int = 0,
 ) -> tuple[list[ExperimentRecord], GroundTruth]:
     """Experiments with linear force trends whose slopes come from the GP.
 
     The kernel length scales apply on the standardized control scale, matching
     how the model interprets them. Each channel gets an independent slope
-    field; tool life (when requested) decreases with cutting speed and feed
-    rate plus lognormal noise, pinned to a 10-255 m range.
+    field; tool life decreases with cutting speed and feed rate plus
+    lognormal noise, pinned to a 10-255 m range.
     """
     rng = np.random.default_rng(seed)
-    initial, _ = augmentation_plan(bounds, n_experiments)
+    initial, _ = augmentation_plan(DEFAULT_BOUNDS, n_experiments)
     controls = np.array([[p.v_c, p.f] for p in initial])
     x = Standardizer.fit(controls).transform(controls)
 
-    chol, _ = cholesky_cov(x, kernel)
-    beta = {ch: mu_beta + chol @ rng.standard_normal(n_experiments) for ch in CHANNELS}
-    alpha = alpha_mean + alpha_sd * rng.standard_normal(n_experiments)
+    chol, _ = cholesky_cov(x, TRUE_KERNEL)
+    beta = {ch: TRUE_MU_BETA + chol @ rng.standard_normal(n_experiments) for ch in CHANNELS}
+    alpha = ALPHA_MEAN + ALPHA_SD * rng.standard_normal(n_experiments)
 
-    life = None
-    if with_tool_life:
-        u = (controls - controls.min(axis=0)) / np.ptp(controls, axis=0)
-        log_life = np.log(255.0) + (np.log(10.0) - np.log(255.0)) * (0.6 * u[:, 0] + 0.4 * u[:, 1])
-        life = np.exp(log_life + 0.1 * rng.standard_normal(n_experiments))
+    u = (controls - controls.min(axis=0)) / np.ptp(controls, axis=0)
+    log_life = np.log(255.0) + (np.log(10.0) - np.log(255.0)) * (0.6 * u[:, 0] + 0.4 * u[:, 1])
+    life = np.exp(log_life + 0.1 * rng.standard_normal(n_experiments))
 
     records = []
     for i in range(n_experiments):
-        length = np.linspace(max_length / n_points, max_length, n_points)
+        length = np.linspace(MAX_LENGTH / n_points, MAX_LENGTH, n_points)
         forces = {
-            ch: alpha[i] + beta[ch][i] * length + sigma * rng.standard_normal(n_points)
+            ch: alpha[i] + beta[ch][i] * length + NOISE_SD * rng.standard_normal(n_points)
             for ch in CHANNELS
         }
         records.append(ExperimentRecord(
             id=i + 1, v_c=controls[i, 0], f=controls[i, 1],
             length=length, forces=forces,
-            tool_life=float(life[i]) if life is not None else None,
+            tool_life=float(life[i]),
         ))
-    truth = GroundTruth(alpha=alpha, beta=beta, sigma=sigma, mu_beta=mu_beta,
-                        kernel=kernel, controls=controls, tool_life=life)
+    truth = GroundTruth(alpha=alpha, beta=beta, sigma=NOISE_SD, mu_beta=TRUE_MU_BETA,
+                        kernel=TRUE_KERNEL)
     return records, truth
 
 
 def simulate_raw_trace(
     record: ExperimentRecord,
-    n_passes: int = 4,
     gap_samples: int = 120,
-    gap_noise: float = 1.0,
     seed: int = 0,
 ) -> RawTrace:
     """Embed a record's series into a trace with non-contact gaps.
@@ -100,14 +91,14 @@ def simulate_raw_trace(
     rng = np.random.default_rng(seed)
     n = len(record.length)
     lps = float(record.length[-1] / n)
-    edges = np.linspace(0, n, n_passes + 1).astype(int)
+    edges = np.linspace(0, n, N_PASSES + 1).astype(int)
     chunks = {ch: [] for ch in CHANNELS}
-    for k in range(n_passes):
+    for k in range(N_PASSES):
         lo, hi = edges[k], edges[k + 1]
         for ch in CHANNELS:
             chunks[ch].append(record.forces[ch][lo:hi])
-        if k < n_passes - 1:
-            gap = rng.standard_normal((len(CHANNELS), gap_samples)) * gap_noise
+        if k < N_PASSES - 1:
+            gap = rng.standard_normal((len(CHANNELS), gap_samples))
             for j, ch in enumerate(CHANNELS):
                 chunks[ch].append(gap[j])
     return RawTrace(

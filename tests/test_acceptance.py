@@ -15,13 +15,15 @@ import time
 import numpy as np
 import pytest
 
+from gaussian_target import GaussianTarget
 from toolwear import io as tio
 from toolwear.diagnostics import psrf, summarize
 from toolwear.kernel import KernelConfig, Standardizer, cov_matrix, cross_cov
-from toolwear.model import ExperimentRecord, ForceChannelModel
+from toolwear.model import ExperimentRecord, ForceChannelModel, controls_array
 from toolwear.pipeline import run_pipeline
-from toolwear.predict import fit_tool_life, gp_conditional, fit_taylor, predict_life
-from toolwear.sampler import ChainSet, GaussianTarget, run_chains
+from toolwear.predict import (fit_taylor, fit_tool_life, gp_conditional, life_surface,
+                              surface)
+from toolwear.sampler import ChainSet, run_chains
 from toolwear.segmentation import RawTrace, binary_segmentation
 from toolwear.simulate import simulate_dataset
 
@@ -131,10 +133,13 @@ def test_synthetic_recovery_at_scale():
           f"intervals, worst PSRF {worst_rhat:.4f}, {elapsed:.0f}s")
 
 
+def node(v, f):
+    """Grid spec of the single node (v, f)."""
+    return (v, v, 2, f, f, 2)
+
+
 def test_surface_contract():
     """Criterion 5: 400-node default grid; corner sd dominates training sd."""
-    from toolwear.predict import predictive_draws, surface
-
     rng = np.random.default_rng(105)
     k = 8
     train = rng.uniform([20, 20], [60, 50], size=(k, 2))
@@ -155,10 +160,8 @@ def test_surface_contract():
 
     corners = np.array([[grid.v_axis[a], grid.f_axis[b]]
                         for a in (0, -1) for b in (0, -1)])
-    corner_sd = max(predictive_draws(chains, train, c).std(ddof=1)
-                    for c in corners)
-    worst_train_sd = max(predictive_draws(chains, train, pt).std(ddof=1)
-                         for pt in train)
+    corner_sd = max(surface(chains, train, node(*c)).sd[0, 0] for c in corners)
+    worst_train_sd = max(surface(chains, train, node(*pt)).sd[0, 0] for pt in train)
     assert worst_train_sd <= corner_sd
     print(f"PASS surface contract: 400 nodes; max training-point sd "
           f"{worst_train_sd:.3f} <= farthest-corner sd {corner_sd:.3f}")
@@ -180,10 +183,10 @@ def test_tool_life_endpoints():
                          tool_life=life)
         for i, ((v, f), life) in enumerate(zip(settings, lives))
     ]
-    chains, _ = fit_tool_life(records, n_chains=2, n_warmup=500, n_samples=500,
-                              seed=106)
-    long_life = predict_life(chains, records, np.array([20.0, 45.0])).mean()
-    short_life = predict_life(chains, records, np.array([58.0, 22.5])).mean()
+    chains = fit_tool_life(records, n_chains=2, n_warmup=500, n_samples=500, seed=106)
+    long_life, short_life = (
+        life_surface(chains, controls_array(records), lives, node(*s)).mean[0, 0]
+        for s in [(20.0, 45.0), (58.0, 22.5)])
     assert long_life > short_life
     print(f"PASS tool-life endpoints: mean life {long_life:.0f} m at (20, 45) "
           f"> {short_life:.0f} m at (58, 22.5)")

@@ -526,6 +526,45 @@ class TestExitCodes:
         assert what in err and "internal error" not in err
         assert not (tmp_path / "surface.csv").exists()
 
+    @pytest.mark.parametrize("override, what", [
+        ("priors={foo: 1}", "unknown prior keys ['foo']"),
+        ("priors={eta_sq_scale: -1}", "prior scale eta_sq_scale must be a finite positive"),
+        ("seed=null", "seed is required"),
+    ])
+    def test_run_overrides_are_validated(self, tmp_path, capsys, override, what):
+        """``--set`` values are checked as the config file's are, before any stage runs."""
+        cfg = TestRunConfig().good_config(tmp_path)
+        argv = ["run", "--config", cfg, "--set", "sampler={chains: 2, warmup: 10, samples: 10}"]
+        assert main(argv + ["--set", override]) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, what", [
+        ("sampler: {chians: 2, warmup: 20, samples: 20}", "unknown sampler keys ['chians']"),
+        ("segmentation: {treshold: 50}\nsampler: {chains: 2, warmup: 20, samples: 20}",
+         "unknown segmentation keys ['treshold']"),
+    ])
+    def test_run_config_unknown_section_key_exits_1(self, tmp_path, capsys, section, what):
+        cfg = TestRunConfig().good_config(tmp_path)
+        with open(cfg, "a") as fh:
+            fh.write(f"\n{section}\n")
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_npz_without_draws_exits_1(self, tmp_path, capsys):
+        files = TestCli().mismatch_inputs(tmp_path)
+        draws = tmp_path / "draws_life.npz"
+        tio.write_draws_npz(draws, ChainSet(
+            draws=np.empty((2, 0, 5)), param_names=ToolLifeModel.param_names, n_warmup=0,
+            n_retained=0, seed=0, accept_stats=np.ones(2), divergences=np.zeros(2, dtype=int)))
+        assert main(["predict", "--draws", str(draws), "--controls", files["controls6"],
+                     "--channel", "life", "-o", str(tmp_path / "surface.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{draws}: no draws" in err and "internal error" not in err
+
     def test_trace_short_row_exits_1_naming_line(self, tmp_path, capsys):
         trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n0,1,2,3\n1,4,5\n2,6,7,8\n")
         assert main(["segment", "--trace", trace]) == 1

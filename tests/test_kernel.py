@@ -17,8 +17,12 @@ from toolwear.kernel import (
     cov_matrix,
     cross_cov,
     jittered_cholesky,
-    kernel_eval,
 )
+
+
+def kernel_eval(a, b, cfg):
+    """Covariance between two single control points, through :func:`cross_cov`."""
+    return float(cross_cov(np.atleast_2d(a), np.atleast_2d(b), cfg)[0, 0])
 
 
 def random_config(rng):

@@ -21,7 +21,6 @@ from toolwear.model import (
     PriorConfig,
     controls_array,
     gp_level,
-    grad_log_posterior,
     half_cauchy_logpdf,
     log_likelihood,
     log_posterior,
@@ -254,11 +253,12 @@ class TestGradient:
         expected = -solve(cov, params.beta - params.mu_beta, assume_a="pos")
         assert np.allclose(grad[k:2 * k], expected, rtol=1e-8, atol=1e-10)
 
-    def test_free_function_wrapper(self):
+    def test_gradient_at_constrained_params(self):
         rng = np.random.default_rng(47)
         records, _, _ = make_records(rng, k=3, n=6, sigma=1.0)
         params = make_params(rng, 3)
-        g = grad_log_posterior(params, records)
+        model = ForceChannelModel(records)
+        g = model.logp_grad(model.unconstrain(params))[1]
         assert g.shape == (3 * 3 + 7,)
         assert np.all(np.isfinite(g))
 

@@ -29,7 +29,6 @@ from toolwear.predict import (
     fit_taylor,
     gp_conditional,
     life_surface,
-    predictive_draws,
     surface,
     taylor_life,
 )
@@ -44,6 +43,19 @@ def dense_conditional(beta, mu_beta, cfg, train, star, jitter=0.0):
     mean = mu_beta + ks @ inv @ (np.asarray(beta) - mu_beta)
     var = cfg.eta_sq + cfg.sigma_b_sq - np.einsum("ij,jk,ik->i", ks, inv, ks)
     return mean, var
+
+
+def node(chains, train, star):
+    """Closed-form predictive (mean, sd) of the slope at the single node ``star``."""
+    v, f = star
+    grid = surface(chains, train, (v, v, 2, f, f, 2))
+    return grid.mean[0, 0], grid.sd[0, 0]
+
+
+def grid_nodes(grid):
+    """All (v_c, f) pairs of ``grid`` in row-major node order, shape (n_nodes, 2)."""
+    vv, ff = np.meshgrid(grid.v_axis, grid.f_axis, indexing="ij")
+    return np.column_stack([vv.ravel(), ff.ravel()])
 
 
 def force_chainset(flat_rows, names, seed=0):
@@ -151,10 +163,9 @@ class TestPredictiveDraws:
         beta_rows = rng.normal(2.0, 0.7, size=(4000, k))
         chains = model_chainset(k, beta_rows, hyper, seed=5)
         star = np.array([0.2, 0.1])
-        draws = predictive_draws(chains, train, star)
+        _, sd = node(chains, train, star)
         # replicate the implementation's z-scoring so the kernel sees the
         # same coordinates
-        from toolwear.kernel import Standardizer
         std = Standardizer.fit(train)
         x_train = std.transform(train)
         x_star = std.transform(star[None])[0]
@@ -162,7 +173,7 @@ class TestPredictiveDraws:
         means = np.array([c[0] for c in cond])
         vars_ = np.array([c[1] for c in cond])
         expected = vars_.mean() + means.var()
-        assert draws.var() == pytest.approx(expected, rel=0.1)
+        assert sd ** 2 == pytest.approx(expected, rel=1e-10)
 
     def test_interpolation_limit(self):
         rng = np.random.default_rng(39)
@@ -171,17 +182,20 @@ class TestPredictiveDraws:
         hyper = [1.0, 1.0, 1.0, 1e-10]
         beta_rows = rng.normal(1.5, 0.05, size=(500, k))
         chains = model_chainset(k, beta_rows, hyper, seed=7)
-        draws = predictive_draws(chains, train, train[1])
-        assert draws.mean() == pytest.approx(beta_rows[:, 1].mean(), abs=0.02)
+        mean, _ = node(chains, train, train[1])
+        assert mean == pytest.approx(beta_rows[:, 1].mean(), abs=0.02)
 
     def test_deterministic_given_chainset(self):
+        """The node moments repeat bit for bit and do not depend on the seed."""
         rng = np.random.default_rng(41)
         k = 3
         train = rng.uniform(-1, 1, size=(k, 2))
-        chains = model_chainset(k, rng.normal(size=(100, k)), [1.0, 1.0, 1.0, 0.1])
+        beta_rows = rng.normal(size=(100, k))
+        chains = model_chainset(k, beta_rows, [1.0, 1.0, 1.0, 0.1])
+        reseeded = model_chainset(k, beta_rows, [1.0, 1.0, 1.0, 0.1], seed=99)
         star = np.array([0.0, 0.0])
-        assert np.array_equal(predictive_draws(chains, train, star),
-                              predictive_draws(chains, train, star))
+        assert node(chains, train, star) == node(chains, train, star) \
+            == node(reseeded, train, star)
 
 
 class TestSurface:
@@ -308,7 +322,7 @@ class TestClosedFormSurfaces:
     def test_surface_matches_dense_mixture(self):
         train, _, force, _ = self.inputs(61)
         grid = surface(force, train)
-        m, v = dense_moments(force, train, grid.nodes())
+        m, v = dense_moments(force, train, grid_nodes(grid))
         mean = m.mean(axis=0)
         sd = np.sqrt(v.mean(axis=0) + m.var(axis=0))
         assert np.allclose(grid.mean.ravel(), mean, rtol=1e-10, atol=0.0)
@@ -317,7 +331,7 @@ class TestClosedFormSurfaces:
     def test_life_surface_matches_lognormal_mixture(self):
         train, life, _, chains = self.inputs(63)
         grid = life_surface(chains, train, life)
-        m, v = dense_moments(chains, train, grid.nodes(), y=np.log(life))
+        m, v = dense_moments(chains, train, grid_nodes(grid), y=np.log(life))
         node_mean = np.exp(m + v / 2)
         node_var = np.expm1(v) * np.exp(2 * m + v)
         sd = np.sqrt(node_var.mean(axis=0) + node_mean.var(axis=0))
@@ -333,8 +347,8 @@ class TestClosedFormSurfaces:
         force_grid = surface(force, train, grid_spec=spec)
         life_grid = life_surface(life_chains, train, life, grid_spec=spec)
         for grid, (m, v) in (
-                (force_grid, dense_moments(force, train, force_grid.nodes())),
-                (life_grid, lognormal(*dense_moments(life_chains, train, life_grid.nodes(),
+                (force_grid, dense_moments(force, train, grid_nodes(force_grid))),
+                (life_grid, lognormal(*dense_moments(life_chains, train, grid_nodes(life_grid),
                                                      y=np.log(life))))):
             assert grid.mean.shape == grid.sd.shape == (nv, nf)
             assert np.allclose(grid.mean.ravel(), m.mean(axis=0), rtol=1e-10, atol=0.0)
@@ -366,7 +380,7 @@ class TestClosedFormSurfaces:
         n_refused = len(refused)
         assert n_refused == len(force.draws[0, ::10])
         std = Standardizer.fit(train)
-        x_train, x_nodes = std.transform(train), std.transform(grid.nodes())
+        x_train, x_nodes = std.transform(train), std.transform(grid_nodes(grid))
         means, variances = [], []
         for row in force.flat():
             cfg = KernelConfig(*(row[idx[n]] for n in HYPER_NAMES))
@@ -508,8 +522,8 @@ class TestToolLife:
         settings = rng.uniform([20, 20], [60, 50], size=(10, 2))
         lives = np.exp(np.log(255) - (settings[:, 0] - 20) / 40 * np.log(25.5))
         records = self.life_records(settings, lives)
-        _, grid = fit_tool_life(records, n_chains=2, n_warmup=300,
-                                n_samples=300, seed=13)
+        chains = fit_tool_life(records, n_chains=2, n_warmup=300, n_samples=300, seed=13)
+        grid = life_surface(chains, settings, lives)
         lo = lives.min() - 3.0 * grid.sd.max()
         hi = lives.max() + 3.0 * grid.sd.max()
         assert np.all(grid.mean >= lo) and np.all(grid.mean <= hi)

@@ -160,8 +160,7 @@ def _cmd_fit(args) -> int:
     records = tio.load_controls(args.controls)
     if not records:
         raise ValidationError("controls table is empty")
-    priors = tio.parse_priors(None if args.priors is None
-                              else yaml.safe_load(Path(args.priors).read_text()))
+    priors = tio.parse_priors(None if args.priors is None else tio.load_yaml(args.priors))
     kwargs = dict(n_chains=args.chains, n_warmup=args.warmup,
                   n_samples=args.samples, seed=args.seed,
                   max_tree_depth=args.max_tree_depth,
@@ -271,7 +270,10 @@ def _cmd_run(args) -> int:
         key, _, value = item.partition("=")
         if not value:
             raise ValidationError(f"--set expects key=value, got {item!r}")
-        overrides[key] = yaml.safe_load(value)
+        try:
+            overrides[key] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"--set {key}: invalid YAML: {exc}") from exc
     config.override(overrides)
     result = run_pipeline(config)
     print(f"pipeline complete: {len(result.artifacts)} artifacts, "
@@ -304,12 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output CSV (index,v_c,f,priority)")
     p.set_defaults(handler=_cmd_design)
 
+    seg = tio.SECTION_DEFAULTS["segmentation"]
     p = sub.add_parser("segment", help="changepoint segmentation of a raw force trace")
     p.add_argument("--trace", required=True, help="raw trace CSV (sample,Ft,Ff,Fp)")
-    p.add_argument("--penalty", type=float, default=None, help="split penalty (default: data-driven)")
-    p.add_argument("--min-seg-len", type=int, default=20, help="minimum segment length in samples")
-    p.add_argument("--threshold", type=float, default=50.0, help="contact threshold on mean force (N)")
-    p.add_argument("--length-per-sample", type=float, default=1.0, help="cutting length per sample (m)")
+    p.add_argument("--penalty", type=float, default=seg["penalty"],
+                   help="split penalty (default: data-driven)")
+    p.add_argument("--min-seg-len", type=int, default=seg["min_seg_len"],
+                   help="minimum segment length in samples")
+    p.add_argument("--threshold", type=float, default=seg["threshold"],
+                   help="contact threshold on mean force (N)")
+    p.add_argument("--length-per-sample", type=float, default=seg["length_per_sample"],
+                   help="cutting length per sample (m)")
     p.add_argument("--channel", choices=CHANNELS, default="Ft", help="channel driving the segmentation")
     p.add_argument("--series-out", help="contact-phase series CSV (L,Ft,Ff,Fp)")
     p.add_argument("--report-out", help="changepoint report CSV")
@@ -328,12 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controls", required=True, help="controls CSV (id,v_c,f[,tool_life])")
     p.add_argument("--series-dir", help="directory of series_<id>.csv files")
     p.add_argument("--channel", choices=[*CHANNELS, "life"], default="Ft")
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--warmup", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=1000)
+    smp = tio.SECTION_DEFAULTS["sampler"]
+    p.add_argument("--chains", type=int, default=smp["chains"])
+    p.add_argument("--warmup", type=int, default=smp["warmup"])
+    p.add_argument("--samples", type=int, default=smp["samples"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tree-depth", type=int, default=10)
-    p.add_argument("--target-accept", type=float, default=0.8)
+    p.add_argument("--max-tree-depth", type=int, default=smp["max_tree_depth"])
+    p.add_argument("--target-accept", type=float, default=smp["target_accept"])
     p.add_argument("--priors", help="YAML file of prior scales")
     p.add_argument("--format", choices=["csv", "npz"], default="csv",
                    help="draws format: CSV (inspectable) or columnar binary")

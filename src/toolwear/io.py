@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
@@ -277,6 +277,14 @@ def _check_keys(mapping, allowed, what: str) -> None:
         raise ValidationError(f"unknown {what} keys {unknown}")
 
 
+def load_yaml(path):
+    """The YAML document in ``path``; a syntax error raises ValidationError."""
+    try:
+        return yaml.safe_load(Path(path).read_text())
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{path}: invalid YAML: {exc}") from exc
+
+
 def parse_priors(raw) -> PriorConfig:
     """Prior scales from a mapping (None for the defaults); unknown keys and
     scales that are not finite positive numbers raise ValidationError."""
@@ -306,11 +314,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            raw = yaml.safe_load(Path(path).read_text())
-        except yaml.YAMLError as exc:
-            raise ValidationError(f"{path}: invalid YAML: {exc}") from exc
+        raw = load_yaml(path)
         _check_keys(raw, {f.name for f in fields(cls)}, "config")
+        missing = [f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING and f.name not in raw]
+        if missing:
+            raise ValidationError(f"{path}: missing config keys {missing}")
         cfg = cls(**raw)
         cfg.validate(base=Path(path).parent)
         return cfg
@@ -329,21 +338,24 @@ class RunConfig:
         if self.seed is None:
             raise ValidationError("seed is required (no wall-clock default)")
         base = base or Path(".")
-        self.controls = str((base / self.controls))
+        for attr in ("controls", "output_dir", "traces_dir", "series_dir"):
+            val = getattr(self, attr)
+            if val is None and attr in ("traces_dir", "series_dir"):
+                continue
+            if not isinstance(val, str):
+                raise ValidationError(f"{attr} must be a path, got {val!r}")
+            setattr(self, attr, str(base / val))
         if not Path(self.controls).exists():
             raise ValidationError(f"controls file not found: {self.controls}")
         for attr in ("traces_dir", "series_dir"):
             val = getattr(self, attr)
-            if val is not None:
-                setattr(self, attr, str(base / val))
-                if not Path(getattr(self, attr)).is_dir():
-                    raise ValidationError(f"{attr} not found: {getattr(self, attr)}")
+            if val is not None and not Path(val).is_dir():
+                raise ValidationError(f"{attr} not found: {val}")
         if self.traces_dir is None and self.series_dir is None:
             raise ValidationError("one of traces_dir or series_dir is required")
         bad = [c for c in self.channels if c not in CHANNELS]
         if bad:
             raise ValidationError(f"unknown channels {bad}")
-        self.output_dir = str(base / self.output_dir)
         for name, defaults in SECTION_DEFAULTS.items():
             _check_keys(getattr(self, name), defaults, name)
         parse_priors(self.priors)

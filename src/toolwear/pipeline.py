@@ -61,6 +61,9 @@ def _run_stages(config, result, stages_done):
     seg_cfg = config.settings("segmentation")
     priors = config.prior_config()
     smp = config.settings("sampler")
+    sampler_kw = dict(n_chains=smp["chains"], n_warmup=smp["warmup"], n_samples=smp["samples"],
+                      seed=config.seed, max_tree_depth=smp["max_tree_depth"],
+                      target_accept=smp["target_accept"])
 
     stages_done.append("load")
     records = tio.load_controls(config.controls)
@@ -105,11 +108,7 @@ def _run_stages(config, result, stages_done):
     for channel in config.channels:
         stages_done.append(f"fit:{channel}")
         model = ForceChannelModel(records, channel=channel, priors=priors)
-        chains = run_chains(
-            model, n_chains=smp["chains"], n_warmup=smp["warmup"],
-            n_samples=smp["samples"], seed=config.seed,
-            max_tree_depth=smp["max_tree_depth"], target_accept=smp["target_accept"],
-        )
+        chains = run_chains(model, **sampler_kw)
         draws_path = out / f"draws_{channel}.csv"
         tio.write_draws_csv(draws_path, chains)
         result.artifacts.append(draws_path)
@@ -135,11 +134,7 @@ def _run_stages(config, result, stages_done):
     with_life = [r for r in records if r.tool_life is not None]
     if config.fit_tool_life and len(with_life) >= 3:
         stages_done.append("tool-life")
-        life_chains = fit_tool_life(
-            records, priors=priors, n_chains=smp["chains"], n_warmup=smp["warmup"],
-            n_samples=smp["samples"], seed=config.seed,
-            max_tree_depth=smp["max_tree_depth"], target_accept=smp["target_accept"],
-        )
+        life_chains = fit_tool_life(records, priors=priors, **sampler_kw)
         life_grid = life_surface(life_chains, controls_array(with_life),
                                  [r.tool_life for r in with_life], grid_spec=_grid_spec(config))
         life_summary = summarize(life_chains)

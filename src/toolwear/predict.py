@@ -251,15 +251,11 @@ class ToolLifeModel:
 def fit_tool_life(
     records: list[ExperimentRecord],
     priors: PriorConfig | None = None,
-    n_chains: int = 4,
-    n_warmup: int = 1000,
-    n_samples: int = 1000,
-    seed: int = 0,
-    max_tree_depth: int = 10,
-    target_accept: float = 0.8,
+    **sampler_kw,
 ) -> ChainSet:
     """Sample the life GP on the experiments that have a tool life.
 
+    ``sampler_kw`` go to :func:`~toolwear.sampler.run_chains` as they are.
     :func:`life_surface` maps the draws to the predictive surface. Equal
     tool lives raise :class:`DegenerateFitError`: with no spread in the log
     lives the signal and noise variances both collapse to zero.
@@ -274,9 +270,7 @@ def fit_tool_life(
     model = ToolLifeModel(controls, life, priors)
     if np.ptp(model.y) == 0:
         raise DegenerateFitError("all tool lives equal; the tool-life GP posterior is improper")
-    return run_chains(model, n_chains=n_chains, n_warmup=n_warmup,
-                      n_samples=n_samples, seed=seed,
-                      max_tree_depth=max_tree_depth, target_accept=target_accept)
+    return run_chains(model, **sampler_kw)
 
 
 def life_surface(

@@ -1,11 +1,16 @@
 """Hamiltonian Monte Carlo with No-U-Turn trajectories and dual averaging.
 
-Multinomial NUTS with a diagonal mass matrix: trajectories double until the
-U-turn criterion or the maximum tree depth, the next state is drawn with
-multinomial weights, and step size adapts toward a target acceptance rate
-during a windowed warmup (step-size phase, growing mass-matrix windows, final
-step-size phase). A transition is flagged divergent when the energy error
-exceeds :data:`DIVERGENCE_THRESHOLD`.
+Multinomial NUTS (Hoffman & Gelman 2014) with a diagonal mass matrix:
+trajectories double until the U-turn criterion or the maximum tree depth,
+the next state is drawn with multinomial weights, and step size adapts
+toward a target acceptance rate during a windowed warmup (step-size phase,
+growing mass-matrix windows, final step-size phase). A transition is
+flagged divergent when the energy error exceeds :data:`DIVERGENCE_THRESHOLD`.
+
+Each doubling builds its subtree leaf by leaf in a loop, without recursion.
+:func:`_merge` is the one place where two subtrees join: it draws the
+multinomial choice, adds the weights, accept sums and step counts, moves
+an end and checks the U-turn, inside a subtree and in the doubling loop.
 """
 
 from __future__ import annotations
@@ -64,15 +69,45 @@ def leapfrog(x, p, grad, step, logp_grad_fn, inv_mass):
 
 
 class _Tree:
-    """State of one NUTS trajectory subtree (multinomial weighting)."""
+    """A NUTS trajectory or subtree, built for one state (a leaf, or the
+    start of a transition) and grown by :func:`_merge`."""
 
-    __slots__ = ("x_min", "p_min", "g_min", "x_max", "p_max", "g_max",
-                 "x_prop", "logp_prop", "grad_prop", "log_weight", "sum_accept",
-                 "n_steps", "turning", "diverged")
+    __slots__ = ("lo", "hi", "x_prop", "logp_prop", "grad_prop", "log_weight",
+                 "sum_accept", "n_steps", "turning", "diverged")
+
+    def __init__(self, x, p, logp, grad, log_weight, sum_accept, n_steps, diverged):
+        self.lo = self.hi = (x, p, grad)  # the (x, p, grad) ends, backward and forward
+        self.x_prop, self.logp_prop, self.grad_prop = x, logp, grad
+        self.log_weight = log_weight
+        self.sum_accept = sum_accept
+        self.n_steps = n_steps
+        self.diverged = diverged
+        self.turning = False
 
 
 def _kinetic(p, inv_mass):
     return 0.5 * float(np.sum(p * p * inv_mass))
+
+
+def _merge(first, second, direction, rng, inv_mass):
+    """Extend ``first``, in place, by ``second``, the subtree built after it in
+    ``direction``. The multinomial uniform is drawn whenever ``second``'s log
+    weight is finite, even if ``second`` turned or diverged."""
+    total = np.logaddexp(first.log_weight, second.log_weight)
+    if math.isfinite(second.log_weight) and \
+            math.log(rng.uniform()) < second.log_weight - total:
+        first.x_prop, first.logp_prop = second.x_prop, second.logp_prop
+        first.grad_prop = second.grad_prop
+    first.log_weight = total
+    first.sum_accept += second.sum_accept
+    first.n_steps += second.n_steps
+    first.diverged = second.diverged
+    if direction > 0:
+        first.hi = second.hi
+    else:
+        first.lo = second.lo
+    first.turning = second.turning or _uturn(first.lo, first.hi, inv_mass)
+    return first
 
 
 def nuts_transition(position, logp_grad_fn, step_size, rng,
@@ -80,8 +115,14 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
     """One NUTS transition from ``position``.
 
     Returns ``(new_position, stats)`` where stats holds the mean acceptance
-    probability, divergence flag, tree depth, and cached logp/grad of the
-    returned state.
+    probability, divergence flag, tree depth, leapfrog count, and cached
+    logp/grad of the returned state.
+
+    Each doubling builds a subtree of ``2**depth`` leapfrog steps. A stack
+    holds its finished left halves, so merges run in the order of a
+    recursive build; a subtree that turns or diverges is merged into every
+    half still on the stack, and ends the doubling without joining the
+    trajectory.
     """
     x0 = np.asarray(position, dtype=float)
     if inv_mass is None:
@@ -90,111 +131,53 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
         logp0, grad0 = logp_grad_fn(x0)
     p0 = rng.standard_normal(x0.shape) / np.sqrt(inv_mass)
     h0 = -logp0 + _kinetic(p0, inv_mass)
-
-    # trajectory endpoints
-    x_min, p_min, g_min = x0.copy(), p0.copy(), grad0.copy()
-    x_max, p_max, g_max = x0.copy(), p0.copy(), grad0.copy()
-    x_sel, logp_sel, grad_sel = x0, logp0, grad0
-    log_weight = 0.0  # weight of the initial point: exp(-(H - h0)) = 1
-    sum_accept = 0.0
-    n_steps = 0
-    diverged = False
+    traj = _Tree(x0, p0, logp0, grad0, 0.0, 0.0, 0, False)  # weight exp(-(h0 - h0)) = 1
     depth = 0
-
-    def build(x, p, g, direction, depth):
-        """Build a subtree of 2^depth states starting one step from (x, p)."""
-        tree = _Tree()
-        if depth == 0:
-            x1, p1, logp1, g1 = leapfrog(x, p, g, direction * step_size,
-                                         logp_grad_fn, inv_mass)
-            if np.all(np.isfinite(x1)) and math.isfinite(logp1):
-                h1 = -logp1 + _kinetic(p1, inv_mass)
-            else:
-                h1 = math.inf
-            delta = h1 - h0
-            tree.diverged = not math.isfinite(h1) or delta > DIVERGENCE_THRESHOLD
-            tree.turning = False
-            tree.x_min = tree.x_max = x1
-            tree.p_min = tree.p_max = p1
-            tree.g_min = tree.g_max = g1
-            tree.x_prop, tree.logp_prop = x1, logp1
-            tree.log_weight = -delta if math.isfinite(delta) else -math.inf
-            if not math.isfinite(delta):
-                tree.sum_accept = 0.0
-            else:
-                tree.sum_accept = 1.0 if delta <= 0 else math.exp(-delta)
-            tree.n_steps = 1
-            tree.grad_prop = g1
-            return tree
-        first = build(x, p, g, direction, depth - 1)
-        if first.diverged or first.turning:
-            return first
-        if direction > 0:
-            second = build(first.x_max, first.p_max, first.g_max, direction, depth - 1)
-        else:
-            second = build(first.x_min, first.p_min, first.g_min, direction, depth - 1)
-        tree.sum_accept = first.sum_accept + second.sum_accept
-        tree.n_steps = first.n_steps + second.n_steps
-        tree.diverged = second.diverged
-        total = np.logaddexp(first.log_weight, second.log_weight)
-        if math.isfinite(second.log_weight) and \
-                math.log(rng.uniform()) < second.log_weight - total:
-            tree.x_prop, tree.logp_prop = second.x_prop, second.logp_prop
-            tree.grad_prop = second.grad_prop
-        else:
-            tree.x_prop, tree.logp_prop = first.x_prop, first.logp_prop
-            tree.grad_prop = first.grad_prop
-        tree.log_weight = total
-        if direction > 0:
-            tree.x_min, tree.p_min, tree.g_min = first.x_min, first.p_min, first.g_min
-            tree.x_max, tree.p_max, tree.g_max = second.x_max, second.p_max, second.g_max
-        else:
-            tree.x_min, tree.p_min, tree.g_min = second.x_min, second.p_min, second.g_min
-            tree.x_max, tree.p_max, tree.g_max = first.x_max, first.p_max, first.g_max
-        tree.turning = second.turning or _uturn(tree.x_min, tree.x_max,
-                                                tree.p_min, tree.p_max, inv_mass)
-        return tree
 
     while depth < max(max_tree_depth, 1):
         direction = 1 if rng.uniform() < 0.5 else -1
-        if direction > 0:
-            sub = build(x_max, p_max, g_max, 1, depth)
-            if not (sub.diverged or sub.turning):
-                x_max, p_max, g_max = sub.x_max, sub.p_max, sub.g_max
-        else:
-            sub = build(x_min, p_min, g_min, -1, depth)
-            if not (sub.diverged or sub.turning):
-                x_min, p_min, g_min = sub.x_min, sub.p_min, sub.g_min
-        sum_accept += sub.sum_accept
-        n_steps += sub.n_steps
-        if sub.diverged:
-            diverged = True
+        x, p, g = traj.hi if direction > 0 else traj.lo
+        halves = []
+        for leaf in range(1 << depth):
+            x, p, logp, g = leapfrog(x, p, g, direction * step_size, logp_grad_fn, inv_mass)
+            finite = np.all(np.isfinite(x)) and math.isfinite(logp)
+            h = -logp + _kinetic(p, inv_mass) if finite else math.inf
+            delta = h - h0
+            log_weight = -delta if math.isfinite(delta) else -math.inf
+            sub = _Tree(x, p, logp, g, log_weight, math.exp(min(0.0, log_weight)), 1,
+                        not math.isfinite(h) or delta > DIVERGENCE_THRESHOLD)
+            # an odd leaf index closes a left half; a failed subtree closes them all
+            while halves and (leaf & 1 or sub.diverged or sub.turning):
+                sub = _merge(halves.pop(), sub, direction, rng, inv_mass)
+                leaf >>= 1
+            if sub.diverged or sub.turning:
+                break
+            halves.append(sub)  # after the last leaf, the whole subtree
+        if sub.diverged or sub.turning:  # its steps count; its states are not candidates
+            traj.sum_accept += sub.sum_accept
+            traj.n_steps += sub.n_steps
+            traj.diverged = sub.diverged
             break
-        if sub.turning:
-            break
-        total = np.logaddexp(log_weight, sub.log_weight)
-        if math.log(rng.uniform()) < sub.log_weight - total:
-            x_sel, logp_sel, grad_sel = sub.x_prop, sub.logp_prop, sub.grad_prop
-        log_weight = total
+        traj = _merge(traj, sub, direction, rng, inv_mass)
         depth += 1
-        if _uturn(x_min, x_max, p_min, p_max, inv_mass):
+        if traj.turning:
             break
 
     stats = {
-        "accept_prob": sum_accept / max(n_steps, 1),
-        "divergent": diverged,
+        "accept_prob": traj.sum_accept / max(traj.n_steps, 1),
+        "divergent": bool(traj.diverged),
         "depth": depth,
-        "logp": logp_sel,
-        "grad": grad_sel,
-        "n_steps": n_steps,
+        "logp": traj.logp_prop,
+        "grad": traj.grad_prop,
+        "n_steps": traj.n_steps,
     }
-    return x_sel, stats
+    return traj.x_prop, stats
 
 
-def _uturn(x_min, x_max, p_min, p_max, inv_mass):
-    dx = x_max - x_min
-    return (float(dx @ (inv_mass * p_min)) < 0.0
-            or float(dx @ (inv_mass * p_max)) < 0.0)
+def _uturn(lo, hi, inv_mass):
+    dx = hi[0] - lo[0]
+    return (float(dx @ (inv_mass * lo[1])) < 0.0
+            or float(dx @ (inv_mass * hi[1])) < 0.0)
 
 
 class DualAveraging:
@@ -288,12 +271,22 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
     da = DualAveraging(eps, target_accept)
     init_buffer, window_ends = _warmup_schedule(n_warmup) if n_warmup > 0 else (0, [])
     window_draws = []
+    draws = []
+    accept_sum = 0.0
+    divergences = 0
 
-    for it in range(n_warmup):
+    for it in range(n_warmup + n_samples):
+        if it == n_warmup > 0:
+            eps = da.adapted_step_size
         x, stats = nuts_transition(x, target.logp_grad, eps, rng,
                                    inv_mass=inv_mass, max_tree_depth=max_tree_depth,
                                    logp0=logp, grad0=grad)
         logp, grad = stats["logp"], stats["grad"]
+        if it >= n_warmup:
+            accept_sum += stats["accept_prob"]
+            divergences += stats["divergent"]
+            draws.append(constrain(x))
+            continue
         eps = da.update(stats["accept_prob"])
         if it >= init_buffer:
             window_draws.append(x)
@@ -307,19 +300,6 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
                                                 logp, grad)
                 da = DualAveraging(eps, target_accept)
             window_draws = []
-    eps = da.adapted_step_size if n_warmup > 0 else eps
-
-    draws = []
-    accept_sum = 0.0
-    divergences = 0
-    for it in range(n_samples):
-        x, stats = nuts_transition(x, target.logp_grad, eps, rng,
-                                   inv_mass=inv_mass, max_tree_depth=max_tree_depth,
-                                   logp0=logp, grad0=grad)
-        logp, grad = stats["logp"], stats["grad"]
-        accept_sum += stats["accept_prob"]
-        divergences += bool(stats["divergent"])
-        draws.append(constrain(x))
     return np.asarray(draws, dtype=float), accept_sum / n_samples, divergences, eps
 
 

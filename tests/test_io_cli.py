@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,6 +531,10 @@ class TestExitCodes:
         ("priors={foo: 1}", "unknown prior keys ['foo']"),
         ("priors={eta_sq_scale: -1}", "prior scale eta_sq_scale must be a finite positive"),
         ("seed=null", "seed is required"),
+        ("controls=null", "controls must be a path, got None"),
+        ("output_dir=7", "output_dir must be a path, got 7"),
+        ("traces_dir=5", "traces_dir must be a path, got 5"),
+        ("sampler=[1", "--set sampler: invalid YAML"),
     ])
     def test_run_overrides_are_validated(self, tmp_path, capsys, override, what):
         """``--set`` values are checked as the config file's are, before any stage runs."""
@@ -553,6 +558,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert what in err and "internal error" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["controls", "output_dir"])
+    def test_run_config_missing_key_exits_1(self, tmp_path, capsys, key):
+        cfg = Path(TestRunConfig().good_config(tmp_path))
+        cfg.write_text("\n".join(line for line in cfg.read_text().splitlines()
+                                 if not line.startswith(f"{key}:")))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"missing config keys ['{key}']" in err and "internal error" not in err
+
+    def test_fit_priors_invalid_yaml_exits_1(self, tmp_path, capsys):
+        controls = write(tmp_path / "controls.csv", "id,v_c,f,tool_life\n1,40,35,10\n")
+        priors = write(tmp_path / "priors.yaml", "eta_sq_scale: [1\n")
+        assert main(["fit", "--controls", controls, "--channel", "life",
+                     "--priors", priors, "--draws-out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{priors}: invalid YAML" in err and "internal error" not in err
+        assert not (tmp_path / "d.csv").exists()
 
     def test_npz_without_draws_exits_1(self, tmp_path, capsys):
         files = TestCli().mismatch_inputs(tmp_path)

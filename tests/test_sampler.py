@@ -130,6 +130,68 @@ class TestNutsTransition:
         assert info["divergent"]
 
 
+def _unfactorable_beyond(radius):
+    def logp_grad(x):
+        if float(x @ x) > radius ** 2:
+            raise NotPositiveDefiniteError("covariance not positive definite")
+        return std_normal_logp_grad(x)
+    return logp_grad
+
+
+_ILL_SCALES = np.logspace(-2, 2, 5)
+
+
+class TestNutsOracle:
+    """The iterative transition matches the recursive one it replaced, bit for bit."""
+
+    TARGETS = {  # name -> (logp_grad, dim)
+        "gaussian": (GaussianTarget(np.zeros(3), np.array(
+            [[1.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 2.0]])).logp_grad, 3),
+        "sharp": (lambda x: (-0.5e8 * float(x @ x), -1e8 * x), 1),
+        "unfactorable": (_unfactorable_beyond(3.0), 3),
+        "ill_conditioned": (lambda x: (-0.5 * float((x / _ILL_SCALES) @ (x / _ILL_SCALES)),
+                                       -x / _ILL_SCALES ** 2), 5),
+    }
+
+    @staticmethod
+    def assert_same(a, b, where):
+        assert type(a) is type(b), where
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), where
+
+    def test_matches_recursive_reference(self):
+        from nuts_reference import nuts_transition as reference
+
+        depths, divergent, inner_stops, seed = set(), 0, 0, 0
+        for name, (logp_grad, dim) in self.TARGETS.items():
+            inv_mass = np.linspace(0.5, 2.0, dim)
+            for step in (0.01, 0.3, 1.0, 3.0):
+                for max_depth in range(11):
+                    seed += 1
+                    rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+                    x = 0.5 * rng_new.normal(size=dim)
+                    rng_ref.normal(size=dim)
+                    logp, grad = logp_grad(x)
+                    for k in range(6):
+                        where = (name, step, max_depth, k)
+                        x_ref, s_ref = reference(x, logp_grad, step, rng_ref, inv_mass,
+                                                 max_depth, logp, grad)
+                        x, s_new = nuts_transition(x, logp_grad, step, rng_new, inv_mass,
+                                                   max_depth, logp, grad)
+                        self.assert_same(x_ref, x, where)
+                        assert s_ref.keys() == s_new.keys()
+                        for key in s_ref:
+                            self.assert_same(s_ref[key], s_new[key], (*where, key))
+                        assert rng_ref.bit_generator.state == rng_new.bit_generator.state, where
+                        logp, grad = s_new["logp"], s_new["grad"]
+                        depths.add(s_new["depth"])
+                        divergent += s_new["divergent"]
+                        # a full trajectory of 2^d - 1 steps, or one more whole subtree
+                        full = (2 ** s_new["depth"] - 1, 2 ** (s_new["depth"] + 1) - 1)
+                        inner_stops += s_new["n_steps"] not in full
+        assert depths == set(range(11))
+        assert divergent > 0 and inner_stops > 0
+
+
 def use_workers(monkeypatch, n):
     monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: n)
 

@@ -14,18 +14,16 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import io as tio
 from .design import DesignBounds, augmentation_plan
 from .diagnostics import PSRF_THRESHOLD, summarize
 from .errors import SamplingError, ToolwearError, ValidationError
-from .model import ForceChannelModel, controls_array
-from .pipeline import run_pipeline
-from .predict import fit_taylor, fit_tool_life, life_surface, surface
-from .sampler import run_chains
-from .segmentation import CHANNELS, RawTrace, binary_segmentation, extract_contact_phases
+from .pipeline import (attach_series, fit_channel, load_records, predict_channel, run_pipeline,
+                       segment_trace)
+from .predict import fit_taylor
+from .segmentation import CHANNELS
 from .simulate import simulate_dataset, simulate_raw_trace
 
 ENV_OUTPUT_DIR = "TOOLWEAR_OUTPUT_DIR"
@@ -63,24 +61,16 @@ def _parse_grid(spec: str):
 
 
 def _read_draws(path: str):
-    if path.endswith(".npz"):
-        return tio.read_draws_npz(path)
-    return tio.read_draws_csv(path)
+    return (tio.read_draws_npz if path.endswith(".npz") else tio.read_draws_csv)(path)
 
 
 def _write_draws(path: Path, chains) -> None:
-    if str(path).endswith(".npz"):
-        tio.write_draws_npz(path, chains)
-    else:
-        tio.write_draws_csv(path, chains)
+    (tio.write_draws_npz if str(path).endswith(".npz") else tio.write_draws_csv)(path, chains)
 
 
-def _attach_series(records, series_dir: str) -> None:
-    for rec in records:
-        path = Path(series_dir) / f"series_{rec.id}.csv"
-        if not path.exists():
-            raise ValidationError(f"missing series file {path}")
-        tio.load_series(path, rec)
+def _section(args, name: str) -> dict:
+    """The run config's ``name`` section from the options of the same names, checked."""
+    return tio.check_section(name, {key: getattr(args, key) for key in tio.SECTION_DEFAULTS[name]})
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +92,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    trace = RawTrace(
-        forces=tio.load_trace(args.trace),
-        length_per_sample=args.length_per_sample,
-    )
-    seg = binary_segmentation(
-        trace, penalty=args.penalty, min_seg_len=args.min_seg_len,
-        channel=args.channel,
-    )
-    series = extract_contact_phases(trace, seg, args.threshold, channel=args.channel)
+    series, seg = segment_trace(args.trace, _section(args, "segmentation"), args.channel)
     series_out = _out_path(args.series_out, "series.csv")
     tio.write_series(series_out, series.length, series.forces)
     report_out = _out_path(args.report_out, "changepoints.csv")
@@ -120,7 +102,7 @@ def _cmd_segment(args) -> int:
                                        seg.segment_vars):
             fh.write(f"{lo},{hi},{tio.fmt(mean)},{tio.fmt(var)}\n")
     print(f"{len(seg.changepoints)} changepoints; kept {len(series.length)} of "
-          f"{trace.n_samples} samples; wrote {series_out} and {report_out}")
+          f"{seg.n_samples} samples; wrote {series_out} and {report_out}")
     return EXIT_OK
 
 
@@ -157,33 +139,24 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    records = tio.load_controls(args.controls)
-    if not records:
-        raise ValidationError("controls table is empty")
+    smp = _section(args, "sampler")
+    records = load_records(args.controls)
     priors = tio.parse_priors(None if args.priors is None else tio.load_yaml(args.priors))
-    kwargs = dict(n_chains=args.chains, n_warmup=args.warmup,
-                  n_samples=args.samples, seed=args.seed,
-                  max_tree_depth=args.max_tree_depth,
-                  target_accept=args.target_accept)
-    if args.channel == "life":
-        chains = fit_tool_life(records, priors=priors, **kwargs)
-    else:
+    if args.channel != "life":
         if args.series_dir is None:
             raise ValidationError("--series-dir is required for force channels")
-        _attach_series(records, args.series_dir)
-        model = ForceChannelModel(records, channel=args.channel, priors=priors)
-        chains = run_chains(model, **kwargs)
-    draws_ext = "npz" if args.format == "npz" else "csv"
-    draws_out = _out_path(args.draws_out, f"draws_{args.channel}.{draws_ext}")
+        attach_series(records, args.series_dir)
+    chains = fit_channel(records, args.channel, priors, smp, args.seed)
+    draws_out = _out_path(args.draws_out, f"draws_{args.channel}.{args.format}")
     _write_draws(draws_out, chains)
     summary = summarize(chains)
     summary_out = _out_path(args.summary_out, f"summary_{args.channel}.csv")
     tio.write_summary_csv(summary_out, summary)
     print(f"wrote {draws_out} and {summary_out}; worst PSRF "
           f"{summary.worst_psrf():.3f}, divergences {chains.divergences.tolist()}")
-    if summary.flagged(PSRF_THRESHOLD):
-        print(f"warning: PSRF > {PSRF_THRESHOLD} for "
-              f"{summary.flagged(PSRF_THRESHOLD)}", file=sys.stderr)
+    flagged = summary.flagged(PSRF_THRESHOLD)
+    if flagged:
+        print(f"warning: PSRF > {PSRF_THRESHOLD} for {flagged}", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK
 
@@ -214,18 +187,8 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_predict(args) -> int:
     chains = _read_draws(args.draws)
-    records = tio.load_controls(args.controls)
-    if not records:
-        raise ValidationError("controls table is empty")
-    train = controls_array(records)
     grid_spec = _parse_grid(args.grid) if args.grid else None
-    if args.channel == "life":
-        life = np.array([r.tool_life for r in records], dtype=float)
-        if np.any(np.isnan(life)):
-            raise ValidationError("all controls rows need tool_life for --channel life")
-        grid = life_surface(chains, train, life, grid_spec=grid_spec)
-    else:
-        grid = surface(chains, train, grid_spec=grid_spec, channel=args.channel)
+    grid = predict_channel(chains, load_records(args.controls), args.channel, grid_spec)
     out = _out_path(args.output, f"surface_{args.channel}.csv")
     tio.write_surface_csv(out, grid)
     if args.matrix_out is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import islice
@@ -269,12 +270,42 @@ SECTION_DEFAULTS = {
 }
 
 
+def _number(v, kind=(int, float)) -> bool:
+    """Whether ``v`` is a finite int (or float); a bool is neither."""
+    return isinstance(v, kind) and not isinstance(v, bool) and abs(v) < math.inf
+
+
+# what each key of those sections must hold
+SECTION_RULES = {
+    "penalty": (lambda v: v is None or _number(v) and v >= 0, "null or a finite number >= 0"),
+    "min_seg_len": (lambda v: _number(v, int) and v >= 2, "an integer >= 2"),
+    "threshold": (_number, "a finite number"),
+    "length_per_sample": (lambda v: _number(v) and v > 0, "a finite number > 0"),
+    "chains": (lambda v: _number(v, int) and v >= 2, "an integer >= 2"),
+    "warmup": (lambda v: _number(v, int) and v >= 0, "an integer >= 0"),
+    "samples": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
+    "max_tree_depth": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
+    "target_accept": (lambda v: _number(v) and 0 < v < 1, "a number between 0 and 1"),
+}
+
+
 def _check_keys(mapping, allowed, what: str) -> None:
     if not isinstance(mapping, dict):
         raise ValidationError(f"{what} must be a mapping")
     unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         raise ValidationError(f"unknown {what} keys {unknown}")
+
+
+def check_section(name: str, values: dict) -> dict:
+    """``values`` of a ``segmentation`` or ``sampler`` section, from a run config
+    or the command line, once each key and value is checked."""
+    _check_keys(values, SECTION_DEFAULTS[name], name)
+    for key, val in values.items():
+        test, what = SECTION_RULES[key]
+        if not test(val):
+            raise ValidationError(f"{name} {key} must be {what}, got {val!r}")
+    return values
 
 
 def load_yaml(path):
@@ -291,7 +322,7 @@ def parse_priors(raw) -> PriorConfig:
     raw = {} if raw is None else raw
     _check_keys(raw, {f.name for f in fields(PriorConfig)}, "prior")
     for key, val in raw.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 < val < np.inf:
+        if not (_number(val) and val > 0):
             raise ValidationError(f"prior scale {key} must be a finite positive number")
     return PriorConfig(**raw)
 
@@ -353,15 +384,15 @@ class RunConfig:
                 raise ValidationError(f"{attr} not found: {val}")
         if self.traces_dir is None and self.series_dir is None:
             raise ValidationError("one of traces_dir or series_dir is required")
-        bad = [c for c in self.channels if c not in CHANNELS]
-        if bad:
-            raise ValidationError(f"unknown channels {bad}")
-        for name, defaults in SECTION_DEFAULTS.items():
-            _check_keys(getattr(self, name), defaults, name)
+        if not (isinstance(self.channels, list) and all(c in CHANNELS for c in self.channels)):
+            raise ValidationError(f"channels must be a list of {list(CHANNELS)}, "
+                                  f"got {self.channels!r}")
+        if self.grid is not None and not (isinstance(self.grid, list) and len(self.grid) == 6
+                                          and all(map(_number, self.grid))):
+            raise ValidationError("grid must be [v_min, v_max, nv, f_min, f_max, nf]")
+        for name in SECTION_DEFAULTS:
+            check_section(name, getattr(self, name))
         parse_priors(self.priors)
-
-    def prior_config(self) -> PriorConfig:
-        return parse_priors(self.priors)
 
     def settings(self, section: str) -> dict:
         """The ``segmentation`` or ``sampler`` section over its defaults."""

@@ -64,6 +64,12 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dv**2, df**2
 
 
+def control_sq_dists(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared v_c and f distances between the training controls, z-scored on themselves."""
+    x = Standardizer.fit(controls).transform(controls)
+    return _sq_dists(x, x)
+
+
 def cross_cov(stars: np.ndarray, train: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """M x K covariance between prediction and training points; never nugget."""
     dv2, df2 = _sq_dists(stars, train)

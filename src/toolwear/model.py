@@ -25,7 +25,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .errors import InsufficientDataError, InvalidDataError
-from .kernel import JITTER_START, KernelConfig, Standardizer, jittered_cholesky
+from .kernel import JITTER_START, KernelConfig, control_sq_dists, jittered_cholesky
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_2_OVER_PI = math.log(2.0 / math.pi)
@@ -200,10 +200,7 @@ class ForceChannelModel:
             np.ascontiguousarray(sums.T)
         self._log_norm = -0.5 * (self.n.sum() + K) * LOG_2PI  # likelihood and alpha level
 
-        controls = controls_array(records)
-        x = Standardizer.fit(controls).transform(controls)
-        self.dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
-        self.df2 = (x[:, 1:2] - x[None, :, 1]) ** 2
+        self.dv2, self.df2 = control_sq_dists(controls_array(records))
 
         # Half-Cauchy terms on u[idx]: the K + 3 variances, then the inverse
         # length scales
@@ -348,12 +345,8 @@ def log_prior(
     """
     pri = priors or PriorConfig()
     K = len(records)
-    controls = controls_array(records)
-    x = Standardizer.fit(controls).transform(controls)
     ker = params.kernel
-
-    dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
-    df2 = (x[:, 1:2] - x[None, :, 1]) ** 2
+    dv2, df2 = control_sq_dists(controls_array(records))
     cov = ker.eta_sq * np.exp(-ker.rho1 * dv2 - ker.rho2 * df2)
     cov[np.diag_indices_from(cov)] = ker.eta_sq + ker.sigma_b_sq + JITTER_START * ker.eta_sq
     chol = np.linalg.cholesky(cov)

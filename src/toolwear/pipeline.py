@@ -1,5 +1,7 @@
 """End-to-end orchestration: segment -> fit -> diagnose -> predict.
 
+Each stage is written once here: ``toolwear run`` chains them, and the
+``segment``, ``fit`` and ``predict`` subcommands call them one at a time.
 A run is a pure function of (input files, config, seed); the manifest records
 the config echo, seed, and a SHA-256 digest of every artifact so identical
 runs are verifiably identical and tampering is detectable.
@@ -8,13 +10,14 @@ runs are verifiably identical and tampering is detectable.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from pathlib import Path
 
 from . import io as tio
 from .diagnostics import PSRF_THRESHOLD, summarize
-from .errors import ToolwearError, ValidationError
+from .errors import InsufficientDataError, ToolwearError, ValidationError
 from .model import ForceChannelModel, controls_array
-from .predict import fit_tool_life, life_surface, surface
+from .predict import fit_tool_life, life_data, life_surface, surface
 from .sampler import run_chains
 from .segmentation import RawTrace, binary_segmentation, extract_contact_phases
 
@@ -56,107 +59,105 @@ def run_pipeline(config: tio.RunConfig) -> PipelineResult:
     return result
 
 
-def _run_stages(config, result, stages_done):
-    out = result.output_dir
-    seg_cfg = config.settings("segmentation")
-    priors = config.prior_config()
-    smp = config.settings("sampler")
-    sampler_kw = dict(n_chains=smp["chains"], n_warmup=smp["warmup"], n_samples=smp["samples"],
-                      seed=config.seed, max_tree_depth=smp["max_tree_depth"],
-                      target_accept=smp["target_accept"])
-
-    stages_done.append("load")
-    records = tio.load_controls(config.controls)
+def load_records(path):
+    """The experiments of a controls table, at least one."""
+    records = tio.load_controls(path)
     if not records:
         raise ValidationError("controls table is empty")
+    return records
 
+
+def attach_series(records, series_dir) -> None:
+    """Attach each record's ``series_<id>.csv`` from ``series_dir``."""
+    for rec in records:
+        path = Path(series_dir) / f"series_{rec.id}.csv"
+        if not path.exists():
+            raise ValidationError(f"missing series file {path}")
+        tio.load_series(path, rec)
+
+
+def segment_trace(path, seg: dict, channel: str = "Ft"):
+    """(contact-phase series, segmentation) of a raw trace file, segmented by
+    ``channel`` with the settings of a ``segmentation`` section."""
+    if not Path(path).exists():
+        raise ValidationError(f"missing trace file {path}")
+    trace = RawTrace(forces=tio.load_trace(path), length_per_sample=seg["length_per_sample"])
+    found = binary_segmentation(trace, penalty=seg["penalty"], min_seg_len=seg["min_seg_len"],
+                                channel=channel)
+    return extract_contact_phases(trace, found, seg["threshold"], channel=channel), found
+
+
+def fit_channel(records, channel: str, priors, smp: dict, seed: int):
+    """Draws of a force channel's model, or of the life GP when ``channel`` is
+    ``"life"``, sampled with the settings of a ``sampler`` section."""
+    kw = dict(n_chains=smp["chains"], n_warmup=smp["warmup"], n_samples=smp["samples"],
+              seed=seed, max_tree_depth=smp["max_tree_depth"],
+              target_accept=smp["target_accept"])
+    if channel == "life":
+        return fit_tool_life(records, priors=priors, **kw)
+    return run_chains(ForceChannelModel(records, channel=channel, priors=priors), **kw)
+
+
+def predict_channel(chains, records, channel: str, grid_spec):
+    """The surface of a channel's draws; the life GP's conditions on :func:`life_data`."""
+    if channel == "life":
+        return life_surface(chains, *life_data(records), grid_spec=grid_spec)
+    return surface(chains, controls_array(records), grid_spec=grid_spec, channel=channel)
+
+
+def _run_stages(config, result, stages_done):
+    stages_done.append("load")
+    records = load_records(config.controls)
     if config.traces_dir is not None:
         stages_done.append("segment")
-        report_rows = []
-        series_out = out / "series"
-        series_out.mkdir(exist_ok=True)
+        seg_cfg, report = config.settings("segmentation"), "id,segment_start,segment_mean\n"
+        (result.output_dir / "series").mkdir(exist_ok=True)
         for rec in records:
-            trace_path = Path(config.traces_dir) / f"trace_{rec.id}.csv"
-            if not trace_path.exists():
-                raise ValidationError(f"missing trace file {trace_path}")
-            trace = RawTrace(
-                forces=tio.load_trace(trace_path),
-                length_per_sample=seg_cfg["length_per_sample"],
-            )
-            seg = binary_segmentation(trace, penalty=seg_cfg["penalty"],
-                                      min_seg_len=seg_cfg["min_seg_len"])
-            series = extract_contact_phases(trace, seg, seg_cfg["threshold"])
-            path = series_out / f"series_{rec.id}.csv"
+            series, seg = segment_trace(Path(config.traces_dir) / f"trace_{rec.id}.csv", seg_cfg)
+            path = result.output_dir / "series" / f"series_{rec.id}.csv"
             tio.write_series(path, series.length, series.forces)
             result.artifacts.append(path)
             rec.length, rec.forces = series.length, series.forces
             rec.__post_init__()
-            for cp, mean in zip([0, *seg.changepoints], seg.segment_means):
-                report_rows.append((rec.id, cp, mean))
-        report = out / "changepoints.csv"
-        with open(report, "w") as fh:
-            fh.write("id,segment_start,segment_mean\n")
-            for rid, cp, mean in report_rows:
-                fh.write(f"{rid},{cp},{tio.fmt(mean)}\n")
-        result.artifacts.append(report)
+            report += "".join(f"{rec.id},{cp},{tio.fmt(mean)}\n"
+                              for cp, mean in zip([0, *seg.changepoints], seg.segment_means))
+        _keep(result, [("changepoints.csv", Path.write_text, report)])
     else:
         stages_done.append("load-series")
-        for rec in records:
-            tio.load_series(Path(config.series_dir) / f"series_{rec.id}.csv", rec)
+        attach_series(records, config.series_dir)
 
-    train = controls_array(records)
-    for channel in config.channels:
-        stages_done.append(f"fit:{channel}")
-        model = ForceChannelModel(records, channel=channel, priors=priors)
-        chains = run_chains(model, **sampler_kw)
-        draws_path = out / f"draws_{channel}.csv"
-        tio.write_draws_csv(draws_path, chains)
-        result.artifacts.append(draws_path)
-
+    fits = list(config.channels)
+    with suppress(InsufficientDataError):  # too few tool lives: no life stage
+        if config.fit_tool_life and life_data(records):
+            fits.append("life")
+    for channel in fits:
+        force = channel != "life"
+        stages_done.append(f"fit:{channel}" if force else "tool-life")
+        chains = fit_channel(records, channel, tio.parse_priors(config.priors),
+                             config.settings("sampler"), config.seed)
         summary = summarize(chains)
-        summary_path = out / f"summary_{channel}.csv"
-        tio.write_summary_csv(summary_path, summary)
-        result.artifacts.append(summary_path)
-
+        files = [(f"draws_{channel}.csv", tio.write_draws_csv, chains),
+                 (f"summary_{channel}.csv", tio.write_summary_csv, summary)]
         flagged = summary.flagged(PSRF_THRESHOLD)
-        if flagged:
-            result.warnings.append(f"psrf>{PSRF_THRESHOLD} for {channel}: {flagged}")
-        frac_div = chains.divergences.sum() / (chains.n_chains * chains.n_retained)
-        if frac_div > 0.10:
-            result.warnings.append(f"divergence rate {frac_div:.1%} for {channel}")
-
-        stages_done.append(f"predict:{channel}")
-        grid = surface(chains, train, grid_spec=_grid_spec(config), channel=channel)
-        surf_path = out / f"surface_{channel}.csv"
-        tio.write_surface_csv(surf_path, grid)
-        result.artifacts.append(surf_path)
-
-    with_life = [r for r in records if r.tool_life is not None]
-    if config.fit_tool_life and len(with_life) >= 3:
-        stages_done.append("tool-life")
-        life_chains = fit_tool_life(records, priors=priors, **sampler_kw)
-        life_grid = life_surface(life_chains, controls_array(with_life),
-                                 [r.tool_life for r in with_life], grid_spec=_grid_spec(config))
-        life_summary = summarize(life_chains)
-        for path, writer, obj in (
-            (out / "draws_life.csv", tio.write_draws_csv, life_chains),
-            (out / "summary_life.csv", tio.write_summary_csv, life_summary),
-            (out / "surface_life.csv", tio.write_surface_csv, life_grid),
-        ):
-            writer(path, obj)
-            result.artifacts.append(path)
-        flagged = life_summary.flagged(PSRF_THRESHOLD)
-        if flagged:
-            result.warnings.append(f"psrf>{PSRF_THRESHOLD} for life: {flagged}")
+        warnings = [f"psrf>{PSRF_THRESHOLD} for {channel}: {flagged}"] if flagged else []
+        if force:  # kept before the surface is made; the life GP's files only with it
+            frac_div = chains.divergences.sum() / (chains.n_chains * chains.n_retained)
+            if frac_div > 0.10:
+                warnings.append(f"divergence rate {frac_div:.1%} for {channel}")
+            _keep(result, files, warnings)
+            files, warnings = [], []
+            stages_done.append(f"predict:{channel}")
+        grid = predict_channel(chains, records, channel, config.grid)
+        _keep(result, [*files, (f"surface_{channel}.csv", tio.write_surface_csv, grid)], warnings)
 
 
-def _grid_spec(config):
-    if config.grid is None:
-        return None
-    g = config.grid
-    if len(g) != 6:
-        raise ValidationError("grid must be [v_min, v_max, nv, f_min, f_max, nf]")
-    return tuple(g)
+def _keep(result, files, warnings=()):
+    """Write each (name, writer, object) in the output directory, then add the warnings."""
+    for name, writer, obj in files:
+        path = result.output_dir / name
+        writer(path, obj)
+        result.artifacts.append(path)
+    result.warnings += warnings
 
 
 def _write_manifest(config, result, stages_done, failed):

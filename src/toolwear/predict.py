@@ -23,7 +23,8 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import (DegenerateFitError, DomainError, ExtrapolationError,
                      InsufficientDataError, ValidationError)
-from .kernel import KernelConfig, Standardizer, cholesky_cov, cross_cov, jittered_cholesky
+from .kernel import (KernelConfig, Standardizer, cholesky_cov, control_sq_dists, cross_cov,
+                     jittered_cholesky)
 from .model import (
     ExperimentRecord,
     PriorConfig,
@@ -36,6 +37,7 @@ from .sampler import ChainSet, run_chains
 
 DEFAULT_RESOLUTION = 20
 DEFAULT_MARGIN = 0.10
+MIN_LIVES = 3  # experiments with a tool life the life GP needs
 # Half-Cauchy priors of the life GP on eta^2, 1/rho1, 1/rho2, sigma_b^2
 _HC_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -131,7 +133,7 @@ def _conditionals(chains: ChainSet, train, v_axis, f_axis, y=None):
     xv, xf = std.transform(train).T
     zv, zf = ((np.asarray(a, dtype=float) - m) / s
               for a, m, s in zip((v_axis, f_axis), std.mean, std.sd))
-    dv2, df2 = (xv[:, None] - xv) ** 2, (xf[:, None] - xf) ** 2
+    dv2, df2 = control_sq_dists(train)
     av2, af2 = (zv[:, None] - xv) ** 2, (xf[:, None] - zf) ** 2  # (nv, K), (K, nf)
     for f, m, h in zip(fields, cols[:, -5], cols[:, -4:]):
         cfg = KernelConfig(*h)
@@ -218,12 +220,8 @@ class ToolLifeModel:
         if np.any(life <= 0):
             raise DomainError("tool life must be strictly positive")
         self.y = np.log(life)
-        self.K = len(self.y)
         self.priors = priors or PriorConfig()
-        self.standardizer = Standardizer.fit(self.controls)
-        x = self.standardizer.transform(self.controls)
-        self.dv2 = (x[:, 0:1] - x[None, :, 0]) ** 2
-        self.df2 = (x[:, 1:2] - x[None, :, 1]) ** 2
+        self.dv2, self.df2 = control_sq_dists(self.controls)
         pri = self.priors
         self._hc_scale = np.array([pri.eta_sq_scale, pri.inv_rho_scale,
                                    pri.inv_rho_scale, pri.sigma_b_sq_scale])
@@ -248,26 +246,30 @@ class ToolLifeModel:
         return np.array([u[0], *np.exp(u[1:])])
 
 
+def life_data(records: list[ExperimentRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """(controls, tool lives) of the experiments that have a tool life, which
+    the life GP is fitted on and predicts from; fewer than :data:`MIN_LIVES`
+    raise :class:`InsufficientDataError`."""
+    with_life = [r for r in records if r.tool_life is not None]
+    if len(with_life) < MIN_LIVES:
+        raise InsufficientDataError(f"tool-life GP needs >= {MIN_LIVES} experiments "
+                                    f"with tool_life, got {len(with_life)}")
+    return controls_array(with_life), np.array([r.tool_life for r in with_life], dtype=float)
+
+
 def fit_tool_life(
     records: list[ExperimentRecord],
     priors: PriorConfig | None = None,
     **sampler_kw,
 ) -> ChainSet:
-    """Sample the life GP on the experiments that have a tool life.
+    """Sample the life GP on the experiments that have a tool life (:func:`life_data`).
 
     ``sampler_kw`` go to :func:`~toolwear.sampler.run_chains` as they are.
     :func:`life_surface` maps the draws to the predictive surface. Equal
     tool lives raise :class:`DegenerateFitError`: with no spread in the log
     lives the signal and noise variances both collapse to zero.
     """
-    with_life = [r for r in records if r.tool_life is not None]
-    if len(with_life) < 3:
-        raise InsufficientDataError(
-            f"tool-life GP needs >= 3 experiments with tool_life, got {len(with_life)}"
-        )
-    controls = controls_array(with_life)
-    life = np.array([r.tool_life for r in with_life], dtype=float)
-    model = ToolLifeModel(controls, life, priors)
+    model = ToolLifeModel(*life_data(records), priors)
     if np.ptp(model.y) == 0:
         raise DegenerateFitError("all tool lives equal; the tool-life GP posterior is improper")
     return run_chains(model, **sampler_kw)

@@ -30,6 +30,8 @@ class RawTrace:
     length_per_sample: float = 1.0
 
     def __post_init__(self):
+        if not 0 < self.length_per_sample < np.inf:
+            raise InvalidDataError("length_per_sample must be finite and positive")
         self.forces = {k: np.asarray(v, dtype=float) for k, v in self.forces.items()}
         n = {len(v) for v in self.forces.values()}
         if len(n) != 1:

@@ -434,6 +434,43 @@ class TestCli:
                          "--channel", channel, "-o", str(predicted)]) == 0
             assert predicted.read_bytes() == (out / f"surface_{channel}.csv").read_bytes()
 
+    def test_subcommands_write_what_run_writes(self, tmp_path):
+        """``segment``, ``fit`` and ``predict`` run ``run``'s stages: with its seed and
+        sampler settings they write its series, draws, summaries and surfaces byte for
+        byte, the life GP's on the rows that have a tool life."""
+        data = tmp_path / "data"
+        main(["simulate", "--output-dir", str(data), "--raw", "--n-experiments", "5",
+              "--n-points", "100", "--seed", "2"])
+        controls = data / "controls.csv"
+        rows = controls.read_text().splitlines()
+        rows[2] = rows[2].rsplit(",", 1)[0] + ","  # experiment 2 has no tool life
+        controls.write_text("\n".join(rows) + "\n")
+        cfg = write(tmp_path / "run.yaml", "\n".join([
+            "seed: 5", "output_dir: out", "controls: data/controls.csv", "traces_dir: data",
+            "channels: [Ft]", "sampler: {chains: 2, warmup: 60, samples: 40}",
+        ]))
+        assert main(["run", "--config", cfg]) in (0, 2)
+        out, mine = tmp_path / "out", tmp_path / "mine"
+        mine.mkdir()
+        for i in range(1, 6):
+            assert main(["segment", "--trace", str(data / f"trace_{i}.csv"),
+                         "--series-out", str(mine / f"series_{i}.csv"),
+                         "--report-out", str(mine / f"changepoints_{i}.csv")]) == 0
+            assert (mine / f"series_{i}.csv").read_bytes() == \
+                (out / "series" / f"series_{i}.csv").read_bytes()
+        for channel in ("Ft", "life"):
+            draws = mine / f"draws_{channel}.csv"
+            assert main(["fit", "--controls", str(controls), "--series-dir", str(mine),
+                         "--channel", channel, "--chains", "2", "--warmup", "60",
+                         "--samples", "40", "--seed", "5", "--draws-out", str(draws),
+                         "--summary-out", str(mine / f"summary_{channel}.csv")]) in (0, 2)
+            assert main(["predict", "--draws", str(draws), "--controls", str(controls),
+                         "--channel", channel,
+                         "-o", str(mine / f"surface_{channel}.csv")]) == 0
+            for kind in ("draws", "summary", "surface"):
+                name = f"{kind}_{channel}.csv"
+                assert (mine / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_taylor_prints_closed_form(self, tmp_path, capsys):
         path = write(tmp_path / "life.csv",
                      "v_c,life\n20,255\n58,10\n")
@@ -535,6 +572,22 @@ class TestExitCodes:
         ("output_dir=7", "output_dir must be a path, got 7"),
         ("traces_dir=5", "traces_dir must be a path, got 5"),
         ("sampler=[1", "--set sampler: invalid YAML"),
+        ("channels=5", "channels must be a list of ['Ft', 'Ff', 'Fp'], got 5"),
+        ("channels=[Ft, 5]", "channels must be a list of"),
+        ("grid=5", "grid must be [v_min, v_max, nv, f_min, f_max, nf]"),
+        ("grid=[20, 60, 5, 20, 50]", "grid must be [v_min"),
+        ("grid=[20, 60, 5, 20, .nan, 5]", "grid must be [v_min"),
+        ("sampler={chains: x}", "sampler chains must be an integer >= 2, got 'x'"),
+        ("sampler={chains: 1}", "sampler chains must be an integer >= 2, got 1"),
+        ("sampler={chains: true}", "sampler chains must be an integer >= 2, got True"),
+        ("sampler={samples: 0}", "sampler samples must be an integer >= 1"),
+        ("sampler={warmup: -3}", "sampler warmup must be an integer >= 0"),
+        ("sampler={max_tree_depth: 0}", "sampler max_tree_depth must be an integer >= 1"),
+        ("sampler={target_accept: 1.5}", "sampler target_accept must be a number between"),
+        ("segmentation={penalty: -1}", "segmentation penalty must be null or a finite"),
+        ("segmentation={min_seg_len: 2.5}", "segmentation min_seg_len must be an integer >= 2"),
+        ("segmentation={threshold: .inf}", "segmentation threshold must be a finite number"),
+        ("segmentation={length_per_sample: 0}", "segmentation length_per_sample must be"),
     ])
     def test_run_overrides_are_validated(self, tmp_path, capsys, override, what):
         """``--set`` values are checked as the config file's are, before any stage runs."""
@@ -544,6 +597,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert what in err and "internal error" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, what", [
+        (["--chains", "1"], "sampler chains must be an integer >= 2, got 1"),
+        (["--samples", "0"], "sampler samples must be an integer >= 1, got 0"),
+        (["--warmup=-3"], "sampler warmup must be an integer >= 0, got -3"),
+        (["--max-tree-depth=-1"], "sampler max_tree_depth must be an integer >= 1, got -1"),
+        (["--target-accept", "1.5"], "sampler target_accept must be a number between 0 and 1"),
+    ])
+    def test_fit_sampler_options_are_checked(self, tmp_path, capsys, option, what):
+        """``fit`` checks its sampler options as a run config's ``sampler`` section."""
+        controls = write(tmp_path / "controls.csv",
+                         "id,v_c,f,tool_life\n1,20,20,200\n2,40,35,60\n3,60,50,12\n")
+        argv = ["fit", "--controls", controls, "--channel", "life", "--warmup", "5",
+                "--samples", "5", "--draws-out", str(tmp_path / "d.csv")]
+        assert main(argv + option) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("option, what", [
+        (["--length-per-sample", "0"], "segmentation length_per_sample must be a finite number"),
+        (["--length-per-sample=-1"], "segmentation length_per_sample must be a finite number"),
+        (["--length-per-sample", "nan"], "segmentation length_per_sample must be a finite"),
+        (["--min-seg-len", "1"], "segmentation min_seg_len must be an integer >= 2, got 1"),
+        (["--penalty=-1"], "segmentation penalty must be null or a finite number >= 0"),
+        (["--threshold", "nan"], "segmentation threshold must be a finite number, got nan"),
+    ])
+    def test_segment_options_are_checked(self, tmp_path, capsys, option, what):
+        """``segment`` checks its options as a run config's ``segmentation`` section."""
+        x = np.concatenate([np.full(60, 200.0), np.zeros(60), np.full(60, 210.0)])
+        trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n" + "".join(
+            f"{i},{v},{v / 2},{v / 4}\n" for i, v in enumerate(x)))
+        series = tmp_path / "s.csv"
+        assert main(["segment", "--trace", trace, "--series-out", str(series)] + option) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
+        assert not series.exists()
+
+    @pytest.mark.parametrize("lives, got", [(["200", "60", "", ""], 2), (["", "", "", ""], 0)])
+    def test_predict_life_needs_three_lives(self, tmp_path, capsys, lives, got):
+        """``predict --channel life`` uses the rows that have a tool life, as ``fit`` does."""
+        draws = TestCli().mismatch_inputs(tmp_path)["life"]
+        controls = write(tmp_path / "controls.csv", "id,v_c,f,tool_life\n" + "".join(
+            f"{i + 1},{20 + 10 * i},{20 + 8 * i},{life}\n" for i, life in enumerate(lives)))
+        assert main(["predict", "--draws", draws, "--controls", controls, "--channel", "life",
+                     "-o", str(tmp_path / "surface.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"tool-life GP needs >= 3 experiments with tool_life, got {got}" in err
+        assert not (tmp_path / "surface.csv").exists()
 
     @pytest.mark.parametrize("section, what", [
         ("sampler: {chians: 2, warmup: 20, samples: 20}", "unknown sampler keys ['chians']"),

@@ -488,7 +488,7 @@ class TestToolLife:
         pri = PriorConfig()
         for k in (3, 5, 21):
             model = self.life_model(rng, k)
-            x = model.standardizer.transform(model.controls)
+            x = Standardizer.fit(model.controls).transform(model.controls)
             for _ in range(10):
                 u = self.random_state(rng)
                 m, eta_sq, rho1, rho2, sb_sq = model.constrain(u)

@@ -68,6 +68,13 @@ class TestRawTrace:
             RawTrace(forces={ch: one for ch in CHANNELS}, length_per_sample=1.0)
 
 
+    @pytest.mark.parametrize("lps", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_length_per_sample_not_finite_positive(self, lps):
+        # a series cut from such a trace would have an L that never increases
+        with pytest.raises(InvalidDataError, match="length_per_sample"):
+            RawTrace(forces={ch: np.ones(5) for ch in CHANNELS}, length_per_sample=lps)
+
+
 class TestBinarySegmentation:
     def test_single_exact_step(self):
         trace = make_trace(step_signal([0.0, 10.0], [50, 50]))

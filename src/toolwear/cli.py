@@ -107,6 +107,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    tio.check_seed(args.seed)
     out = Path(args.output_dir) if args.output_dir else _default_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     records, truth = simulate_dataset(
@@ -139,14 +140,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    smp = _section(args, "sampler")
+    smp, seed = _section(args, "sampler"), tio.check_seed(args.seed)
     records = load_records(args.controls)
     priors = tio.parse_priors(None if args.priors is None else tio.load_yaml(args.priors))
     if args.channel != "life":
         if args.series_dir is None:
             raise ValidationError("--series-dir is required for force channels")
         attach_series(records, args.series_dir)
-    chains = fit_channel(records, args.channel, priors, smp, args.seed)
+    chains = fit_channel(records, args.channel, priors, smp, seed)
     draws_out = _out_path(args.draws_out, f"draws_{args.channel}.{args.format}")
     _write_draws(draws_out, chains)
     summary = summarize(chains)

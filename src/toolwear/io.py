@@ -308,6 +308,13 @@ def check_section(name: str, values: dict) -> dict:
     return values
 
 
+def check_seed(seed):
+    """``seed``, once checked: an integer >= 0 (a bool is not one)."""
+    if not (_number(seed, int) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def load_yaml(path):
     """The YAML document in ``path``; a syntax error raises ValidationError."""
     try:
@@ -368,6 +375,7 @@ class RunConfig:
         omitted), then check every value. Run again, it changes nothing."""
         if self.seed is None:
             raise ValidationError("seed is required (no wall-clock default)")
+        check_seed(self.seed)
         base = base or Path(".")
         for attr in ("controls", "output_dir", "traces_dir", "series_dir"):
             val = getattr(self, attr)

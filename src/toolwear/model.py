@@ -3,8 +3,9 @@
 Likelihood: F_ij = alpha_i + beta_i * L_ij + eps_ij with eps_ij ~ N(0, sigma_i^2).
 The slopes beta get a GP prior over the standardized (v_c, f) plane with
 constant mean mu_beta; the intercepts alpha are regularized by a shared
-normal; hyperparameters carry Half-Cauchy / normal priors on the scales
-stated in :class:`PriorConfig`.
+normal whose mean mu_alpha has a normal prior centred on the data (see
+:func:`alpha_centre`); hyperparameters carry Half-Cauchy / normal priors on
+the scales stated in :class:`PriorConfig`.
 
 Positive quantities are handled internally on the log scale (with the
 log-Jacobian terms included in the prior), so densities and gradients are
@@ -82,7 +83,7 @@ class PriorConfig:
     """Scales of the weakly informative priors (on variances, as stated)."""
 
     sigma_sq_scale: float = 10.0      # sigma_i^2 ~ Half-Cauchy(0, 10)
-    mu_alpha_sd: float = 10.0         # mu_alpha ~ N(0, 10^2)
+    mu_alpha_sd: float = 10.0         # mu_alpha ~ N(c, 10^2), c from the data: alpha_centre
     sigma_alpha_sq_scale: float = 10.0
     mu_beta_sd: float = 10.0
     sigma_b_sq_scale: float = 5.0
@@ -147,6 +148,34 @@ def controls_array(records: list[ExperimentRecord]) -> np.ndarray:
     return np.array([[r.v_c, r.f] for r in records], dtype=float)
 
 
+def channel_sums(records: list[ExperimentRecord], channel: str) -> np.ndarray:
+    """Per-experiment sums of a channel's series about their means, shape
+    (6, K): count, mean length, mean force, the length sum of squares, the
+    least-squares slope and its residual sum of squares."""
+    sums = []
+    for rec in records:
+        length, force = rec.length, rec.forces[channel]
+        dl, df = length - length.mean(), force - force.mean()
+        s_ll = float(dl @ dl)
+        b_hat = float(df @ dl) / s_ll
+        res = df - b_hat * dl
+        sums.append((len(length), length.mean(), force.mean(), s_ll, b_hat, res @ res))
+    sums = np.array(sums, dtype=float).reshape(-1, 6)
+    if not np.all(np.isfinite(sums)):
+        raise InvalidDataError("non-finite measurements")
+    # contiguous rows: a strided view takes another BLAS path in `n @ t_s`,
+    # so a pickled or copied model would differ in the last bits
+    return np.ascontiguousarray(sums.T)
+
+
+def alpha_centre(sums: np.ndarray) -> float:
+    """c, the mean over experiments of the least-squares intercepts
+    f_bar_i - b_hat_i l_bar_i, from :func:`channel_sums`: the centre of
+    mu_alpha's prior, N(c, mu_alpha_sd^2)."""
+    _, l_bar, f_bar, _, b_hat, _ = sums
+    return float(np.mean(f_bar - b_hat * l_bar))
+
+
 # ---------------------------------------------------------------------------
 # density over the unconstrained space
 
@@ -160,10 +189,14 @@ class ForceChannelModel:
           log eta^2 | log rho1 | log rho2 | log sigma_b^2 ]
 
     The likelihood runs on per-experiment sufficient statistics taken once
-    from the series about their means (count, mean length, mean force, the
-    length sum of squares, the least-squares slope and its residual sum of
-    squares), so a density evaluation costs O(K^2) whatever the series
-    lengths.
+    from the series about their means (:func:`channel_sums`), so a density
+    evaluation costs O(K^2) whatever the series lengths.
+
+    The unconstrained alpha and mu_alpha are centred: they are the
+    intercepts and their mean less ``alpha_offset``, the data's centre
+    :func:`alpha_centre`. The model subtracts it from the mean forces once,
+    and :meth:`constrain` adds it back, so mu_alpha's N(0, sd^2) prior in
+    these coordinates is N(c, sd^2) on the reported mu_alpha.
     """
 
     def __init__(
@@ -183,21 +216,10 @@ class ForceChannelModel:
 
         # centered about the experiment means, sum(r^2) = rss + s_ll (b_hat - beta)^2
         # + n d^2 with d = f_bar - alpha - beta l_bar: no cancellation at force offsets
-        sums = []
-        for rec in records:
-            length, force = rec.length, rec.forces[channel]
-            dl, df = length - length.mean(), force - force.mean()
-            s_ll = float(dl @ dl)
-            b_hat = float(df @ dl) / s_ll
-            res = df - b_hat * dl
-            sums.append((len(length), length.mean(), force.mean(), s_ll, b_hat, res @ res))
-        sums = np.array(sums, dtype=float)
-        if not np.all(np.isfinite(sums)):
-            raise InvalidDataError("non-finite measurements")
-        # contiguous rows: a strided view takes another BLAS path in `n @ t_s`,
-        # so a pickled or copied model would differ in the last bits
-        self.n, self.l_bar, self.f_bar, self.s_ll, self.b_hat, self.rss = \
-            np.ascontiguousarray(sums.T)
+        sums = channel_sums(records, channel)
+        self.alpha_offset = alpha_centre(sums)
+        self.n, self.l_bar, f_bar, self.s_ll, self.b_hat, self.rss = sums
+        self.f_bar = f_bar - self.alpha_offset
         self._log_norm = -0.5 * (self.n.sum() + K) * LOG_2PI  # likelihood and alpha level
 
         self.dv2, self.df2 = control_sq_dists(controls_array(records))
@@ -286,23 +308,40 @@ class ForceChannelModel:
     def logp(self, u: np.ndarray) -> float:
         return self.logp_grad(u)[0]
 
+    def initial_metric(self) -> np.ndarray:
+        """The sampler's starting inverse mass: least-squares variances.
+
+        With s_i^2 = rss_i / (n_i - 2), experiment i gives s_i^2 (1/n_i +
+        l_bar_i^2 / s_ll_i) for alpha_i, s_i^2 / s_ll_i for beta_i and
+        2 / (n_i - 2) for log sigma_i^2; the hyperparameters get 1. An
+        experiment whose fit leaves no residual (two points, or an exact
+        line) keeps 1 on its three coordinates.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_sq = self.rss / (self.n - 2)
+            var = np.concatenate([s_sq * (1.0 / self.n + self.l_bar ** 2 / self.s_ll),
+                                  s_sq / self.s_ll, 2.0 / (self.n - 2)])
+        usable = np.tile(np.isfinite(s_sq) & (s_sq > 0), 3)
+        return np.r_[np.where(usable, var, 1.0), np.ones(7)]
+
     # -- transforms ----------------------------------------------------------
 
     def constrain(self, u: np.ndarray) -> np.ndarray:
         """Map an unconstrained state to the reported constrained vector."""
         a, beta, t_s, m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = self._split(u)
+        c = self.alpha_offset
         return np.concatenate([
-            a, beta, np.exp(0.5 * t_s),
-            [m_a, math.exp(0.5 * t_a), m_b,
+            a + c, beta, np.exp(0.5 * t_s),
+            [m_a + c, math.exp(0.5 * t_a), m_b,
              math.exp(t_e), math.exp(t_r1), math.exp(t_r2), math.exp(t_b)],
         ])
 
     def unconstrain(self, params: ModelParams) -> np.ndarray:
         """Inverse of :meth:`constrain`: the unconstrained state of ``params``."""
-        k = params.kernel
+        k, c = params.kernel, self.alpha_offset
         return np.concatenate([
-            params.alpha, params.beta, 2.0 * np.log(params.sigma),
-            [params.mu_alpha, 2.0 * math.log(params.sigma_alpha), params.mu_beta,
+            params.alpha - c, params.beta, 2.0 * np.log(params.sigma),
+            [params.mu_alpha - c, 2.0 * math.log(params.sigma_alpha), params.mu_beta,
              math.log(k.eta_sq), math.log(k.rho1), math.log(k.rho2),
              math.log(k.sigma_b_sq)],
         ])
@@ -336,12 +375,14 @@ def log_prior(
     params: ModelParams,
     records: list[ExperimentRecord],
     priors: PriorConfig | None = None,
+    channel: str = "Ft",
 ) -> float:
     """GP density of the slopes + alpha regularization + hyperpriors.
 
     Includes the log-Jacobian terms of the internal log-scale parameterization
     of the positive parameters, so ``log_likelihood + log_prior`` equals the
-    sampler target exactly.
+    sampler target exactly. mu_alpha's prior is centred on ``channel``'s
+    :func:`alpha_centre`.
     """
     pri = priors or PriorConfig()
     K = len(records)
@@ -366,7 +407,8 @@ def log_prior(
         total += half_cauchy_logpdf(1.0 / rho, pri.inv_rho_scale) + math.log(1.0 / rho)
 
     total += -0.5 * (LOG_2PI + 2.0 * math.log(pri.mu_alpha_sd)) \
-        - 0.5 * params.mu_alpha ** 2 / pri.mu_alpha_sd ** 2
+        - 0.5 * (params.mu_alpha - alpha_centre(channel_sums(records, channel))) ** 2 \
+        / pri.mu_alpha_sd ** 2
     total += -0.5 * (LOG_2PI + 2.0 * math.log(pri.mu_beta_sd)) \
         - 0.5 * params.mu_beta ** 2 / pri.mu_beta_sd ** 2
     return total
@@ -379,4 +421,5 @@ def log_posterior(
     channel: str = "Ft",
 ) -> float:
     """Unnormalized joint log density: likelihood plus prior."""
-    return log_likelihood(params, records, channel) + log_prior(params, records, priors)
+    return (log_likelihood(params, records, channel)
+            + log_prior(params, records, priors, channel))

@@ -39,8 +39,9 @@ def run_pipeline(config: tio.RunConfig) -> PipelineResult:
 
     Stage failures abort with a stage-tagged error; a partial manifest listing
     the completed artifacts and naming the failed stage is written whatever
-    the error. Package errors become a ``ValidationError``; any other error
-    (a dead worker process, an I/O error) propagates unchanged.
+    the error. A package error is raised again as its own class with the
+    stage named, so it keeps its exit code; any other error (a dead worker
+    process, an I/O error) propagates unchanged.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -52,7 +53,7 @@ def run_pipeline(config: tio.RunConfig) -> PipelineResult:
     except BaseException as exc:
         failed = f"{stages_done[-1] if stages_done else 'validate'}: {exc}"
         if isinstance(exc, ToolwearError):
-            raise ValidationError(f"pipeline aborted at stage {failed}") from exc
+            raise type(exc)(f"pipeline aborted at stage {failed}") from exc
         raise
     finally:
         _write_manifest(config, result, stages_done, failed)

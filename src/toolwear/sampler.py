@@ -1,11 +1,17 @@
 """Hamiltonian Monte Carlo with No-U-Turn trajectories and dual averaging.
 
-Multinomial NUTS (Hoffman & Gelman 2014) with a diagonal mass matrix:
-trajectories double until the U-turn criterion or the maximum tree depth,
-the next state is drawn with multinomial weights, and step size adapts
-toward a target acceptance rate during a windowed warmup (step-size phase,
-growing mass-matrix windows, final step-size phase). A transition is
-flagged divergent when the energy error exceeds :data:`DIVERGENCE_THRESHOLD`.
+Multinomial NUTS (Hoffman & Gelman 2014): trajectories double until the
+U-turn criterion or the maximum tree depth, the next state is drawn with
+multinomial weights, and step size adapts toward a target acceptance rate
+during a windowed warmup (step-size phase, growing mass-matrix windows,
+final step-size phase). A transition is flagged divergent when the energy
+error exceeds :data:`DIVERGENCE_THRESHOLD`.
+
+The inverse mass matrix is a diagonal :class:`Metric`. It starts from the
+target's ``initial_metric()`` when the target offers one (the force model's
+least-squares variances), otherwise from the unit diagonal, and each
+mass-matrix window replaces it with the regularized variances of the
+window's draws.
 
 Each doubling builds its subtree leaf by leaf in a loop, without recursion.
 :func:`_merge` is the one place where two subtrees join: it draws the
@@ -24,6 +30,7 @@ import numpy as np
 from .errors import NotPositiveDefiniteError, SamplingError
 
 DIVERGENCE_THRESHOLD = 1000.0
+_LOG2 = math.log(2.0)
 INIT_RADIUS = 2.0  # chains start uniform in [-INIT_RADIUS, INIT_RADIUS] per coordinate
 
 
@@ -49,17 +56,53 @@ class ChainSet:
         return self.draws.reshape(-1, self.draws.shape[2])
 
 
-def leapfrog(x, p, grad, step, logp_grad_fn, inv_mass):
+class Metric:
+    """The inverse mass matrix, diagonal: ``inv_mass``.
+
+    It draws the momenta, gives the velocity M^-1 p that the drift and the
+    U-turn check take and the kinetic energy, and makes the next metric from
+    a mass-matrix window's draws.
+    """
+
+    def __init__(self, inv_mass):
+        self.inv_mass = np.asarray(inv_mass, dtype=float)
+        self._sd = np.sqrt(self.inv_mass)
+
+    def momentum(self, rng):
+        """A momentum draw, p ~ N(0, M)."""
+        return rng.standard_normal(self.inv_mass.shape) / self._sd
+
+    def velocity(self, p):
+        """M^-1 p."""
+        return self.inv_mass * p
+
+    def drift(self, x, p, step):
+        """x + step M^-1 p, multiplying ``step * inv_mass`` first."""
+        return x + step * self.inv_mass * p
+
+    def kinetic(self, p):
+        """p' M^-1 p / 2."""
+        return 0.5 * float((p * p * self.inv_mass).sum())
+
+    def from_window(self, draws):
+        """The metric of a mass-matrix window's ``draws``, shape (n, dim): their
+        variances shrunk by n / (n + 5), plus 5e-3 / (n + 5)."""
+        n = len(draws)
+        var = np.var(np.asarray(draws), axis=0, ddof=1)
+        return Metric((n / (n + 5.0)) * var + (5.0 / (n + 5.0)) * 1e-3)
+
+
+def leapfrog(x, p, grad, step, logp_grad_fn, metric):
     """One symplectic leapfrog step: half kick, full drift, half kick.
 
     ``grad`` is the log-density gradient at ``x``, so each step evaluates
-    ``logp_grad_fn`` once; the drift uses velocity ``inv_mass * p`` (diagonal
-    inverse mass). Returns ``(x, p, logp, grad)`` at the new state. A
+    ``logp_grad_fn`` once; the drift moves by ``step`` times the velocity
+    M^-1 p of ``metric``. Returns ``(x, p, logp, grad)`` at the new state. A
     covariance that cannot be factored there reads as ``logp = -inf`` with a
     zero gradient, which the caller counts as a divergence.
     """
     p = p + 0.5 * step * grad
-    x = x + step * inv_mass * p
+    x = metric.drift(x, p, step)
     try:
         logp, grad = logp_grad_fn(x)
     except NotPositiveDefiniteError:
@@ -75,8 +118,10 @@ class _Tree:
     __slots__ = ("lo", "hi", "x_prop", "logp_prop", "grad_prop", "log_weight",
                  "sum_accept", "n_steps", "turning", "diverged")
 
-    def __init__(self, x, p, logp, grad, log_weight, sum_accept, n_steps, diverged):
-        self.lo = self.hi = (x, p, grad)  # the (x, p, grad) ends, backward and forward
+    def __init__(self, x, p, v, logp, grad, log_weight, sum_accept, n_steps, diverged):
+        # the ends, backward and forward: position, momentum, gradient and
+        # the velocity M^-1 p that the U-turn check takes
+        self.lo = self.hi = (x, p, grad, v)
         self.x_prop, self.logp_prop, self.grad_prop = x, logp, grad
         self.log_weight = log_weight
         self.sum_accept = sum_accept
@@ -85,17 +130,23 @@ class _Tree:
         self.turning = False
 
 
-def _kinetic(p, inv_mass):
-    return 0.5 * float(np.sum(p * p * inv_mass))
+def _logaddexp(a, b):
+    """log(exp(a) + exp(b)) of two floats, computed as ``np.logaddexp``
+    computes it (the same bits), without its per-call cost."""
+    if a == b:
+        return a + _LOG2
+    d = a - b
+    return a + math.log1p(math.exp(-d)) if d > 0 else b + math.log1p(math.exp(d))
 
 
-def _merge(first, second, direction, rng, inv_mass):
+def _merge(first, second, direction, rng):
     """Extend ``first``, in place, by ``second``, the subtree built after it in
     ``direction``. The multinomial uniform is drawn whenever ``second``'s log
-    weight is finite, even if ``second`` turned or diverged."""
-    total = np.logaddexp(first.log_weight, second.log_weight)
+    weight is finite, even if ``second`` turned or diverged; ``rng.random()``
+    draws the bits ``rng.uniform()`` would."""
+    total = _logaddexp(first.log_weight, second.log_weight)
     if math.isfinite(second.log_weight) and \
-            math.log(rng.uniform()) < second.log_weight - total:
+            math.log(rng.random()) < second.log_weight - total:
         first.x_prop, first.logp_prop = second.x_prop, second.logp_prop
         first.grad_prop = second.grad_prop
     first.log_weight = total
@@ -106,12 +157,12 @@ def _merge(first, second, direction, rng, inv_mass):
         first.hi = second.hi
     else:
         first.lo = second.lo
-    first.turning = second.turning or _uturn(first.lo, first.hi, inv_mass)
+    first.turning = second.turning or _uturn(first.lo, first.hi)
     return first
 
 
 def nuts_transition(position, logp_grad_fn, step_size, rng,
-                    inv_mass=None, max_tree_depth=10, logp0=None, grad0=None):
+                    metric=None, max_tree_depth=10, logp0=None, grad0=None):
     """One NUTS transition from ``position``.
 
     Returns ``(new_position, stats)`` where stats holds the mean acceptance
@@ -122,33 +173,35 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
     holds its finished left halves, so merges run in the order of a
     recursive build; a subtree that turns or diverges is merged into every
     half still on the stack, and ends the doubling without joining the
-    trajectory.
+    trajectory. ``metric`` defaults to the unit diagonal.
     """
     x0 = np.asarray(position, dtype=float)
-    if inv_mass is None:
-        inv_mass = np.ones_like(x0)
+    if metric is None:
+        metric = Metric(np.ones_like(x0))
     if logp0 is None or grad0 is None:
         logp0, grad0 = logp_grad_fn(x0)
-    p0 = rng.standard_normal(x0.shape) / np.sqrt(inv_mass)
-    h0 = -logp0 + _kinetic(p0, inv_mass)
-    traj = _Tree(x0, p0, logp0, grad0, 0.0, 0.0, 0, False)  # weight exp(-(h0 - h0)) = 1
+    p0 = metric.momentum(rng)
+    h0 = -logp0 + metric.kinetic(p0)
+    # weight exp(-(h0 - h0)) = 1
+    traj = _Tree(x0, p0, metric.velocity(p0), logp0, grad0, 0.0, 0.0, 0, False)
     depth = 0
 
     while depth < max(max_tree_depth, 1):
-        direction = 1 if rng.uniform() < 0.5 else -1
-        x, p, g = traj.hi if direction > 0 else traj.lo
+        direction = 1 if rng.random() < 0.5 else -1
+        x, p, g, _ = traj.hi if direction > 0 else traj.lo
         halves = []
         for leaf in range(1 << depth):
-            x, p, logp, g = leapfrog(x, p, g, direction * step_size, logp_grad_fn, inv_mass)
-            finite = np.all(np.isfinite(x)) and math.isfinite(logp)
-            h = -logp + _kinetic(p, inv_mass) if finite else math.inf
+            x, p, logp, g = leapfrog(x, p, g, direction * step_size, logp_grad_fn, metric)
+            finite = math.isfinite(logp) and np.isfinite(x).all()
+            h = -logp + metric.kinetic(p) if finite else math.inf
             delta = h - h0
             log_weight = -delta if math.isfinite(delta) else -math.inf
-            sub = _Tree(x, p, logp, g, log_weight, math.exp(min(0.0, log_weight)), 1,
+            sub = _Tree(x, p, metric.velocity(p), logp, g, log_weight,
+                        math.exp(min(0.0, log_weight)), 1,
                         not math.isfinite(h) or delta > DIVERGENCE_THRESHOLD)
             # an odd leaf index closes a left half; a failed subtree closes them all
             while halves and (leaf & 1 or sub.diverged or sub.turning):
-                sub = _merge(halves.pop(), sub, direction, rng, inv_mass)
+                sub = _merge(halves.pop(), sub, direction, rng)
                 leaf >>= 1
             if sub.diverged or sub.turning:
                 break
@@ -158,7 +211,7 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
             traj.n_steps += sub.n_steps
             traj.diverged = sub.diverged
             break
-        traj = _merge(traj, sub, direction, rng, inv_mass)
+        traj = _merge(traj, sub, direction, rng)
         depth += 1
         if traj.turning:
             break
@@ -174,10 +227,11 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
     return traj.x_prop, stats
 
 
-def _uturn(lo, hi, inv_mass):
+def _uturn(lo, hi):
+    """Whether the trajectory between the ends ``lo`` and ``hi`` turns back:
+    its span against either end's velocity."""
     dx = hi[0] - lo[0]
-    return (float(dx @ (inv_mass * lo[1])) < 0.0
-            or float(dx @ (inv_mass * hi[1])) < 0.0)
+    return float(dx @ lo[3]) < 0.0 or float(dx @ hi[3]) < 0.0
 
 
 class DualAveraging:
@@ -211,7 +265,7 @@ class DualAveraging:
         return math.exp(self.log_step_bar)
 
 
-def find_reasonable_step_size(logp_grad_fn, x0, rng, inv_mass,
+def find_reasonable_step_size(logp_grad_fn, x0, rng, metric,
                               logp0=None, grad0=None) -> float:
     """Double/halve the step size until the one-step acceptance crosses 1/2.
 
@@ -220,12 +274,12 @@ def find_reasonable_step_size(logp_grad_fn, x0, rng, inv_mass,
     eps = 1.0
     if logp0 is None or grad0 is None:
         logp0, grad0 = logp_grad_fn(x0)
-    p0 = rng.standard_normal(x0.shape) / np.sqrt(inv_mass)
-    h0 = -logp0 + _kinetic(p0, inv_mass)
+    p0 = metric.momentum(rng)
+    h0 = -logp0 + metric.kinetic(p0)
 
     def energy_after(eps):
-        _, p, logp, _ = leapfrog(x0, p0, grad0, eps, logp_grad_fn, inv_mass)
-        return -logp + _kinetic(p, inv_mass) if math.isfinite(logp) else math.inf
+        _, p, logp, _ = leapfrog(x0, p0, grad0, eps, logp_grad_fn, metric)
+        return -logp + metric.kinetic(p) if math.isfinite(logp) else math.inf
 
     delta = energy_after(eps) - h0
     direction = 1 if delta < math.log(2.0) else -1
@@ -261,13 +315,16 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
     Returns ``(draws, accept_stat, divergences, step_size)``: the retained
     draws on the constrained scale, shape (n_samples, n_params), their mean
     acceptance probability, their divergence count and the adapted step size.
+    The metric starts from the inverse mass ``target.initial_metric()``
+    returns, or from the unit diagonal where the target has no such method.
     """
     constrain = getattr(target, "constrain", lambda u: u)
+    initial_metric = getattr(target, "initial_metric", None)
     rng = np.random.default_rng(seed_seq)
     x = rng.uniform(-INIT_RADIUS, INIT_RADIUS, target.dim)
     logp, grad = target.logp_grad(x)
-    inv_mass = np.ones(target.dim)
-    eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass, logp, grad)
+    metric = Metric(initial_metric() if initial_metric else np.ones(target.dim))
+    eps = find_reasonable_step_size(target.logp_grad, x, rng, metric, logp, grad)
     da = DualAveraging(eps, target_accept)
     init_buffer, window_ends = _warmup_schedule(n_warmup) if n_warmup > 0 else (0, [])
     window_draws = []
@@ -279,7 +336,7 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
         if it == n_warmup > 0:
             eps = da.adapted_step_size
         x, stats = nuts_transition(x, target.logp_grad, eps, rng,
-                                   inv_mass=inv_mass, max_tree_depth=max_tree_depth,
+                                   metric=metric, max_tree_depth=max_tree_depth,
                                    logp0=logp, grad0=grad)
         logp, grad = stats["logp"], stats["grad"]
         if it >= n_warmup:
@@ -293,10 +350,8 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
         if window_ends and it + 1 == window_ends[0]:
             window_ends.pop(0)
             if len(window_draws) >= 10:
-                var = np.var(np.asarray(window_draws), axis=0, ddof=1)
-                n = len(window_draws)
-                inv_mass = (n / (n + 5.0)) * var + (5.0 / (n + 5.0)) * 1e-3
-                eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass,
+                metric = metric.from_window(window_draws)
+                eps = find_reasonable_step_size(target.logp_grad, x, rng, metric,
                                                 logp, grad)
                 da = DualAveraging(eps, target_accept)
             window_draws = []

@@ -4,8 +4,11 @@
 before ``toolwear.sampler.nuts_transition`` was rewritten as a loop with one
 merge routine; its body is unchanged. ``test_sampler.TestNutsOracle``
 asserts that the two agree bit for bit: position, every stats value and the
-generator state after the transition. The leapfrog step is shared, so the
-oracle checks the tree building, the multinomial draws and the U-turn checks.
+generator state after the transition. The oracle keeps its own copy of the
+diagonal leapfrog step as it stood then, so it checks the integrator and its
+float order as well as the tree building, the multinomial draws and the
+U-turn checks. It takes the diagonal inverse mass as an array; the sampler
+under test gets the same diagonal as a ``Metric``.
 
 The generalized U-turn criterion (Betancourt 2017, arXiv:1701.02434), ROADMAP
 item 3, changes the draws by design. It retires this oracle and its test.
@@ -17,7 +20,21 @@ import math
 
 import numpy as np
 
-from toolwear.sampler import DIVERGENCE_THRESHOLD, leapfrog
+from toolwear.errors import NotPositiveDefiniteError
+from toolwear.sampler import DIVERGENCE_THRESHOLD
+
+
+def leapfrog(x, p, grad, step, logp_grad_fn, inv_mass):
+    """One leapfrog step with a diagonal inverse mass; the drift multiplies
+    ``step * inv_mass`` first."""
+    p = p + 0.5 * step * grad
+    x = x + step * inv_mass * p
+    try:
+        logp, grad = logp_grad_fn(x)
+    except NotPositiveDefiniteError:
+        logp, grad = -math.inf, np.zeros_like(x)
+    p = p + 0.5 * step * grad
+    return x, p, logp, grad
 
 
 class _Tree:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from toolwear import io as tio
 from toolwear import pipeline, sampler
 from toolwear.cli import main
-from toolwear.errors import InvalidDataError, ValidationError
+from toolwear.errors import InvalidDataError, SamplingError, ValidationError
 from toolwear.model import ForceChannelModel
 from toolwear.predict import ToolLifeModel
 from toolwear.sampler import ChainSet
@@ -568,6 +568,10 @@ class TestExitCodes:
         ("priors={foo: 1}", "unknown prior keys ['foo']"),
         ("priors={eta_sq_scale: -1}", "prior scale eta_sq_scale must be a finite positive"),
         ("seed=null", "seed is required"),
+        ("seed=-1", "seed must be an integer >= 0, got -1"),
+        ("seed=x", "seed must be an integer >= 0, got 'x'"),
+        ("seed=1.5", "seed must be an integer >= 0, got 1.5"),
+        ("seed=true", "seed must be an integer >= 0, got True"),
         ("controls=null", "controls must be a path, got None"),
         ("output_dir=7", "output_dir must be a path, got 7"),
         ("traces_dir=5", "traces_dir must be a path, got 5"),
@@ -615,6 +619,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert what in err and "internal error" not in err
         assert not (tmp_path / "d.csv").exists()
+
+    def test_fit_negative_seed_exits_1(self, tmp_path, capsys):
+        controls = write(tmp_path / "controls.csv",
+                         "id,v_c,f,tool_life\n1,20,20,200\n2,40,35,60\n3,60,50,12\n")
+        assert main(["fit", "--controls", controls, "--channel", "life", "--warmup", "5",
+                     "--samples", "5", "--seed=-1", "--draws-out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in err and "internal error" not in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_run_negative_seed_option_exits_1(self, tmp_path, capsys):
+        cfg = TestRunConfig().good_config(tmp_path)
+        assert main(["run", "--config", cfg, "--seed=-1"]) == 1
+        err = capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in err and "internal error" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sampling_error_exits_3_from_fit_and_run(self, tmp_path, capsys, monkeypatch):
+        """A sampler that cannot produce draws is an internal error (exit 3)
+        whether ``fit`` meets it or a ``run`` stage does."""
+        def diverged(*args, **kw):
+            raise SamplingError("all transitions diverged; model is numerically unstable")
+
+        monkeypatch.setattr(pipeline, "run_chains", diverged)
+        cfg = TestRunConfig().good_config(tmp_path)
+        data = tmp_path / "data"
+        assert main(["fit", "--controls", str(data / "controls.csv"), "--series-dir", str(data),
+                     "--draws-out", str(tmp_path / "d.csv")]) == 3
+        assert main(["run", "--config", cfg]) == 3
+        fit_err, run_err = capsys.readouterr().err.splitlines()
+        assert fit_err == "error: all transitions diverged; model is numerically unstable"
+        assert run_err == ("error: pipeline aborted at stage fit:Ft: all transitions "
+                           "diverged; model is numerically unstable")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_stage"].startswith("fit:Ft: all transitions diverged")
 
     @pytest.mark.parametrize("option, what", [
         (["--length-per-sample", "0"], "segmentation length_per_sample must be a finite number"),

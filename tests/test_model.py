@@ -174,7 +174,7 @@ class TestLogPosterior:
         records, _, _ = make_records(rng, k=3, n=8, sigma=2.0)
         params = make_params(rng, 3)
         assert log_posterior(params, records, channel="Fp") == pytest.approx(
-            log_likelihood(params, records, "Fp") + log_prior(params, records)
+            log_likelihood(params, records, "Fp") + log_prior(params, records, channel="Fp")
         )
 
     def test_better_fit_scores_higher(self):
@@ -296,7 +296,8 @@ def central_differences(fn, u, h):
 def offset_force_problems(draw):
     """K experiments of 2..80 points each, forces offset to about 200 N with
     noise sd about 1, and a state near the least-squares fit: the case where
-    sums of raw squares would cancel."""
+    sums of raw squares would cancel. The state is built on the constrained
+    scale and mapped through ``unconstrain``, which centres the intercepts."""
     k = draw(st.integers(1, 25))
     lengths = draw(st.lists(st.integers(2, 80), min_size=k, max_size=k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -311,13 +312,16 @@ def offset_force_problems(draw):
         alpha.append(a_i)
         beta.append(b_i)
     model = ForceChannelModel(records, channel="Ft")
-    u = np.concatenate([
-        np.asarray(alpha) + rng.normal(0.0, 0.3, k), np.asarray(beta) + rng.normal(0.0, 0.02, k),
-        rng.normal(0.0, 0.3, k),
-        [200.0 + rng.normal(0.0, 3.0), rng.normal(3.0, 0.5), rng.normal(2.0, 0.5)],
-        rng.normal(0.0, 0.5, 4),
-    ])
-    return records, model, u
+    alpha = np.asarray(alpha) + rng.normal(0.0, 0.3, k)
+    beta = np.asarray(beta) + rng.normal(0.0, 0.02, k)
+    log_sigma_sq = rng.normal(0.0, 0.3, k)
+    mu_alpha, log_sigma_alpha_sq, mu_beta = \
+        200.0 + rng.normal(0.0, 3.0), rng.normal(3.0, 0.5), rng.normal(2.0, 0.5)
+    params = ModelParams(
+        alpha=alpha, beta=beta, sigma=np.exp(0.5 * log_sigma_sq), mu_alpha=mu_alpha,
+        sigma_alpha=math.exp(0.5 * log_sigma_alpha_sq), mu_beta=mu_beta,
+        kernel=KernelConfig(*np.exp(rng.normal(0.0, 0.5, 4))))
+    return records, model, model.unconstrain(params)
 
 
 class TestSufficientStatistics:
@@ -408,6 +412,76 @@ class TestCopies:
         b = run_chains(self.COPIES[how](model), **kw)
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.step_sizes, b.step_sizes)
+
+
+class TestCentring:
+    """The force model centres its intercepts on the data and gives the
+    sampler a least-squares starting metric."""
+
+    @staticmethod
+    def ols(rec, channel="Ft"):
+        """(intercept, slope, their covariance) of the series, from the raw points."""
+        x = np.column_stack([np.ones_like(rec.length), rec.length])
+        coef, rss, _, _ = np.linalg.lstsq(x, rec.forces[channel], rcond=None)
+        s_sq = rss[0] / (len(rec.length) - 2)
+        return coef[0], coef[1], s_sq * np.linalg.inv(x.T @ x)
+
+    def test_initial_metric_is_ols_variances(self):
+        rng = np.random.default_rng(71)
+        records, _, _ = make_records(rng, k=5, n=14, sigma=3.0)
+        model = ForceChannelModel(records)
+        inv_mass = model.initial_metric()
+        K = model.K
+        cov = np.array([self.ols(rec)[2] for rec in records])
+        assert np.allclose(inv_mass[:K], cov[:, 0, 0], rtol=1e-10)
+        assert np.allclose(inv_mass[K:2 * K], cov[:, 1, 1], rtol=1e-10)
+        assert np.allclose(inv_mass[2 * K:3 * K], 2.0 / (14 - 2), rtol=1e-12)
+        assert np.array_equal(inv_mass[3 * K:], np.ones(7))
+
+    def test_initial_metric_without_residuals_is_unit(self):
+        """A two-point series leaves no residual degrees of freedom and a
+        constant one no residual: their coordinates keep the unit metric."""
+        rng = np.random.default_rng(73)
+        records, _, _ = make_records(rng, k=3, n=10, sigma=1.0)
+        short, flat = records[0], records[2]
+        short.length = short.length[:2]
+        short.forces = {ch: v[:2] for ch, v in short.forces.items()}
+        flat.forces = {ch: np.full(10, 150.0) for ch in ("Ft", "Ff", "Fp")}
+        inv_mass = ForceChannelModel(records).initial_metric()
+        for i in (0, 2):
+            assert np.array_equal(inv_mass[[i, 3 + i, 6 + i]], np.ones(3))
+        assert np.all(inv_mass[[1, 4]] < 1.0) and inv_mass[7] == 2.0 / 8
+
+    def test_offset_is_mean_ols_intercept(self):
+        rng = np.random.default_rng(75)
+        records, _, _ = make_records(rng, k=6, n=9, sigma=2.0)
+        model = ForceChannelModel(records, channel="Ff")
+        assert model.alpha_offset == pytest.approx(
+            np.mean([self.ols(rec, "Ff")[0] for rec in records]), rel=1e-12)
+
+    def test_constrain_inverts_unconstrain_at_force_offsets(self):
+        rng = np.random.default_rng(77)
+        records, _, _ = make_records(rng, k=6, n=9, sigma=2.0)
+        model = ForceChannelModel(records)
+        for _ in range(10):
+            params = make_params(rng, 6)  # intercepts and mu_alpha about 200 N
+            k = params.kernel
+            expected = np.concatenate([
+                params.alpha, params.beta, params.sigma,
+                [params.mu_alpha, params.sigma_alpha, params.mu_beta,
+                 k.eta_sq, k.rho1, k.rho2, k.sigma_b_sq]])
+            u = model.unconstrain(params)
+            assert np.all(np.abs(u[:6]) < 50.0) and abs(u[18]) < 50.0  # centred
+            assert np.allclose(model.constrain(u), expected, rtol=1e-13, atol=0.0)
+
+    def test_sigma_alpha_recovered(self):
+        """The intercepts' spread, 10 N in the simulation, is read near 10: the
+        prior on mu_alpha sits at the data, so the alpha level pools."""
+        records, _ = simulate_dataset(n_experiments=21, n_points=50, seed=104)
+        model = ForceChannelModel(records, channel="Ft")
+        chains = run_chains(model, n_chains=4, n_warmup=100, n_samples=100, seed=104)
+        j = chains.param_names.index("sigma_alpha")
+        assert 5.0 <= chains.flat()[:, j].mean() <= 20.0
 
 
 class TestExperimentRecord:

@@ -1,5 +1,6 @@
 """Tests for leapfrog integration, NUTS transitions, and multi-chain runs."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -10,8 +11,10 @@ from gaussian_target import GaussianTarget
 from toolwear import sampler
 from toolwear.errors import InvalidDataError, NotPositiveDefiniteError, SamplingError
 from toolwear.model import ForceChannelModel
+from toolwear.predict import fit_tool_life
 from toolwear.sampler import (
     DualAveraging,
+    Metric,
     find_reasonable_step_size,
     leapfrog,
     nuts_transition,
@@ -38,7 +41,7 @@ class TestLeapfrog:
         p = np.array([0.5, 3.0])
         zero = np.zeros_like(q)
         q2, p2, _, _ = leapfrog(q, p, zero, 0.25, lambda x: (0.0, np.zeros_like(x)),
-                                np.ones_like(q))
+                                Metric(np.ones_like(q)))
         assert np.allclose(q2, q + 0.25 * p)
         assert np.allclose(p2, p)
 
@@ -47,7 +50,7 @@ class TestLeapfrog:
         g = std_normal_grad(q)
         h0 = 0.5 * float(q @ q) + 0.5 * float(p @ p)
         for _ in range(1000):
-            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(1))
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, Metric(np.ones(1)))
         h1 = 0.5 * float(q @ q) + 0.5 * float(p @ p)
         assert abs(h1 - h0) < 0.01
 
@@ -56,10 +59,10 @@ class TestLeapfrog:
         q0, p0 = rng.normal(size=(2, 3))
         q, p, g = q0.copy(), p0.copy(), std_normal_grad(q0)
         for _ in range(25):
-            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(3))
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, Metric(np.ones(3)))
         p = -p
         for _ in range(25):
-            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(3))
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, Metric(np.ones(3)))
         assert np.allclose(q, q0, atol=1e-12)
         assert np.allclose(-p, p0, atol=1e-12)
 
@@ -70,7 +73,7 @@ class TestLeapfrog:
 
         def step(z):
             q, p, _, _ = leapfrog(z[:2], z[2:], std_normal_grad(z[:2]), eps,
-                                  std_normal_logp_grad, np.ones(2))
+                                  std_normal_logp_grad, Metric(np.ones(2)))
             return np.concatenate([q, p])
 
         for _ in range(10):
@@ -80,6 +83,22 @@ class TestLeapfrog:
                 for e in np.eye(4)
             ])
             assert abs(abs(np.linalg.det(jac)) - 1.0) < 1e-6
+
+
+class TestMetric:
+    """The metric's formulas, as bits, are checked by ``TestNutsOracle`` and
+    ``TestDiagonalDraws``; its window update by its documented formula here."""
+
+    def test_window_update_shrinks_the_variances(self):
+        """A window's metric is its sample variances shrunk by n / (n + 5),
+        plus 5e-3 / (n + 5): positive even where the draws do not move."""
+        rng = np.random.default_rng(39)
+        draws = rng.normal(size=(40, 5)) @ rng.normal(size=(5, 5))
+        draws[:, 3] = 1.5
+        metric = Metric(np.ones(5)).from_window(draws)
+        expected = 40 / 45 * np.var(draws, axis=0, ddof=1) + 5 / 45 * 1e-3
+        assert np.allclose(metric.inv_mass, expected, rtol=1e-12)
+        assert metric.inv_mass[3] == pytest.approx(5 / 45 * 1e-3, rel=1e-12)
 
 
 class TestNutsTransition:
@@ -175,8 +194,8 @@ class TestNutsOracle:
                         where = (name, step, max_depth, k)
                         x_ref, s_ref = reference(x, logp_grad, step, rng_ref, inv_mass,
                                                  max_depth, logp, grad)
-                        x, s_new = nuts_transition(x, logp_grad, step, rng_new, inv_mass,
-                                                   max_depth, logp, grad)
+                        x, s_new = nuts_transition(x, logp_grad, step, rng_new,
+                                                   Metric(inv_mass), max_depth, logp, grad)
                         self.assert_same(x_ref, x, where)
                         assert s_ref.keys() == s_new.keys()
                         for key in s_ref:
@@ -282,7 +301,7 @@ class TestDualAveraging:
     def test_reasonable_step_size_positive(self):
         rng = np.random.default_rng(12)
         eps = find_reasonable_step_size(std_normal_logp_grad, np.zeros(5),
-                                        rng, np.ones(5))
+                                        rng, Metric(np.ones(5)))
         assert 0 < eps < 16
 
 
@@ -360,7 +379,7 @@ class TestRunChains:
         n_cached, calls[:] = len(calls), []
         plain = sampler.find_reasonable_step_size
         monkeypatch.setattr(sampler, "find_reasonable_step_size",
-                            lambda fn, x, rng, inv_mass, *_: plain(fn, x, rng, inv_mass))
+                            lambda fn, x, rng, metric, *_: plain(fn, x, rng, metric))
         uncached = run_chains(target, n_chains=n_chains, n_warmup=n_warmup,
                               n_samples=n_samples, seed=8)
         assert np.array_equal(cached.draws, uncached.draws)
@@ -424,3 +443,38 @@ class TestRunChains:
         assert np.array_equal(a.divergences, b.divergences)
         assert np.array_equal(a.draws, b.draws)
         assert np.all(np.sum(a.flat() ** 2, axis=1) <= 3.0 ** 2)
+
+
+class TestDiagonalDraws:
+    """The diagonal metric's draws, pinned by digest end to end.
+
+    Two short fits on one worker, each 2 x (60 + 20): the 60 warmup
+    iterations close one mass-matrix window, so the window update and the
+    restarted step-size search are covered, not only the transitions. The
+    digests were recorded when the inverse mass was a bare array, before
+    :class:`Metric` held it; a change in the float order of the drift
+    (``step * inv_mass * p`` against ``step * (inv_mass * p)``) moves them.
+    They hold for float64 on x86_64 with OpenBLAS; another BLAS build may
+    round the life GP's factorizations differently.
+    """
+
+    KW = dict(n_chains=2, n_warmup=60, n_samples=20)
+
+    @staticmethod
+    def digest(chains):
+        return hashlib.sha256(chains.draws.tobytes()).hexdigest()
+
+    def test_gaussian(self, monkeypatch):
+        use_workers(monkeypatch, 1)
+        target = GaussianTarget(np.array([1.0, -2.0, 0.5]), np.array(
+            [[1.0, 0.6, 0.0], [0.6, 4.0, -0.3], [0.0, -0.3, 0.25]]))
+        chains = run_chains(target, seed=3, **self.KW)
+        assert self.digest(chains) == \
+            "caff96833ec7618d84137ec311994bdd2c463b05f369dd1a0c06df2f929126a4"
+
+    def test_tool_life(self, monkeypatch):
+        use_workers(monkeypatch, 1)
+        records, _ = simulate_dataset(21, 20, seed=7)
+        chains = fit_tool_life(records, seed=7, **self.KW)
+        assert self.digest(chains) == \
+            "07eec4635ee5b3c6e3de4db491f0de29dd633fa0a8a49ebc7003028d6a0656e1"

@@ -60,17 +60,16 @@ def _parse_grid(spec: str):
         ) from exc
 
 
-def _read_draws(path: str):
-    return (tio.read_draws_npz if path.endswith(".npz") else tio.read_draws_csv)(path)
-
-
-def _write_draws(path: Path, chains) -> None:
-    (tio.write_draws_npz if str(path).endswith(".npz") else tio.write_draws_csv)(path, chains)
-
-
 def _section(args, name: str) -> dict:
     """The run config's ``name`` section from the options of the same names, checked."""
-    return tio.check_section(name, {key: getattr(args, key) for key in tio.SECTION_DEFAULTS[name]})
+    return tio.check_section(name, {key: getattr(args, key) for key in tio.SETTINGS[name]})
+
+
+def _section_options(parser, name: str) -> None:
+    """An option ``--<key>`` for each key of the run config's ``name`` section."""
+    for key, setting in tio.SETTINGS[name].items():
+        parser.add_argument(f"--{key.replace('_', '-')}", type=setting.type,
+                            default=setting.default, help=setting.help)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +81,7 @@ def _cmd_design(args) -> int:
         bounds, args.n_initial, n_reserve=args.n_reserve, skip=args.skip
     )
     out = _out_path(args.output, "design.csv")
-    with open(out, "w") as fh:
-        fh.write("index,v_c,f,priority\n")
-        for block, tag in ((initial, "initial"), (reserve, "reserve")):
-            for p in block:
-                fh.write(f"{p.index},{tio.fmt(p.v_c)},{tio.fmt(p.f)},{tag}\n")
+    tio.write_design(out, initial, reserve)
     print(f"wrote {len(initial)} initial + {len(reserve)} reserve settings to {out}")
     return EXIT_OK
 
@@ -96,11 +91,7 @@ def _cmd_segment(args) -> int:
     series_out = _out_path(args.series_out, "series.csv")
     tio.write_series(series_out, series.length, series.forces)
     report_out = _out_path(args.report_out, "changepoints.csv")
-    with open(report_out, "w") as fh:
-        fh.write("segment_start,segment_end,mean,variance\n")
-        for (lo, hi), mean, var in zip(seg.segments(), seg.segment_means,
-                                       seg.segment_vars):
-            fh.write(f"{lo},{hi},{tio.fmt(mean)},{tio.fmt(var)}\n")
+    tio.write_segments(report_out, seg)
     print(f"{len(seg.changepoints)} changepoints; kept {len(series.length)} of "
           f"{seg.n_samples} samples; wrote {series_out} and {report_out}")
     return EXIT_OK
@@ -113,12 +104,7 @@ def _cmd_simulate(args) -> int:
     records, truth = simulate_dataset(
         n_experiments=args.n_experiments, n_points=args.n_points, seed=args.seed
     )
-    controls_path = out / "controls.csv"
-    with open(controls_path, "w") as fh:
-        fh.write("id,v_c,f,tool_life\n")
-        for rec in records:
-            fh.write(f"{rec.id},{tio.fmt(rec.v_c)},{tio.fmt(rec.f)},"
-                     f"{tio.fmt(rec.tool_life)}\n")
+    tio.write_controls(out / "controls.csv", records)
     if args.raw:
         for rec in records:
             trace = simulate_raw_trace(rec, seed=args.seed + rec.id)
@@ -149,7 +135,7 @@ def _cmd_fit(args) -> int:
         attach_series(records, args.series_dir)
     chains = fit_channel(records, args.channel, priors, smp, seed)
     draws_out = _out_path(args.draws_out, f"draws_{args.channel}.{args.format}")
-    _write_draws(draws_out, chains)
+    tio.write_draws(draws_out, chains)
     summary = summarize(chains)
     summary_out = _out_path(args.summary_out, f"summary_{args.channel}.csv")
     tio.write_summary_csv(summary_out, summary)
@@ -163,7 +149,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    chains = _read_draws(args.draws)
+    chains = tio.read_draws(args.draws)
     summary = summarize(chains)
     if args.summary_out is not None:
         tio.write_summary_csv(args.summary_out, summary)
@@ -175,8 +161,10 @@ def _cmd_diagnose(args) -> int:
         flag = " *" if r > args.threshold else ""
         print(f"{name:<16}{mean:>12.4g}{sd:>12.4g}{lo:>12.4g}"
               f"{med:>12.4g}{hi:>12.4g}{r:>8.4f}{flag}")
+    divergences = ("not recorded in this draws file" if chains.divergences is None
+                   else chains.divergences.tolist())
     print(f"\nchains: {chains.n_chains}, retained draws/chain: "
-          f"{chains.n_retained}, divergences: {chains.divergences.tolist()}")
+          f"{chains.n_retained}, divergences: {divergences}")
     flagged = summary.flagged(args.threshold)
     if flagged:
         print(f"NOT CONVERGED: PSRF > {args.threshold} for {flagged}",
@@ -187,7 +175,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    chains = _read_draws(args.draws)
+    chains = tio.read_draws(args.draws)
     grid_spec = _parse_grid(args.grid) if args.grid else None
     grid = predict_channel(chains, load_records(args.controls), args.channel, grid_spec)
     out = _out_path(args.output, f"surface_{args.channel}.csv")
@@ -199,27 +187,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
-    pairs = []
-    with open(args.input) as fh:
-        header = [h.strip() for h in fh.readline().split(",")]
-        try:
-            iv = header.index("v_c")
-            il = header.index("life") if "life" in header else header.index("tool_life")
-        except ValueError:
-            raise ValidationError(
-                f"{args.input}: expected columns v_c and life (or tool_life)"
-            ) from None
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            try:
-                pairs.append((float(cells[iv]), float(cells[il])))
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(
-                    f"{args.input}:{lineno}: malformed row {line.strip()!r}"
-                ) from exc
-    fit = fit_taylor(pairs)
+    fit = fit_taylor(tio.load_taylor(args.input))
     print(f"n = {tio.fmt(fit.n)}")
     print(f"C = {tio.fmt(fit.C)}")
     print(f"residual sd (log life) = {tio.fmt(fit.residual_sd)}")
@@ -270,17 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output CSV (index,v_c,f,priority)")
     p.set_defaults(handler=_cmd_design)
 
-    seg = tio.SECTION_DEFAULTS["segmentation"]
     p = sub.add_parser("segment", help="changepoint segmentation of a raw force trace")
     p.add_argument("--trace", required=True, help="raw trace CSV (sample,Ft,Ff,Fp)")
-    p.add_argument("--penalty", type=float, default=seg["penalty"],
-                   help="split penalty (default: data-driven)")
-    p.add_argument("--min-seg-len", type=int, default=seg["min_seg_len"],
-                   help="minimum segment length in samples")
-    p.add_argument("--threshold", type=float, default=seg["threshold"],
-                   help="contact threshold on mean force (N)")
-    p.add_argument("--length-per-sample", type=float, default=seg["length_per_sample"],
-                   help="cutting length per sample (m)")
+    _section_options(p, "segmentation")
     p.add_argument("--channel", choices=CHANNELS, default="Ft", help="channel driving the segmentation")
     p.add_argument("--series-out", help="contact-phase series CSV (L,Ft,Ff,Fp)")
     p.add_argument("--report-out", help="changepoint report CSV")
@@ -299,13 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controls", required=True, help="controls CSV (id,v_c,f[,tool_life])")
     p.add_argument("--series-dir", help="directory of series_<id>.csv files")
     p.add_argument("--channel", choices=[*CHANNELS, "life"], default="Ft")
-    smp = tio.SECTION_DEFAULTS["sampler"]
-    p.add_argument("--chains", type=int, default=smp["chains"])
-    p.add_argument("--warmup", type=int, default=smp["warmup"])
-    p.add_argument("--samples", type=int, default=smp["samples"])
+    _section_options(p, "sampler")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tree-depth", type=int, default=smp["max_tree_depth"])
-    p.add_argument("--target-accept", type=float, default=smp["target_accept"])
     p.add_argument("--priors", help="YAML file of prior scales")
     p.add_argument("--format", choices=["csv", "npz"], default="csv",
                    help="draws format: CSV (inspectable) or columnar binary")
@@ -351,16 +306,16 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ToolwearError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # a path it cannot use
+            print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

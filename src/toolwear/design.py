@@ -30,10 +30,10 @@ class DesignBounds:
     f_max: float
 
     def __post_init__(self):
-        if not (0 < self.v_min < self.v_max):
-            raise DomainError(f"need 0 < v_min < v_max, got [{self.v_min}, {self.v_max}]")
-        if not (0 < self.f_min < self.f_max):
-            raise DomainError(f"need 0 < f_min < f_max, got [{self.f_min}, {self.f_max}]")
+        if not (0 < self.v_min < self.v_max < np.inf):
+            raise DomainError(f"need 0 < v_min < v_max < inf, got [{self.v_min}, {self.v_max}]")
+        if not (0 < self.f_min < self.f_max < np.inf):
+            raise DomainError(f"need 0 < f_min < f_max < inf, got [{self.f_min}, {self.f_max}]")
 
 
 @dataclass(frozen=True)

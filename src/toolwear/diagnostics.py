@@ -41,7 +41,7 @@ def psrf(chains: np.ndarray) -> float:
 
 @dataclass
 class FitSummary:
-    """Per-parameter posterior summary plus per-chain sampler health."""
+    """Per-parameter posterior summary."""
 
     param_names: list[str]
     mean: np.ndarray
@@ -50,8 +50,6 @@ class FitSummary:
     median: np.ndarray
     q97_5: np.ndarray
     psrf: np.ndarray
-    divergences: np.ndarray
-    accept_stats: np.ndarray
 
     def worst_psrf(self) -> float:
         return float(np.max(self.psrf))
@@ -83,6 +81,4 @@ def summarize(chains: ChainSet) -> FitSummary:
         median=quantiles[1],
         q97_5=quantiles[2],
         psrf=rhat,
-        divergences=chains.divergences.copy(),
-        accept_stats=chains.accept_stats.copy(),
     )

@@ -1,14 +1,16 @@
 """File formats, run configuration, and dataset loading.
 
-All numeric output uses ``repr`` of the Python float (shortest round-trip
-decimal), so ``read(write(x)) == x`` exactly and re-runs are byte-identical.
+Every CSV file is written by one table writer in ``csv``'s default dialect
+(CRLF line ends, RFC 4180), each number as the ``repr`` of its float
+(shortest round-trip decimal): ``read(write(x)) == x`` exactly, and re-runs
+are byte-identical.
 
-Traces, series and draws are read by one numeric CSV reader: it checks the
-header, then parses the body with ``np.loadtxt``. Only when that fails does
-it walk the rows with ``csv`` and ``float()``, which accepts a few more
-spellings (``1_000``, whitespace-only rows, quoted cells) and otherwise
-finds the malformed row. Blank rows are skipped, and every error about a
-row names it as ``file:line``.
+Traces, series, draws and Taylor inputs are read by one numeric CSV reader:
+it checks the header, then parses the body with ``np.loadtxt``. Only when
+that fails does it walk the rows with ``csv`` and ``float()``, which accepts
+a few more spellings (``1_000``, whitespace-only rows, quoted cells) and
+otherwise finds the malformed row. Blank rows are skipped, and every error
+about a row names it as ``file:line``.
 """
 
 from __future__ import annotations
@@ -43,38 +45,57 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _write_rows(path, header, rows) -> None:
+    """The table writer: the ``header`` cells, then each row of ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _names(header) -> list[str]:
+    return [c.strip() for c in header]
+
+
 # ---------------------------------------------------------------------------
-# controls and series
+# design, controls and series
+
+def write_design(path, initial, reserve) -> None:
+    """Design table: index,v_c,f,priority, the initial block then the reserve."""
+    _write_rows(path, ["index", "v_c", "f", "priority"],
+                ([p.index, fmt(p.v_c), fmt(p.f), tag]
+                 for block, tag in ((initial, "initial"), (reserve, "reserve")) for p in block))
+
+
+def write_controls(path, records) -> None:
+    """Controls table: id,v_c,f,tool_life, the life blank where a record has none."""
+    _write_rows(path, ["id", "v_c", "f", "tool_life"],
+                ([r.id, fmt(r.v_c), fmt(r.f), "" if r.tool_life is None else fmt(r.tool_life)]
+                 for r in records))
+
 
 def load_controls(path) -> list[ExperimentRecord]:
     """Controls table: CSV with header id,v_c,f[,tool_life]."""
-    records = []
-    seen = set()
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["id", "v_c", "f"]:
-            raise ValidationError(f"{path}: expected header id,v_c,f[,tool_life]")
-        has_life = len(header) >= 4 and header[3].strip() == "tool_life"
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rid = int(row[0])
-                v_c, f = float(row[1]), float(row[2])
-                life = None
-                if has_life and len(row) > 3 and row[3].strip():
-                    life = float(row[3])
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
-            if rid in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate experiment id {rid}")
-            if v_c <= 0 or f <= 0:
-                raise ValidationError(f"{path}:{lineno}: settings must be positive")
-            if life is not None and life <= 0:
-                raise ValidationError(f"{path}:{lineno}: tool_life must be positive")
-            seen.add(rid)
-            records.append(ExperimentRecord(id=rid, v_c=v_c, f=f, tool_life=life))
+        header = next(csv.reader([fh.readline()]), [])
+    if _names(header[:3]) != ["id", "v_c", "f"]:
+        raise ValidationError(f"{path}: expected header id,v_c,f[,tool_life]")
+    has_life = _names(header[3:4]) == ["tool_life"]
+    records, seen = [], set()
+    for lineno, row in _data_rows(path):
+        try:
+            rid, v_c, f = int(row[0]), float(row[1]), float(row[2])
+            life = float(row[3]) if has_life and len(row) > 3 and row[3].strip() else None
+        except (ValueError, IndexError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
+        if rid in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate experiment id {rid}")
+        if v_c <= 0 or f <= 0:
+            raise ValidationError(f"{path}:{lineno}: settings must be positive")
+        if life is not None and life <= 0:
+            raise ValidationError(f"{path}:{lineno}: tool_life must be positive")
+        seen.add(rid)
+        records.append(ExperimentRecord(id=rid, v_c=v_c, f=f, tool_life=life))
     return records
 
 
@@ -93,20 +114,24 @@ def _line_of(path, index: int) -> int:
     return next(islice(_data_rows(path), index, None))[0]
 
 
-def _read_numeric(path, header_ok, expected: str, usecols=None):
+def _read_numeric(path, columns, expected: str):
     """Numeric CSV body under a checked header -> (header cells, 2-D float array).
 
-    ``header_ok(cells)`` accepts the header, else ``ValidationError`` says
-    ``expected``. Rows need at least as many cells as the header. With
-    ``usecols`` only those columns are parsed and returned; without, every
-    cell is parsed and the first ``len(header)`` columns are returned.
+    ``columns(cells)`` reads the header: a false value rejects it
+    (``ValidationError`` then says ``expected``), a tuple of column indices
+    parses and returns only those columns, in that order, and ``True``
+    parses every cell and returns the first ``len(header)`` columns. A row
+    needs a cell under each column it is parsed at (every header cell, with
+    ``True``).
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if not header_ok(header):
+        usecols = columns(header)
+        if not usecols:
             raise ValidationError(f"{path}: expected {expected}")
-        width = len(header)
-        ncols = width if usecols is None else len(usecols)
+        usecols = None if usecols is True else usecols
+        width = len(header) if usecols is None else max(usecols) + 1
+        ncols = len(header) if usecols is None else len(usecols)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
@@ -119,7 +144,7 @@ def _read_numeric(path, header_ok, expected: str, usecols=None):
     for lineno, row in _data_rows(path):
         try:
             if len(row) < width:
-                raise ValueError(f"{len(row)} cells under a header of {width}")
+                raise ValueError(f"{len(row)} cells, {width} needed")
             rows.append([float(row[j]) for j in usecols or range(len(row))][:ncols])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
@@ -131,8 +156,7 @@ def load_series(path, record: ExperimentRecord | None = None):
 
     Returns (L, forces); when ``record`` is given the series is attached to it.
     """
-    _, values = _read_numeric(path, lambda h: [c.strip() for c in h] == ["L", *CHANNELS],
-                              "header L,Ft,Ff,Fp")
+    _, values = _read_numeric(path, lambda h: _names(h) == ["L", *CHANNELS], "header L,Ft,Ff,Fp")
     length = np.ascontiguousarray(values[:, 0])
     bad = np.flatnonzero(length <= np.concatenate(([-np.inf], length[:-1])))
     if bad.size:
@@ -146,38 +170,58 @@ def load_series(path, record: ExperimentRecord | None = None):
 
 
 def write_series(path, length, forces) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["L", *CHANNELS])
-        for i in range(len(length)):
-            w.writerow([fmt(length[i])] + [fmt(forces[ch][i]) for ch in CHANNELS])
+    _write_rows(path, ["L", *CHANNELS],
+                ([fmt(length[i])] + [fmt(forces[ch][i]) for ch in CHANNELS]
+                 for i in range(len(length))))
 
 
 def write_trace(path, trace) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample", *CHANNELS])
-        for i in range(trace.n_samples):
-            w.writerow([i] + [fmt(trace.forces[ch][i]) for ch in CHANNELS])
+    _write_rows(path, ["sample", *CHANNELS],
+                ([i] + [fmt(trace.forces[ch][i]) for ch in CHANNELS]
+                 for i in range(trace.n_samples)))
 
 
 def load_trace(path):
     """Raw trace CSV (columns sample,Ft,Ff,Fp) -> forces dict; ``sample`` is not read."""
-    _, values = _read_numeric(path, lambda h: [c.strip() for c in h] == ["sample", *CHANNELS],
-                              "header sample,Ft,Ff,Fp", usecols=(1, 2, 3))
+    _, values = _read_numeric(path, lambda h: _names(h) == ["sample", *CHANNELS] and (1, 2, 3),
+                              "header sample,Ft,Ff,Fp")
     return {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS)}
+
+
+def write_segments(path, seg) -> None:
+    """Segmentation report: segment_start,segment_end,mean,variance per segment."""
+    _write_rows(path, ["segment_start", "segment_end", "mean", "variance"],
+                ([lo, hi, fmt(mean), fmt(var)] for (lo, hi), mean, var
+                 in zip(seg.segments(), seg.segment_means, seg.segment_vars)))
+
+
+def write_changepoints(path, segmentations) -> None:
+    """``run``'s report: id,segment_start,segment_mean for each segment of
+    each (experiment id, segmentation) pair."""
+    _write_rows(path, ["id", "segment_start", "segment_mean"],
+                ([rid, start, fmt(mean)] for rid, seg in segmentations
+                 for start, mean in zip([0, *seg.changepoints], seg.segment_means)))
+
+
+def load_taylor(path):
+    """(v_c, tool life) rows, shape (n, 2), of a CSV with columns v_c and
+    life (or tool_life, when there is no life column)."""
+    def columns(header):
+        names = _names(header)
+        life = "life" if "life" in names else "tool_life"
+        return "v_c" in names and life in names and (names.index("v_c"), names.index(life))
+    return _read_numeric(path, columns, "columns v_c and life (or tool_life)")[1]
 
 
 # ---------------------------------------------------------------------------
 # draws
 
 def write_draws_csv(path, chains: ChainSet) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["chain", "iteration", *chains.param_names])
-        for c in range(chains.n_chains):
-            for it in range(chains.n_retained):
-                w.writerow([c, it] + [fmt(v) for v in chains.draws[c, it]])
+    """Draws table: chain,iteration and one column per parameter. It does not
+    record acceptance statistics or divergences; the npz form does."""
+    _write_rows(path, ["chain", "iteration", *chains.param_names],
+                ([c, it] + [fmt(v) for v in chains.draws[c, it]]
+                 for c in range(chains.n_chains) for it in range(chains.n_retained)))
 
 
 def read_draws_csv(path) -> ChainSet:
@@ -203,20 +247,25 @@ def read_draws_csv(path) -> ChainSet:
     draws = draws.reshape(n_chains, n_iter, -1)
     if np.any(np.isnan(draws)):
         raise missing
-    return ChainSet(
-        draws=draws, param_names=header[2:], n_warmup=0, n_retained=n_iter,
-        seed=0, accept_stats=np.full(n_chains, np.nan),
-        divergences=np.zeros(n_chains, dtype=int),
-    )
+    return ChainSet(draws=draws, param_names=header[2:], n_warmup=0, n_retained=n_iter, seed=0)
+
+
+def read_draws(path) -> ChainSet:
+    """Draws from an ``.npz`` file, or from a CSV file under any other name."""
+    return (read_draws_npz if str(path).endswith(".npz") else read_draws_csv)(path)
+
+
+def write_draws(path, chains: ChainSet) -> None:
+    (write_draws_npz if str(path).endswith(".npz") else write_draws_csv)(path, chains)
 
 
 def write_draws_npz(path, chains: ChainSet) -> None:
-    """Compact columnar form; parameter names and layout travel in the file."""
-    np.savez_compressed(
-        path, draws=chains.draws, param_names=np.array(chains.param_names),
-        n_warmup=chains.n_warmup, seed=chains.seed,
-        accept_stats=chains.accept_stats, divergences=chains.divergences,
-    )
+    """Compact columnar form; parameter names, layout and the per-chain
+    statistics the draws carry travel in the file."""
+    stats = {k: v for k, v in (("accept_stats", chains.accept_stats),
+                               ("divergences", chains.divergences)) if v is not None}
+    np.savez_compressed(path, draws=chains.draws, param_names=np.array(chains.param_names),
+                        n_warmup=chains.n_warmup, seed=chains.seed, **stats)
 
 
 def read_draws_npz(path) -> ChainSet:
@@ -226,27 +275,21 @@ def read_draws_npz(path) -> ChainSet:
         return ChainSet(
             draws=z["draws"], param_names=[str(n) for n in z["param_names"]],
             n_warmup=int(z["n_warmup"]), n_retained=z["draws"].shape[1],
-            seed=int(z["seed"]), accept_stats=z["accept_stats"],
-            divergences=z["divergences"],
+            seed=int(z["seed"]), accept_stats=z.get("accept_stats"),
+            divergences=z.get("divergences"),
         )
 
 
 def write_summary_csv(path, summary) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["parameter", "mean", "sd", "q2.5", "median", "q97.5", "psrf"])
-        for name, *vals in summary.rows():
-            w.writerow([name] + [fmt(v) for v in vals])
+    _write_rows(path, ["parameter", "mean", "sd", "q2.5", "median", "q97.5", "psrf"],
+                ([name] + [fmt(v) for v in vals] for name, *vals in summary.rows()))
 
 
 def write_surface_csv(path, grid) -> None:
     """Long-format surface (v_c, f, mean, sd), one row per grid node."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v_c", "f", "mean", "sd"])
-        for i, v in enumerate(grid.v_axis):
-            for j, f in enumerate(grid.f_axis):
-                w.writerow([fmt(v), fmt(f), fmt(grid.mean[i, j]), fmt(grid.sd[i, j])])
+    _write_rows(path, ["v_c", "f", "mean", "sd"],
+                ([fmt(v), fmt(f), fmt(grid.mean[i, j]), fmt(grid.sd[i, j])]
+                 for i, v in enumerate(grid.v_axis) for j, f in enumerate(grid.f_axis)))
 
 
 def write_surface_matrix(path, grid) -> None:
@@ -260,32 +303,49 @@ def write_surface_matrix(path, grid) -> None:
 # ---------------------------------------------------------------------------
 # run configuration
 
-# the keys the ``segmentation`` and ``sampler`` sections of a run config may
-# set, with the values used for the keys they leave out
-SECTION_DEFAULTS = {
-    "segmentation": {"penalty": None, "min_seg_len": 20, "threshold": 50.0,
-                     "length_per_sample": 1.0},
-    "sampler": {"chains": 4, "warmup": 1000, "samples": 1000,
-                "max_tree_depth": 10, "target_accept": 0.8},
-}
-
-
 def _number(v, kind=(int, float)) -> bool:
     """Whether ``v`` is a finite int (or float); a bool is neither."""
     return isinstance(v, kind) and not isinstance(v, bool) and abs(v) < math.inf
 
 
-# what each key of those sections must hold
-SECTION_RULES = {
-    "penalty": (lambda v: v is None or _number(v) and v >= 0, "null or a finite number >= 0"),
-    "min_seg_len": (lambda v: _number(v, int) and v >= 2, "an integer >= 2"),
-    "threshold": (_number, "a finite number"),
-    "length_per_sample": (lambda v: _number(v) and v > 0, "a finite number > 0"),
-    "chains": (lambda v: _number(v, int) and v >= 2, "an integer >= 2"),
-    "warmup": (lambda v: _number(v, int) and v >= 0, "an integer >= 0"),
-    "samples": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
-    "max_tree_depth": (lambda v: _number(v, int) and v >= 1, "an integer >= 1"),
-    "target_accept": (lambda v: _number(v) and 0 < v < 1, "a number between 0 and 1"),
+@dataclass(frozen=True)
+class Setting:
+    """A key of a run config's ``segmentation`` or ``sampler`` section and the
+    option ``--<key>`` (``-`` for ``_``) of ``segment`` or ``fit``: the value a
+    section that leaves it out gets, the option's type, the rule (value ->
+    whether allowed), the rule as errors word it, and the option's help."""
+
+    default: object
+    type: type
+    rule: object
+    wording: str
+    help: str
+
+
+SETTINGS = {
+    "segmentation": {
+        "penalty": Setting(None, float, lambda v: v is None or _number(v) and v >= 0,
+                           "null or a finite number >= 0", "split penalty (default: data-driven)"),
+        "min_seg_len": Setting(20, int, lambda v: _number(v, int) and v >= 2, "an integer >= 2",
+                               "minimum segment length in samples"),
+        "threshold": Setting(50.0, float, _number, "a finite number",
+                             "contact threshold on mean force (N)"),
+        "length_per_sample": Setting(1.0, float, lambda v: _number(v) and v > 0,
+                                     "a finite number > 0", "cutting length per sample (m)"),
+    },
+    "sampler": {
+        "chains": Setting(4, int, lambda v: _number(v, int) and v >= 2, "an integer >= 2",
+                          "number of chains"),
+        "warmup": Setting(1000, int, lambda v: _number(v, int) and v >= 0, "an integer >= 0",
+                          "warmup iterations per chain"),
+        "samples": Setting(1000, int, lambda v: _number(v, int) and v >= 1, "an integer >= 1",
+                           "retained draws per chain"),
+        "max_tree_depth": Setting(10, int, lambda v: _number(v, int) and v >= 1,
+                                  "an integer >= 1", "maximum NUTS tree depth"),
+        "target_accept": Setting(0.8, float, lambda v: _number(v) and 0 < v < 1,
+                                 "a number between 0 and 1",
+                                 "acceptance rate the step size is adapted to"),
+    },
 }
 
 
@@ -300,11 +360,11 @@ def _check_keys(mapping, allowed, what: str) -> None:
 def check_section(name: str, values: dict) -> dict:
     """``values`` of a ``segmentation`` or ``sampler`` section, from a run config
     or the command line, once each key and value is checked."""
-    _check_keys(values, SECTION_DEFAULTS[name], name)
+    _check_keys(values, SETTINGS[name], name)
     for key, val in values.items():
-        test, what = SECTION_RULES[key]
-        if not test(val):
-            raise ValidationError(f"{name} {key} must be {what}, got {val!r}")
+        setting = SETTINGS[name][key]
+        if not setting.rule(val):
+            raise ValidationError(f"{name} {key} must be {setting.wording}, got {val!r}")
     return values
 
 
@@ -334,9 +394,17 @@ def parse_priors(raw) -> PriorConfig:
     return PriorConfig(**raw)
 
 
+_DIRS = ("traces_dir", "series_dir")  # one of them is required
+_PATHS = ("controls", "output_dir", *_DIRS)
+
+
 @dataclass
 class RunConfig:
-    """Validated pipeline settings from a YAML key-value file."""
+    """Validated pipeline settings from a YAML key-value file.
+
+    The path settings keep the values the file gives, so :meth:`echo` does
+    not depend on where the file is; :meth:`path` resolves them.
+    """
 
     seed: int
     output_dir: str
@@ -349,6 +417,8 @@ class RunConfig:
     sampler: dict = field(default_factory=dict)
     grid: list | None = None
     fit_tool_life: bool = True
+    # not a setting: the directory relative paths are taken against, the file's
+    base = Path(".")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -359,37 +429,40 @@ class RunConfig:
         if missing:
             raise ValidationError(f"{path}: missing config keys {missing}")
         cfg = cls(**raw)
-        cfg.validate(base=Path(path).parent)
+        cfg.base = Path(path).parent
+        cfg.validate()
         return cfg
 
     def override(self, values: dict) -> None:
-        """Set ``values`` and check the result as a file is checked; relative
-        paths given here resolve against the working directory."""
+        """Set ``values`` and check the result as a file is checked; a relative
+        path given here is taken against the working directory, and kept
+        absolute."""
         _check_keys(values, {f.name for f in fields(self)}, "config")
         for key, val in values.items():
+            if key in _PATHS and isinstance(val, str):
+                val = str(Path(val).absolute())
             setattr(self, key, val)
         self.validate()
 
-    def validate(self, base: Path | None = None) -> None:
-        """Resolve relative paths against ``base`` (the working directory if
-        omitted), then check every value. Run again, it changes nothing."""
+    def path(self, name: str) -> Path | None:
+        """The path setting ``name``, resolved; None where it is unset."""
+        val = getattr(self, name)
+        return None if val is None else self.base / val
+
+    def validate(self) -> None:
+        """Check every value."""
         if self.seed is None:
             raise ValidationError("seed is required (no wall-clock default)")
         check_seed(self.seed)
-        base = base or Path(".")
-        for attr in ("controls", "output_dir", "traces_dir", "series_dir"):
+        for attr in _PATHS:
             val = getattr(self, attr)
-            if val is None and attr in ("traces_dir", "series_dir"):
-                continue
-            if not isinstance(val, str):
+            if not (isinstance(val, str) or val is None and attr in _DIRS):
                 raise ValidationError(f"{attr} must be a path, got {val!r}")
-            setattr(self, attr, str(base / val))
-        if not Path(self.controls).exists():
-            raise ValidationError(f"controls file not found: {self.controls}")
-        for attr in ("traces_dir", "series_dir"):
-            val = getattr(self, attr)
-            if val is not None and not Path(val).is_dir():
-                raise ValidationError(f"{attr} not found: {val}")
+        if not self.path("controls").exists():
+            raise ValidationError(f"controls file not found: {self.path('controls')}")
+        for attr in _DIRS:
+            if self.path(attr) is not None and not self.path(attr).is_dir():
+                raise ValidationError(f"{attr} not found: {self.path(attr)}")
         if self.traces_dir is None and self.series_dir is None:
             raise ValidationError("one of traces_dir or series_dir is required")
         if not (isinstance(self.channels, list) and all(c in CHANNELS for c in self.channels)):
@@ -398,13 +471,14 @@ class RunConfig:
         if self.grid is not None and not (isinstance(self.grid, list) and len(self.grid) == 6
                                           and all(map(_number, self.grid))):
             raise ValidationError("grid must be [v_min, v_max, nv, f_min, f_max, nf]")
-        for name in SECTION_DEFAULTS:
+        for name in SETTINGS:
             check_section(name, getattr(self, name))
         parse_priors(self.priors)
 
     def settings(self, section: str) -> dict:
         """The ``segmentation`` or ``sampler`` section over its defaults."""
-        return {**SECTION_DEFAULTS[section], **getattr(self, section)}
+        return {**{key: s.default for key, s in SETTINGS[section].items()},
+                **getattr(self, section)}
 
     def echo(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -43,7 +43,7 @@ def run_pipeline(config: tio.RunConfig) -> PipelineResult:
     stage named, so it keeps its exit code; any other error (a dead worker
     process, an I/O error) propagates unchanged.
     """
-    out = Path(config.output_dir)
+    out = config.path("output_dir")
     out.mkdir(parents=True, exist_ok=True)
     result = PipelineResult(out)
     stages_done = []
@@ -71,17 +71,12 @@ def load_records(path):
 def attach_series(records, series_dir) -> None:
     """Attach each record's ``series_<id>.csv`` from ``series_dir``."""
     for rec in records:
-        path = Path(series_dir) / f"series_{rec.id}.csv"
-        if not path.exists():
-            raise ValidationError(f"missing series file {path}")
-        tio.load_series(path, rec)
+        tio.load_series(Path(series_dir) / f"series_{rec.id}.csv", rec)
 
 
 def segment_trace(path, seg: dict, channel: str = "Ft"):
     """(contact-phase series, segmentation) of a raw trace file, segmented by
     ``channel`` with the settings of a ``segmentation`` section."""
-    if not Path(path).exists():
-        raise ValidationError(f"missing trace file {path}")
     trace = RawTrace(forces=tio.load_trace(path), length_per_sample=seg["length_per_sample"])
     found = binary_segmentation(trace, penalty=seg["penalty"], min_seg_len=seg["min_seg_len"],
                                 channel=channel)
@@ -108,24 +103,23 @@ def predict_channel(chains, records, channel: str, grid_spec):
 
 def _run_stages(config, result, stages_done):
     stages_done.append("load")
-    records = load_records(config.controls)
+    records = load_records(config.path("controls"))
     if config.traces_dir is not None:
         stages_done.append("segment")
-        seg_cfg, report = config.settings("segmentation"), "id,segment_start,segment_mean\n"
+        seg_cfg, found = config.settings("segmentation"), []
         (result.output_dir / "series").mkdir(exist_ok=True)
         for rec in records:
-            series, seg = segment_trace(Path(config.traces_dir) / f"trace_{rec.id}.csv", seg_cfg)
+            series, seg = segment_trace(config.path("traces_dir") / f"trace_{rec.id}.csv", seg_cfg)
             path = result.output_dir / "series" / f"series_{rec.id}.csv"
             tio.write_series(path, series.length, series.forces)
             result.artifacts.append(path)
             rec.length, rec.forces = series.length, series.forces
             rec.__post_init__()
-            report += "".join(f"{rec.id},{cp},{tio.fmt(mean)}\n"
-                              for cp, mean in zip([0, *seg.changepoints], seg.segment_means))
-        _keep(result, [("changepoints.csv", Path.write_text, report)])
+            found.append((rec.id, seg))
+        _keep(result, [("changepoints.csv", tio.write_changepoints, found)])
     else:
         stages_done.append("load-series")
-        attach_series(records, config.series_dir)
+        attach_series(records, config.path("series_dir"))
 
     fits = list(config.channels)
     with suppress(InsufficientDataError):  # too few tool lives: no life stage

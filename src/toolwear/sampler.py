@@ -43,8 +43,9 @@ class ChainSet:
     n_warmup: int
     n_retained: int
     seed: int
-    accept_stats: np.ndarray  # mean acceptance probability per chain
-    divergences: np.ndarray   # post-warmup divergence count per chain
+    # None where the draws come from a file that does not record them (CSV)
+    accept_stats: np.ndarray | None = None  # mean acceptance probability per chain
+    divergences: np.ndarray | None = None   # post-warmup divergence count per chain
     step_sizes: np.ndarray = field(default_factory=lambda: np.array([]))
 
     @property
@@ -293,7 +294,8 @@ def find_reasonable_step_size(logp_grad_fn, x0, rng, metric,
 
 
 def _warmup_schedule(n_warmup, init_buffer=75, term_buffer=50, base_window=25):
-    """(step-size-only end, mass-matrix window ends, final phase start)."""
+    """(end of the step-size-only phase, ends of the mass-matrix windows); the
+    last window ends where the final step-size-only phase starts."""
     if n_warmup < init_buffer + term_buffer + base_window:
         init_buffer = max(1, int(0.15 * n_warmup))
         term_buffer = max(1, int(0.10 * n_warmup))

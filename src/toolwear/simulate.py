@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignBounds, augmentation_plan
+from .errors import InsufficientDataError
 from .kernel import KernelConfig, Standardizer, cholesky_cov
 from .model import ExperimentRecord
 from .segmentation import CHANNELS, RawTrace
@@ -45,8 +46,11 @@ def simulate_dataset(
     The kernel length scales apply on the standardized control scale, matching
     how the model interprets them. Each channel gets an independent slope
     field; tool life decreases with cutting speed and feed rate plus
-    lognormal noise, pinned to a 10-255 m range.
+    lognormal noise, pinned to a 10-255 m range. A series needs
+    ``n_points >= 2``.
     """
+    if n_points < 2:
+        raise InsufficientDataError(f"a series needs n_points >= 2, got {n_points}")
     rng = np.random.default_rng(seed)
     initial, _ = augmentation_plan(DEFAULT_BOUNDS, n_experiments)
     controls = np.array([[p.v_c, p.f] for p in initial])

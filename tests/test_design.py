@@ -144,6 +144,12 @@ class TestScaleDesign:
         with pytest.raises(DomainError):
             DesignBounds(20.0, 60.0, 50.0, 50.0)
 
+    @pytest.mark.parametrize("bounds", [(20.0, np.inf, 20.0, 50.0), (20.0, 60.0, 20.0, np.inf),
+                                        (np.nan, 60.0, 20.0, 50.0), (20.0, 60.0, -np.inf, 50.0)])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(DomainError, match="< inf, got"):
+            DesignBounds(*bounds)
+
 
 class TestAugmentationPlan:
     def test_concatenation_equals_single_request(self):

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from toolwear import io as tio
 from toolwear import pipeline, sampler
-from toolwear.cli import main
+from toolwear.cli import build_parser, main
 from toolwear.errors import InvalidDataError, SamplingError, ValidationError
 from toolwear.model import ForceChannelModel
 from toolwear.predict import ToolLifeModel
 from toolwear.sampler import ChainSet
+from toolwear.simulate import simulate_dataset
 
 
 def write(path, text):
@@ -131,6 +132,53 @@ class TestDrawsIO:
         for x in rng.normal(scale=1e6, size=50):
             assert float(tio.fmt(x)) == x
         assert float(tio.fmt(math.pi)) == math.pi
+
+
+def crlf_table(path) -> bool:
+    """Whether every line of ``path`` ends with CRLF, the last one included."""
+    data = path.read_bytes()
+    return data.endswith(b"\r\n") and b"\n" not in data.replace(b"\r\n", b"")
+
+
+class TestTables:
+    """Every CSV file the package writes is one format, read back by its reader."""
+
+    def test_every_csv_file_ends_its_lines_with_crlf(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["simulate", "--output-dir", str(data), "--raw", "--n-experiments", "4",
+                     "--n-points", "60", "--seed", "2"]) == 0
+        assert main(["design", "--v-min", "20", "--v-max", "60", "--f-min", "20",
+                     "--f-max", "50", "--n-initial", "3", "--n-reserve", "2",
+                     "-o", str(tmp_path / "design.csv")]) == 0
+        assert main(["segment", "--trace", str(data / "trace_1.csv"),
+                     "--series-out", str(tmp_path / "series.csv"),
+                     "--report-out", str(tmp_path / "report.csv")]) == 0
+        cfg = write(tmp_path / "run.yaml", "\n".join([
+            "seed: 5", "output_dir: out", "controls: data/controls.csv", "traces_dir: data",
+            "channels: [Ft]", "sampler: {chains: 2, warmup: 30, samples: 20}",
+        ]))
+        assert main(["run", "--config", cfg]) in (0, 2)
+        written = sorted(tmp_path.rglob("*.csv"))
+        names = {p.name for p in written}
+        assert {"design.csv", "report.csv", "controls.csv", "trace_1.csv", "series_1.csv",
+                "changepoints.csv", "draws_Ft.csv", "summary_life.csv", "surface_Ft.csv"} <= names
+        assert [p for p in written if not crlf_table(p)] == []
+
+    def test_controls_round_trip(self, tmp_path):
+        records, _ = simulate_dataset(n_experiments=3, n_points=5, seed=1)
+        records[1].tool_life = None  # written blank, read back as no life
+        tio.write_controls(tmp_path / "c.csv", records)
+        back = tio.load_controls(tmp_path / "c.csv")
+        assert [(r.id, r.v_c, r.f, r.tool_life) for r in back] == \
+            [(r.id, r.v_c, r.f, r.tool_life) for r in records]
+
+    def test_csv_draws_record_no_sampler_statistics(self, tmp_path):
+        tio.write_draws_csv(tmp_path / "d.csv", make_chainset(np.random.default_rng(2)))
+        back = tio.read_draws_csv(tmp_path / "d.csv")
+        assert back.divergences is None and back.accept_stats is None
+        tio.write_draws_npz(tmp_path / "d.npz", back)
+        again = tio.read_draws_npz(tmp_path / "d.npz")
+        assert again.divergences is None and np.array_equal(again.draws, back.draws)
 
 
 # finite floats, with the awkward ones always in play
@@ -297,6 +345,18 @@ class TestRunConfig:
         ]))
         with pytest.raises(ValidationError, match="seed"):
             tio.RunConfig.from_file(path)
+
+    def test_echo_keeps_paths_as_given(self, tmp_path, monkeypatch):
+        """Paths from the file echo as written; ``path`` resolves them against its
+        directory. A relative override is taken against the working directory."""
+        cfg = tio.RunConfig.from_file(self.good_config(tmp_path))
+        assert cfg.echo()["controls"] == "data/controls.csv"
+        assert cfg.path("series_dir") == tmp_path / "data" and cfg.path("traces_dir") is None
+        controls = str(tmp_path / "data" / "controls.csv")
+        monkeypatch.chdir(tmp_path / "data")
+        cfg.override({"controls": controls, "output_dir": "elsewhere"})
+        assert cfg.echo()["controls"] == controls
+        assert cfg.path("output_dir") == tmp_path / "data" / "elsewhere"
 
     def test_bad_prior_scale_rejected(self, tmp_path):
         path = self.good_config(tmp_path)
@@ -471,6 +531,72 @@ class TestCli:
                 name = f"{kind}_{channel}.csv"
                 assert (mine / name).read_bytes() == (out / name).read_bytes(), name
 
+    def test_run_manifest_does_not_depend_on_location(self, tmp_path):
+        """One config and its inputs, copied to two directories, give byte-identical
+        manifests: relative paths echo relative to the config's directory."""
+        manifests = []
+        for where in ("a", "b/c"):
+            root = tmp_path / where
+            main(["simulate", "--output-dir", str(root / "data"), "--n-experiments", "4",
+                  "--n-points", "25", "--seed", "6"])
+            cfg = write(root / "run.yaml", "\n".join([
+                "seed: 5", "output_dir: out", "controls: data/controls.csv", "series_dir: data",
+                "channels: [Ft]", "fit_tool_life: false",
+                "sampler: {chains: 2, warmup: 40, samples: 20}",
+            ]))
+            assert main(["run", "--config", cfg]) in (0, 2)
+            manifests.append((root / "out" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["config"]["controls"] == "data/controls.csv"
+
+    @pytest.mark.parametrize("text", [
+        "v_c,life\n20,255\n58,10\n",
+        "life,v_c\n255,20\n\n10,58\n",                   # any column order, blank rows
+        "id,v_c,f,tool_life\n1,20,45,255\n2,58,22.5,10\n",  # a controls table
+        "v_c,life,note\n20,255,new insert\r\n58,10\r\n",  # cells past those read
+    ])
+    def test_taylor_reads_the_columns_its_header_names(self, tmp_path, capsys, text):
+        assert main(["taylor", "--input", write(tmp_path / "life.csv", text)]) == 0
+        out = capsys.readouterr().out
+        n = float([ln for ln in out.splitlines() if ln.startswith("n =")][0][4:])
+        assert n == pytest.approx(math.log(58 / 20) / math.log(255 / 10), rel=1e-12)
+
+    @pytest.mark.parametrize("text, what", [
+        ("v_c,life\n20,255\n\n58,ten\n", ":4: malformed row"),
+        ("v_c,note,life\n20,a,255\n58,b\n", ":3: malformed row"),
+        ("v_c,T\n20,255\n58,10\n", ": expected columns v_c and life (or tool_life)"),
+    ])
+    def test_taylor_bad_input_exits_1(self, tmp_path, capsys, text, what):
+        path = write(tmp_path / "life.csv", text)
+        assert main(["taylor", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}{what}" in err and "internal error" not in err
+
+    def test_diagnose_reports_divergences_only_where_recorded(self, tmp_path, capsys):
+        chains = make_chainset(np.random.default_rng(4))
+        chains.divergences = np.array([0, 3])
+        tio.write_draws_csv(tmp_path / "d.csv", chains)
+        tio.write_draws_npz(tmp_path / "d.npz", chains)
+        for name in ("d.csv", "d.npz"):
+            assert main(["diagnose", "--draws", str(tmp_path / name), "--threshold", "100"]) == 0
+        csv_out, npz_out = capsys.readouterr().out.split("converged")[:2]
+        assert "divergences: not recorded in this draws file" in csv_out
+        assert "divergences: [0, 3]" in npz_out
+
+    @pytest.mark.parametrize("command, section, defaults", [
+        (["segment", "--trace", "t.csv"], "segmentation",
+         {"penalty": None, "min_seg_len": 20, "threshold": 50.0, "length_per_sample": 1.0}),
+        (["fit", "--controls", "c.csv"], "sampler",
+         {"chains": 4, "warmup": 1000, "samples": 1000, "max_tree_depth": 10,
+          "target_accept": 0.8}),
+    ])
+    def test_section_options_keep_their_defaults(self, command, section, defaults):
+        """``segment`` and ``fit`` have one option per key of the config section,
+        defaulting to the value a config that leaves the key out gets."""
+        args = build_parser().parse_args(command)
+        assert {key: getattr(args, key) for key in tio.SETTINGS[section]} == defaults
+        assert {key: s.default for key, s in tio.SETTINGS[section].items()} == defaults
+
     def test_taylor_prints_closed_form(self, tmp_path, capsys):
         path = write(tmp_path / "life.csv",
                      "v_c,life\n20,255\n58,10\n")
@@ -528,6 +654,45 @@ class TestExitCodes:
     def test_usage_error_is_validation_error(self, argv, capsys):
         assert main(argv) == 1
         assert "usage: toolwear" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--draws", "{dir}"],
+        ["predict", "--draws", "{draws}", "--controls", "{dir}", "--channel", "life"],
+        ["fit", "--controls", "{dir}", "--channel", "life"],
+        ["taylor", "--input", "{dir}"],
+        ["run", "--config", "{dir}"],
+    ])
+    def test_directory_given_for_a_file_exits_1(self, tmp_path, capsys, argv):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        draws = TestCli().mismatch_inputs(tmp_path)["life"]
+        assert main([a.format(dir=folder, draws=draws) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {folder}: " in err and "internal error" not in err
+
+    def test_os_error_without_a_path_is_internal(self, tmp_path, capsys, monkeypatch):
+        def broken_pipe(*args, **kw):
+            raise OSError("worker pipe closed")
+
+        monkeypatch.setattr(pipeline, "run_chains", broken_pipe)
+        data = tmp_path / "data"
+        TestRunConfig().good_config(tmp_path)
+        assert main(["fit", "--controls", str(data / "controls.csv"), "--series-dir", str(data),
+                     "--draws-out", str(tmp_path / "d.csv")]) == 3
+        assert "internal error: OSError: worker pipe closed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["simulate", "--n-points=-3"], "a series needs n_points >= 2, got -3"),
+        (["simulate", "--n-points", "1"], "a series needs n_points >= 2, got 1"),
+        (["design", "--v-min", "20", "--v-max", "inf", "--f-min", "20", "--f-max", "50",
+          "--n-initial", "3"], "need 0 < v_min < v_max < inf, got [20.0, inf]"),
+    ])
+    def test_simulate_and_design_sizes_exit_1(self, tmp_path, capsys, monkeypatch, argv, what):
+        monkeypatch.setenv("TOOLWEAR_OUTPUT_DIR", str(tmp_path))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

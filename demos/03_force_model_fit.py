@@ -11,7 +11,7 @@ summary.
 
 import numpy as np
 
-from toolwear.diagnostics import summarize
+from toolwear.diagnostics import not_converged, summarize
 from toolwear.model import ForceChannelModel
 from toolwear.sampler import run_chains
 from toolwear.simulate import simulate_dataset
@@ -26,9 +26,9 @@ model = ForceChannelModel(records, channel="Ft")
 chains = run_chains(model, n_chains=4, n_warmup=800, n_samples=800, seed=3)
 summary = summarize(chains)
 
-print(f"\nworst PSRF {summary.worst_psrf():.4f} "
-      f"({'converged' if not summary.flagged() else 'NOT converged'}), "
-      f"{int(chains.divergences.sum())} divergences")
+reasons = not_converged(chains, summary, "Ft")  # the rule fit, diagnose and run apply
+print(f"\nworst PSRF {summary.worst_psrf():.4f}, "
+      f"{int(chains.divergences.sum())} divergences: {'; '.join(reasons) or 'converged'}")
 
 print("\nslope recovery (posterior 95% interval vs simulated truth):")
 names = summary.param_names

@@ -18,10 +18,10 @@ import yaml
 
 from . import io as tio
 from .design import DesignBounds, augmentation_plan
-from .diagnostics import PSRF_THRESHOLD, summarize
+from .diagnostics import PSRF_THRESHOLD, not_converged, summarize
 from .errors import SamplingError, ToolwearError, ValidationError
-from .pipeline import (attach_series, fit_channel, load_records, predict_channel, run_pipeline,
-                       segment_trace)
+from .pipeline import (attach_series, fit_channel, fit_files, load_records, predict_channel,
+                       run_pipeline, segment_trace)
 from .predict import fit_taylor
 from .segmentation import CHANNELS
 from .simulate import simulate_dataset, simulate_raw_trace
@@ -60,6 +60,13 @@ def _parse_grid(spec: str):
         ) from exc
 
 
+def _verdict(warnings) -> int:
+    """Print each reason the draws are not converged; exit 2 when there is one."""
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return EXIT_CONVERGENCE if warnings else EXIT_OK
+
+
 def _section(args, name: str) -> dict:
     """The run config's ``name`` section from the options of the same names, checked."""
     return tio.check_section(name, {key: getattr(args, key) for key in tio.SETTINGS[name]})
@@ -90,7 +97,7 @@ def _cmd_segment(args) -> int:
     series, seg = segment_trace(args.trace, _section(args, "segmentation"), args.channel)
     series_out = _out_path(args.series_out, "series.csv")
     tio.write_series(series_out, series.length, series.forces)
-    report_out = _out_path(args.report_out, "changepoints.csv")
+    report_out = _out_path(args.report_out, "segments.csv")
     tio.write_segments(report_out, seg)
     print(f"{len(seg.changepoints)} changepoints; kept {len(series.length)} of "
           f"{seg.n_samples} samples; wrote {series_out} and {report_out}")
@@ -134,18 +141,12 @@ def _cmd_fit(args) -> int:
             raise ValidationError("--series-dir is required for force channels")
         attach_series(records, args.series_dir)
     chains = fit_channel(records, args.channel, priors, smp, seed)
-    draws_out = _out_path(args.draws_out, f"draws_{args.channel}.{args.format}")
-    tio.write_draws(draws_out, chains)
-    summary = summarize(chains)
-    summary_out = _out_path(args.summary_out, f"summary_{args.channel}.csv")
-    tio.write_summary_csv(summary_out, summary)
-    print(f"wrote {draws_out} and {summary_out}; worst PSRF "
-          f"{summary.worst_psrf():.3f}, divergences {chains.divergences.tolist()}")
-    flagged = summary.flagged(PSRF_THRESHOLD)
-    if flagged:
-        print(f"warning: PSRF > {PSRF_THRESHOLD} for {flagged}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    return EXIT_OK
+    files, warnings = fit_files(chains, args.channel)
+    for arg, (name, writer, obj) in zip((args.draws_out, args.summary_out), files):
+        writer(path := _out_path(arg, name), obj)
+        print(f"wrote {path}")
+    print(f"worst PSRF {files[1][2].worst_psrf():.3f}, divergences {chains.divergences.tolist()}")
+    return _verdict(warnings)
 
 
 def _cmd_diagnose(args) -> int:
@@ -165,13 +166,10 @@ def _cmd_diagnose(args) -> int:
                    else chains.divergences.tolist())
     print(f"\nchains: {chains.n_chains}, retained draws/chain: "
           f"{chains.n_retained}, divergences: {divergences}")
-    flagged = summary.flagged(args.threshold)
-    if flagged:
-        print(f"NOT CONVERGED: PSRF > {args.threshold} for {flagged}",
-              file=sys.stderr)
-        return EXIT_CONVERGENCE
-    print(f"converged: all PSRF <= {args.threshold}")
-    return EXIT_OK
+    warnings = not_converged(chains, summary, args.draws, args.threshold)
+    if not warnings:
+        print(f"converged: all PSRF <= {args.threshold}")
+    return _verdict(warnings)
 
 
 def _cmd_predict(args) -> int:
@@ -210,9 +208,7 @@ def _cmd_run(args) -> int:
     result = run_pipeline(config)
     print(f"pipeline complete: {len(result.artifacts)} artifacts, "
           f"manifest {result.manifest_path}")
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return EXIT_OK if result.converged else EXIT_CONVERGENCE
+    return _verdict(result.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _section_options(p, "segmentation")
     p.add_argument("--channel", choices=CHANNELS, default="Ft", help="channel driving the segmentation")
     p.add_argument("--series-out", help="contact-phase series CSV (L,Ft,Ff,Fp)")
-    p.add_argument("--report-out", help="changepoint report CSV")
+    p.add_argument("--report-out", help="segment report CSV (default segments.csv)")
     p.set_defaults(handler=_cmd_segment)
 
     p = sub.add_parser("simulate", help="synthetic dataset from known ground truth")
@@ -262,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     _section_options(p, "sampler")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--priors", help="YAML file of prior scales")
-    p.add_argument("--format", choices=["csv", "npz"], default="csv",
-                   help="draws format: CSV (inspectable) or columnar binary")
-    p.add_argument("--draws-out", help="draws output path")
+    p.add_argument("--draws-out", help="draws output path: .npz for numpy's archive, else CSV")
     p.add_argument("--summary-out", help="fit summary CSV path")
     p.set_defaults(handler=_cmd_fit)
 

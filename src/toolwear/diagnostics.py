@@ -1,4 +1,4 @@
-"""Convergence assessment: split-chain PSRF and posterior summaries."""
+"""Convergence assessment: split-chain PSRF, posterior summaries, the not-converged rule."""
 
 from __future__ import annotations
 
@@ -82,3 +82,15 @@ def summarize(chains: ChainSet) -> FitSummary:
         q97_5=quantiles[2],
         psrf=rhat,
     )
+
+
+def not_converged(chains: ChainSet, summary: FitSummary, name: str, threshold=PSRF_THRESHOLD):
+    """Why the draws ``name`` are not converged, empty when they are: a PSRF above ``threshold``,
+    or, where the draws record divergences, more than 10% of retained transitions divergent."""
+    flagged = summary.flagged(threshold)
+    reasons = [f"psrf>{threshold} for {name}: {flagged}"] if flagged else []
+    if chains.divergences is not None:
+        rate = chains.divergences.sum() / (chains.n_chains * chains.n_retained)
+        if rate > 0.10:
+            reasons.append(f"divergence rate {rate:.1%} for {name}")
+    return reasons

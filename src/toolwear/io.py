@@ -163,9 +163,7 @@ def load_series(path, record: ExperimentRecord | None = None):
         raise ValidationError(f"{path}:{_line_of(path, bad[0])}: L must be strictly increasing")
     forces = {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS, start=1)}
     if record is not None:
-        record.length = length
-        record.forces = forces
-        record.__post_init__()
+        record.set_series(length, forces)
     return length, forces
 
 

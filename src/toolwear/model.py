@@ -45,17 +45,21 @@ class ExperimentRecord:
 
     def __post_init__(self):
         if self.length is not None:
-            self.length = np.asarray(self.length, dtype=float)
-            if len(self.length) < 2:
-                raise InsufficientDataError(f"experiment {self.id}: need >= 2 measurements")
-            if not np.all(np.diff(self.length) > 0):
-                raise InvalidDataError(f"experiment {self.id}: L must be strictly increasing")
-            self.forces = {k: np.asarray(v, dtype=float) for k, v in self.forces.items()}
-            for k, v in self.forces.items():
-                if len(v) != len(self.length):
-                    raise InvalidDataError(f"experiment {self.id}: channel {k} length mismatch")
-                if not np.all(np.isfinite(v)):
-                    raise InvalidDataError(f"experiment {self.id}: non-finite force in {k}")
+            self.set_series(self.length, self.forces)
+
+    def set_series(self, length, forces) -> None:
+        """Attach the force series ``forces`` measured at cutting lengths ``length``, checked."""
+        self.length = np.asarray(length, dtype=float)
+        if len(self.length) < 2:
+            raise InsufficientDataError(f"experiment {self.id}: need >= 2 measurements")
+        if not np.all(np.diff(self.length) > 0):
+            raise InvalidDataError(f"experiment {self.id}: L must be strictly increasing")
+        self.forces = {k: np.asarray(v, dtype=float) for k, v in forces.items()}
+        for k, v in self.forces.items():
+            if len(v) != len(self.length):
+                raise InvalidDataError(f"experiment {self.id}: channel {k} length mismatch")
+            if not np.all(np.isfinite(v)):
+                raise InvalidDataError(f"experiment {self.id}: non-finite force in {k}")
 
 
 @dataclass
@@ -85,7 +89,7 @@ class PriorConfig:
     sigma_sq_scale: float = 10.0      # sigma_i^2 ~ Half-Cauchy(0, 10)
     mu_alpha_sd: float = 10.0         # mu_alpha ~ N(c, 10^2), c from the data: alpha_centre
     sigma_alpha_sq_scale: float = 10.0
-    mu_beta_sd: float = 10.0
+    mu_beta_sd: float = 10.0          # mu_beta ~ N(0, 10^2), and the life GP's mu_life likewise
     sigma_b_sq_scale: float = 5.0
     eta_sq_scale: float = 5.0
     inv_rho_scale: float = 5.0        # rho_k^{-1} ~ Half-Cauchy(0, 5)

@@ -14,7 +14,7 @@ from contextlib import suppress
 from pathlib import Path
 
 from . import io as tio
-from .diagnostics import PSRF_THRESHOLD, summarize
+from .diagnostics import not_converged, summarize
 from .errors import InsufficientDataError, ToolwearError, ValidationError
 from .model import ForceChannelModel, controls_array
 from .predict import fit_tool_life, life_data, life_surface, surface
@@ -28,10 +28,6 @@ class PipelineResult:
         self.artifacts: list[Path] = []
         self.warnings: list[str] = []
         self.manifest_path = output_dir / "manifest.json"
-
-    @property
-    def converged(self) -> bool:
-        return not any(w.startswith("psrf") or w.startswith("divergence") for w in self.warnings)
 
 
 def run_pipeline(config: tio.RunConfig) -> PipelineResult:
@@ -94,6 +90,14 @@ def fit_channel(records, channel: str, priors, smp: dict, seed: int):
     return run_chains(ForceChannelModel(records, channel=channel, priors=priors), **kw)
 
 
+def fit_files(chains, channel: str):
+    """A fit's draws and summary files, each (name, writer, object), and why it is not converged."""
+    summary = summarize(chains)
+    return ([(f"draws_{channel}.csv", tio.write_draws, chains),
+             (f"summary_{channel}.csv", tio.write_summary_csv, summary)],
+            not_converged(chains, summary, channel))
+
+
 def predict_channel(chains, records, channel: str, grid_spec):
     """The surface of a channel's draws; the life GP's conditions on :func:`life_data`."""
     if channel == "life":
@@ -113,8 +117,7 @@ def _run_stages(config, result, stages_done):
             path = result.output_dir / "series" / f"series_{rec.id}.csv"
             tio.write_series(path, series.length, series.forces)
             result.artifacts.append(path)
-            rec.length, rec.forces = series.length, series.forces
-            rec.__post_init__()
+            rec.set_series(series.length, series.forces)
             found.append((rec.id, seg))
         _keep(result, [("changepoints.csv", tio.write_changepoints, found)])
     else:
@@ -126,24 +129,13 @@ def _run_stages(config, result, stages_done):
         if config.fit_tool_life and life_data(records):
             fits.append("life")
     for channel in fits:
-        force = channel != "life"
-        stages_done.append(f"fit:{channel}" if force else "tool-life")
+        stages_done.append(f"fit:{channel}")
         chains = fit_channel(records, channel, tio.parse_priors(config.priors),
                              config.settings("sampler"), config.seed)
-        summary = summarize(chains)
-        files = [(f"draws_{channel}.csv", tio.write_draws_csv, chains),
-                 (f"summary_{channel}.csv", tio.write_summary_csv, summary)]
-        flagged = summary.flagged(PSRF_THRESHOLD)
-        warnings = [f"psrf>{PSRF_THRESHOLD} for {channel}: {flagged}"] if flagged else []
-        if force:  # kept before the surface is made; the life GP's files only with it
-            frac_div = chains.divergences.sum() / (chains.n_chains * chains.n_retained)
-            if frac_div > 0.10:
-                warnings.append(f"divergence rate {frac_div:.1%} for {channel}")
-            _keep(result, files, warnings)
-            files, warnings = [], []
-            stages_done.append(f"predict:{channel}")
+        _keep(result, *fit_files(chains, channel))
+        stages_done.append(f"predict:{channel}")
         grid = predict_channel(chains, records, channel, config.grid)
-        _keep(result, [*files, (f"surface_{channel}.csv", tio.write_surface_csv, grid)], warnings)
+        _keep(result, [(f"surface_{channel}.csv", tio.write_surface_csv, grid)])
 
 
 def _keep(result, files, warnings=()):

@@ -207,8 +207,8 @@ def surface(
 class ToolLifeModel:
     """Marginal GP regression of log tool life on standardized (v_c, f).
 
-    log life ~ MVN(mu * 1, eta^2 E + sigma_b^2 I), with the same kernel
-    family and prior scales as the force model.
+    log life ~ MVN(mu * 1, eta^2 E + sigma_b^2 I), with the force model's kernel
+    family and prior scales; ``mu_beta_sd`` also sets the prior sd of mu (``mu_life``).
     """
 
     param_names = ["mu_life", "eta_sq", "rho1", "rho2", "sigma_b_sq"]

@@ -583,6 +583,79 @@ class TestCli:
         assert "divergences: not recorded in this draws file" in csv_out
         assert "divergences: [0, 3]" in npz_out
 
+    def test_segment_leaves_a_run_report_alone(self, tmp_path, monkeypatch):
+        """``segment``'s default report name is not ``run``'s: in a ``run``
+        output directory it leaves ``changepoints.csv`` matching the manifest."""
+        data = tmp_path / "data"
+        main(["simulate", "--output-dir", str(data), "--raw", "--n-experiments", "3",
+              "--n-points", "40", "--seed", "2"])
+        cfg = write(tmp_path / "run.yaml", "\n".join([
+            "seed: 5", "output_dir: out", "controls: data/controls.csv", "traces_dir: data",
+            "channels: []", "fit_tool_life: false",
+        ]))
+        assert main(["run", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        monkeypatch.setenv("TOOLWEAR_OUTPUT_DIR", str(out))
+        assert main(["segment", "--trace", str(data / "trace_1.csv")]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert tio.sha256_file(out / "changepoints.csv") == \
+            manifest["artifacts"]["changepoints.csv"]
+        assert (out / "segments.csv").read_text().startswith("segment_start,segment_end")
+
+    @pytest.mark.parametrize("channel", ["Ft", "life"])
+    def test_fit_diagnose_and_run_judge_divergences_alike(self, tmp_path, capsys, monkeypatch,
+                                                          channel):
+        """Draws whose PSRF passes but whose retained transitions are 30% divergent
+        are not converged for ``fit``, ``diagnose`` on their npz file and ``run``,
+        for a force channel and for the life GP alike."""
+        def divergent(names, seed):
+            draws = 1.0 + 0.01 * np.random.default_rng(0).normal(size=(2, 200, len(names)))
+            return ChainSet(draws=draws, param_names=list(names), n_warmup=0, n_retained=200,
+                            seed=seed, accept_stats=np.full(2, 0.8),
+                            divergences=np.array([50, 70]))
+
+        monkeypatch.setattr(pipeline, "run_chains",
+                            lambda model, seed, **kw: divergent(model.param_names, seed))
+        monkeypatch.setattr(pipeline, "fit_tool_life",
+                            lambda records, seed, **kw: divergent(ToolLifeModel.param_names, seed))
+        data = tmp_path / "data"
+        main(["simulate", "--output-dir", str(data), "--n-experiments", "4",
+              "--n-points", "20", "--seed", "6"])
+        cfg = write(tmp_path / "run.yaml", "\n".join([
+            "seed: 5", "output_dir: out", "controls: data/controls.csv", "series_dir: data",
+            "channels: [Ft]" if channel == "Ft" else "channels: []",
+            f"fit_tool_life: {'true' if channel == 'life' else 'false'}",
+        ]))
+        draws = tmp_path / "d.npz"
+        capsys.readouterr()
+        assert main(["fit", "--controls", str(data / "controls.csv"), "--series-dir", str(data),
+                     "--channel", channel, "--draws-out", str(draws),
+                     "--summary-out", str(tmp_path / "s.csv")]) == 2
+        assert main(["diagnose", "--draws", str(draws)]) == 2
+        assert main(["run", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        warning = f"divergence rate 30.0% for {channel}"
+        assert out.err.splitlines() == [f"warning: {warning}",
+                                        f"warning: divergence rate 30.0% for {draws}",
+                                        f"warning: {warning}"]
+        assert "converged: all PSRF" not in out.out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["warnings"] == [warning]
+        assert manifest["stages"][-2:] == [f"fit:{channel}", f"predict:{channel}"]
+
+    def test_draws_out_suffix_picks_the_draws_format(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["simulate", "--output-dir", str(data), "--n-experiments", "3",
+              "--n-points", "20", "--seed", "6"])
+        fit = ["fit", "--controls", str(data / "controls.csv"), "--channel", "life",
+               "--chains", "2", "--warmup", "20", "--samples", "10",
+               "--summary-out", str(tmp_path / "s.csv")]
+        assert main([*fit, "--draws-out", str(tmp_path / "d.npz")]) in (0, 2)
+        assert tio.read_draws_npz(tmp_path / "d.npz").divergences is not None
+        assert main([*fit, "--format", "csv", "--draws-out", str(tmp_path / "d.csv")]) == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("command, section, defaults", [
         (["segment", "--trace", "t.csv"], "segmentation",
          {"penalty": None, "min_seg_len": 20, "threshold": 50.0, "length_per_sample": 1.0}),

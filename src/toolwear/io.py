@@ -263,7 +263,8 @@ def write_draws_npz(path, chains: ChainSet) -> None:
     stats = {k: v for k, v in (("accept_stats", chains.accept_stats),
                                ("divergences", chains.divergences)) if v is not None}
     np.savez_compressed(path, draws=chains.draws, param_names=np.array(chains.param_names),
-                        n_warmup=chains.n_warmup, seed=chains.seed, **stats)
+                        n_warmup=chains.n_warmup, seed=chains.seed,
+                        step_sizes=chains.step_sizes, **stats)
 
 
 def read_draws_npz(path) -> ChainSet:
@@ -274,7 +275,7 @@ def read_draws_npz(path) -> ChainSet:
             draws=z["draws"], param_names=[str(n) for n in z["param_names"]],
             n_warmup=int(z["n_warmup"]), n_retained=z["draws"].shape[1],
             seed=int(z["seed"]), accept_stats=z.get("accept_stats"),
-            divergences=z.get("divergences"),
+            divergences=z.get("divergences"), step_sizes=z.get("step_sizes", np.array([])),
         )
 
 

@@ -18,7 +18,7 @@ from .diagnostics import not_converged, summarize
 from .errors import InsufficientDataError, ToolwearError, ValidationError
 from .model import ForceChannelModel, controls_array
 from .predict import fit_tool_life, life_data, life_surface, surface
-from .sampler import run_chains
+from .sampler import fork_map, run_chains
 from .segmentation import RawTrace, binary_segmentation, extract_contact_phases
 
 
@@ -112,8 +112,9 @@ def _run_stages(config, result, stages_done):
         stages_done.append("segment")
         seg_cfg, found = config.settings("segmentation"), []
         (result.output_dir / "series").mkdir(exist_ok=True)
-        for rec in records:
-            series, seg = segment_trace(config.path("traces_dir") / f"trace_{rec.id}.csv", seg_cfg)
+        paths = [config.path("traces_dir") / f"trace_{rec.id}.csv" for rec in records]
+        segmented = fork_map(lambda i: segment_trace(paths[i], seg_cfg), len(records))
+        for rec, (series, seg) in zip(records, segmented):
             path = result.output_dir / "series" / f"series_{rec.id}.csv"
             tio.write_series(path, series.length, series.forces)
             result.artifacts.append(path)

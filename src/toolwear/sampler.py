@@ -360,27 +360,46 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
     return np.asarray(draws, dtype=float), accept_sum / n_samples, divergences, eps
 
 
-def _worker_count(n_chains: int) -> int:
-    """Worker processes for ``n_chains`` chains: one per CPU in this process's
-    affinity mask, at most one per chain, and 1 where fork is not offered."""
+def _worker_count(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` tasks: one per CPU in this process's
+    affinity mask, at most one per task, and 1 where fork is not offered."""
     import multiprocessing
 
     if not hasattr(os, "sched_getaffinity") or \
             "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return min(n_chains, len(os.sched_getaffinity(0)))
+    return min(n_tasks, len(os.sched_getaffinity(0)))
 
 
-_ADOPTED = None  # the target of a worker process, set by ``_adopt``
+_MAPPED = None  # the function of a running ``fork_map``, inherited by its workers
 
 
-def _adopt(target):
-    global _ADOPTED
-    _ADOPTED = target
+def _call_mapped(i):
+    return _MAPPED(i)
 
 
-def _run_adopted(seed_seq, settings):
-    return _run_chain(seed_seq, _ADOPTED, *settings)
+def fork_map(fn, n: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, computed on ``_worker_count(n)`` worker processes.
+
+    The workers are forked, so they inherit ``fn`` as it is, closures and local
+    classes included; only the indices and the results are pickled. With one
+    worker (``taskset -c 0``, or where fork is not offered) the calls run one
+    after another in this process. An error raised by a call is raised here
+    with its own class, and the calls still queued are cancelled.
+    """
+    workers = _worker_count(n)
+    if workers == 1:
+        return [fn(i) for i in range(n)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _MAPPED
+    _MAPPED = fn
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_call_mapped, range(n)))
+    finally:
+        _MAPPED = None
 
 
 def run_chains(
@@ -401,13 +420,10 @@ def run_chains(
     is evaluated once at each chain's start; every step-size search and
     transition then starts from the density and gradient already held.
 
-    The chains run in parallel, one worker process per CPU in this process's
-    affinity mask (never more workers than chains). The workers are forked,
-    so they inherit ``target`` as it is, closures and local classes
-    included; only each chain's seed and the scalar settings are pickled,
-    and the draws come back in chain order. The draws do not depend on the
-    number of workers. With one CPU (``taskset -c 0``), or where fork is not
-    offered, the chains run one after another in this process.
+    The chains run in parallel through :func:`fork_map`, one worker process
+    per CPU in this process's affinity mask (never more workers than chains),
+    which inherit ``target`` as it is; the draws come back in chain order and
+    do not depend on the number of workers.
     """
     if n_chains < 2:
         raise SamplingError("need at least 2 chains (convergence diagnostics require it)")
@@ -417,16 +433,7 @@ def run_chains(
     names = getattr(target, "param_names", [f"u[{i+1}]" for i in range(target.dim)])
     seeds = np.random.SeedSequence(seed).spawn(n_chains)
     settings = (n_warmup, n_samples, max_tree_depth, target_accept)
-    workers = _worker_count(n_chains)
-    if workers == 1:
-        results = [_run_chain(ss, target, *settings) for ss in seeds]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_adopt, initargs=(target,)) as pool:
-            results = list(pool.map(_run_adopted, seeds, [settings] * n_chains))
+    results = fork_map(lambda i: _run_chain(seeds[i], target, *settings), n_chains)
     draws, accept_stats, divergences, step_sizes = zip(*results)
     divergences = np.array(divergences, dtype=int)
 

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import toolwear
 from toolwear import io as tio
 from toolwear import pipeline, sampler
 from toolwear.cli import build_parser, main
@@ -301,6 +305,36 @@ class TestNumericReader:
         path = write(tmp_path / "f.csv", "\n".join([header, *map(",".join, rows)]) + "\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}:3: malformed row"):
             reader(path)
+
+
+@PROPERTY
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 4), st.data())
+def test_draws_round_trip_what_each_format_records(tmp_path, m, n, k, data):
+    """npz gives back the draws, names, warmup length, seed and every per-chain
+    statistic; CSV gives back the draws and names and records no statistics."""
+    def floats(size):
+        return np.array(data.draw(st.lists(FINITE, min_size=size, max_size=size)))
+
+    name = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}(\[[1-9][0-9]?\])?", fullmatch=True)
+    names = data.draw(st.lists(name, min_size=k, max_size=k, unique=True))
+    chains = ChainSet(
+        draws=floats(m * n * k).reshape(m, n, k), param_names=names,
+        n_warmup=data.draw(st.integers(0, 10 ** 6)), n_retained=n,
+        seed=data.draw(st.integers(0, 2 ** 32 - 1)), accept_stats=floats(m),
+        divergences=np.array(data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))),
+        step_sizes=floats(m),
+    )
+    tio.write_draws_npz(tmp_path / "d.npz", chains)
+    back = tio.read_draws_npz(tmp_path / "d.npz")
+    assert same_bits(back.draws, chains.draws) and back.param_names == names
+    assert (back.n_warmup, back.n_retained, back.seed) == (chains.n_warmup, n, chains.seed)
+    for stat in ("accept_stats", "divergences", "step_sizes"):
+        assert same_bits(getattr(back, stat), getattr(chains, stat)), stat
+
+    tio.write_draws_csv(tmp_path / "d.csv", chains)
+    back = tio.read_draws_csv(tmp_path / "d.csv")
+    assert same_bits(back.draws, chains.draws) and back.param_names == names
+    assert back.accept_stats is None and back.divergences is None
 
 
 class TestRunConfig:
@@ -1029,6 +1063,57 @@ class TestParallelChains:
             manifests.append((tmp_path / "out" / "manifest.json").read_bytes())
         assert manifests[0] == manifests[1]
         assert "draws_life.csv" in json.loads(manifests[0])["artifacts"]
+
+    @staticmethod
+    def raw_run_config(tmp_path):
+        """A run on 5 short raw traces, with a short life fit and no force channel."""
+        main(["simulate", "--output-dir", str(tmp_path / "raw"), "--raw", "--n-experiments",
+              "5", "--n-points", "60", "--seed", "3"])
+        return write(tmp_path / "raw.yaml", "\n".join([
+            "seed: 5", "output_dir: raw_out", "controls: raw/controls.csv", "traces_dir: raw",
+            "channels: []", "sampler: {chains: 2, warmup: 30, samples: 20}",
+        ]))
+
+    def test_run_from_traces_does_not_depend_on_workers(self, tmp_path, monkeypatch):
+        cfg, out, files = self.raw_run_config(tmp_path), tmp_path / "raw_out", []
+        for n in (1, 2):
+            monkeypatch.setattr(sampler, "_worker_count", lambda n_tasks: n)
+            assert main(["run", "--config", cfg]) in (0, 2)
+            names = ["manifest.json", "changepoints.csv",
+                     *(f"series/series_{i}.csv" for i in range(1, 6))]
+            files.append({name: (out / name).read_bytes() for name in names})
+            for path in (out / "series").iterdir():
+                path.unlink()
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("fault", ["malformed row", "missing trace"])
+    def test_segment_error_in_a_worker_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                          fault):
+        cfg, raw = self.raw_run_config(tmp_path), tmp_path / "raw"
+        if fault == "malformed row":
+            lines = (raw / "trace_2.csv").read_text().splitlines()
+            lines[40] = "39,forty,1.0,2.0"
+            (raw / "trace_2.csv").write_text("\n".join(lines) + "\n")
+            what = f"{raw / 'trace_2.csv'}:41: malformed row"
+        else:
+            (raw / "trace_3.csv").unlink()
+            what = str(raw / "trace_3.csv")
+        monkeypatch.setattr(sampler, "_worker_count", lambda n_tasks: 2)
+        assert main(["run", "--config", cfg]) == 1
+        assert what in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "raw_out" / "manifest.json").read_text())
+        assert manifest["failed_stage"].startswith("segment: ")
+
+    def test_cli_import_loads_no_worker_pool(self):
+        """``import toolwear.cli`` does not import ``multiprocessing``: only a stage
+        that runs on more than one worker pays for it, not every command's start-up."""
+        src = str(Path(toolwear.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, toolwear.cli; print(sorted(sys.modules))"],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert "'toolwear.cli'" in loaded and "'multiprocessing'" not in loaded
 
     def test_error_in_a_worker_keeps_its_exit_code(self, tmp_path, monkeypatch, data, capsys):
         def invalid(self, u):

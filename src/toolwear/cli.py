@@ -300,12 +300,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.handler(args)
-    except SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except ToolwearError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_INTERNAL if isinstance(exc, SamplingError) else EXIT_VALIDATION
     except Exception as exc:
         if isinstance(exc, OSError) and exc.filename is not None:  # a path it cannot use
             print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)

@@ -94,8 +94,8 @@ def _sobol_state(index: int, v: np.ndarray) -> np.ndarray:
 def sobol_unit(dim: int, n: int, skip: int = 0) -> np.ndarray:
     """Points skip..skip+n-1 of the Sobol sequence in [0, 1)^dim.
 
-    Uses Gray-code increments (one XOR per successive point) after seeding
-    the state directly at ``skip``. Deterministic for fixed arguments.
+    Each point is built directly by :func:`_sobol_state` from its index.
+    Deterministic for fixed arguments.
     """
     if not 1 <= dim <= MAX_DIM:
         raise UnsupportedDimensionError(f"dim must be in 1..{MAX_DIM}, got {dim}")
@@ -104,23 +104,7 @@ def sobol_unit(dim: int, n: int, skip: int = 0) -> np.ndarray:
     if skip < 0:
         raise DomainError(f"skip must be >= 0, got {skip}")
     v = _direction_integers(dim)
-    out = np.empty((n, dim), dtype=float)
-    x = _sobol_state(skip, v)
-    out[0] = x.astype(float) * _SCALE
-    for i in range(1, n):
-        # Gray-code update: flip the direction of the lowest zero bit of (skip+i-1)
-        c = _lowest_zero_bit(skip + i - 1)
-        x ^= v[:, c]
-        out[i] = x.astype(float) * _SCALE
-    return out
-
-
-def _lowest_zero_bit(i: int) -> int:
-    c = 0
-    while i & 1:
-        i >>= 1
-        c += 1
-    return c
+    return np.array([_sobol_state(skip + i, v) for i in range(n)]).astype(float) * _SCALE
 
 
 def scale_design(points: np.ndarray, bounds: DesignBounds, start_index: int = 0) -> list[DesignPoint]:

@@ -90,10 +90,10 @@ def load_controls(path) -> list[ExperimentRecord]:
             raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
         if rid in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate experiment id {rid}")
-        if v_c <= 0 or f <= 0:
-            raise ValidationError(f"{path}:{lineno}: settings must be positive")
-        if life is not None and life <= 0:
-            raise ValidationError(f"{path}:{lineno}: tool_life must be positive")
+        if not (0 < v_c < math.inf and 0 < f < math.inf):
+            raise ValidationError(f"{path}:{lineno}: settings must be finite and positive")
+        if life is not None and not 0 < life < math.inf:
+            raise ValidationError(f"{path}:{lineno}: tool_life must be finite and positive")
         seen.add(rid)
         records.append(ExperimentRecord(id=rid, v_c=v_c, f=f, tool_life=life))
     return records
@@ -215,36 +215,41 @@ def load_taylor(path):
 # draws
 
 def write_draws_csv(path, chains: ChainSet) -> None:
-    """Draws table: chain,iteration and one column per parameter. It does not
-    record acceptance statistics or divergences; the npz form does."""
+    """Draws table: chain,iteration and one column per parameter, chain by
+    chain. It records none of the per-chain statistics; the npz form does."""
     _write_rows(path, ["chain", "iteration", *chains.param_names],
                 ([c, it] + [fmt(v) for v in chains.draws[c, it]]
                  for c in range(chains.n_chains) for it in range(chains.n_retained)))
 
 
 def read_draws_csv(path) -> ChainSet:
+    """Draws in the row order :func:`write_draws_csv` writes: chain by chain
+    from chain 0, each chain's iterations from 0, every chain as long as the
+    first. A missing, repeated or reordered row raises ValidationError naming
+    its line."""
     header, values = _read_numeric(path, lambda h: h[:2] == ["chain", "iteration"],
                                    "draws header chain,iteration,...")
-    if not len(values):
+    if not values[:, 2:].size:
         raise ValidationError(f"{path}: no draws")
     index = values[:, :2]
     ok = (np.isfinite(index) & (index >= 0) & (index == np.floor(index))).all(axis=1)
     bad = np.flatnonzero(~(ok & np.isfinite(values[:, 2:]).all(axis=1)))
-    if bad.size:  # before the NaN fill below, which would call a NaN cell a missing draw
+    if bad.size:
         what = ("parameter values must be finite" if ok[bad[0]]
                 else "chain and iteration must be non-negative integers")
         raise ValidationError(f"{path}:{_line_of(path, bad[0])}: {what}")
-    n_chains, n_iter = (int(n) + 1 for n in index.max(axis=0))
-    missing = ValidationError(f"{path}: missing (chain, iteration) combinations")
-    if n_chains * n_iter > len(values):  # too few rows for the grid: allocate nothing
-        raise missing
-    flat = (index[:, 0] * n_iter + index[:, 1]).astype(np.intp)
-    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]  # a repeat's last row
-    draws = np.full((n_chains * n_iter, len(header) - 2), np.nan)
-    draws[flat[last]] = values[last, 2:]
-    draws = draws.reshape(n_chains, n_iter, -1)
-    if np.any(np.isnan(draws)):
-        raise missing
+    n_iter = int(np.argmax(index[:, 0] != index[0, 0])) or len(index)  # the first chain's rows
+    row = np.arange(len(index))
+    wrong = np.flatnonzero((index[:, 0] != row // n_iter) | (index[:, 1] != row % n_iter))
+    if wrong.size:
+        raise ValidationError(f"{path}:{_line_of(path, wrong[0])}: expected chain "
+                              f"{wrong[0] // n_iter} iteration {wrong[0] % n_iter}; rows run "
+                              "chain by chain, each chain's iterations from 0")
+    if len(index) % n_iter:
+        raise ValidationError(f"{path}:{_line_of(path, len(index) - 1)}: chain "
+                              f"{len(index) // n_iter} ends short of the first chain's "
+                              f"{n_iter} iterations")
+    draws = np.ascontiguousarray(values[:, 2:]).reshape(-1, n_iter, len(header) - 2)
     return ChainSet(draws=draws, param_names=header[2:], n_warmup=0, n_retained=n_iter, seed=0)
 
 
@@ -257,14 +262,15 @@ def write_draws(path, chains: ChainSet) -> None:
     (write_draws_npz if str(path).endswith(".npz") else write_draws_csv)(path, chains)
 
 
+_CHAIN_STATS = ("step_sizes", "accept_stats", "divergences")  # in the npz's key order
+
+
 def write_draws_npz(path, chains: ChainSet) -> None:
     """Compact columnar form; parameter names, layout and the per-chain
     statistics the draws carry travel in the file."""
-    stats = {k: v for k, v in (("accept_stats", chains.accept_stats),
-                               ("divergences", chains.divergences)) if v is not None}
+    stats = {k: getattr(chains, k) for k in _CHAIN_STATS if getattr(chains, k) is not None}
     np.savez_compressed(path, draws=chains.draws, param_names=np.array(chains.param_names),
-                        n_warmup=chains.n_warmup, seed=chains.seed,
-                        step_sizes=chains.step_sizes, **stats)
+                        n_warmup=chains.n_warmup, seed=chains.seed, **stats)
 
 
 def read_draws_npz(path) -> ChainSet:
@@ -274,8 +280,7 @@ def read_draws_npz(path) -> ChainSet:
         return ChainSet(
             draws=z["draws"], param_names=[str(n) for n in z["param_names"]],
             n_warmup=int(z["n_warmup"]), n_retained=z["draws"].shape[1],
-            seed=int(z["seed"]), accept_stats=z.get("accept_stats"),
-            divergences=z.get("divergences"), step_sizes=z.get("step_sizes", np.array([])),
+            seed=int(z["seed"]), **{k: z.get(k) for k in _CHAIN_STATS},
         )
 
 
@@ -467,9 +472,17 @@ class RunConfig:
         if not (isinstance(self.channels, list) and all(c in CHANNELS for c in self.channels)):
             raise ValidationError(f"channels must be a list of {list(CHANNELS)}, "
                                   f"got {self.channels!r}")
+        if len(set(self.channels)) < len(self.channels):
+            raise ValidationError(f"channels must not repeat, got {self.channels!r}")
         if self.grid is not None and not (isinstance(self.grid, list) and len(self.grid) == 6
                                           and all(map(_number, self.grid))):
             raise ValidationError("grid must be [v_min, v_max, nv, f_min, f_max, nf]")
+        if self.grid is not None and not all(_number(n, int) and n >= 2 for n in self.grid[2::3]):
+            raise ValidationError(f"grid resolutions nv and nf must be integers >= 2, "
+                                  f"got {self.grid[2::3]!r}")
+        if not isinstance(self.fit_tool_life, bool):
+            raise ValidationError(f"fit_tool_life must be true or false, "
+                                  f"got {self.fit_tool_life!r}")
         for name in SETTINGS:
             check_section(name, getattr(self, name))
         parse_priors(self.priors)

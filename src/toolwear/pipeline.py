@@ -102,7 +102,7 @@ def predict_channel(chains, records, channel: str, grid_spec):
     """The surface of a channel's draws; the life GP's conditions on :func:`life_data`."""
     if channel == "life":
         return life_surface(chains, *life_data(records), grid_spec=grid_spec)
-    return surface(chains, controls_array(records), grid_spec=grid_spec, channel=channel)
+    return surface(chains, controls_array(records), grid_spec=grid_spec)
 
 
 def _run_stages(config, result, stages_done):

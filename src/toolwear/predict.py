@@ -50,7 +50,6 @@ class SurfaceGrid:
     f_axis: np.ndarray
     mean: np.ndarray  # shape (len(v_axis), len(f_axis))
     sd: np.ndarray
-    channel: str
 
     @property
     def n_nodes(self) -> int:
@@ -181,13 +180,9 @@ def _grid(train, grid_spec):
     return np.linspace(v_min, v_max, int(nv)), np.linspace(f_min, f_max, int(nf))
 
 
-def surface(
-    chains: ChainSet,
-    train: np.ndarray,
-    grid_spec=None,
-    channel: str = "Ft",
-) -> SurfaceGrid:
-    """Predictive mean/sd of the slope field on a regular (v_c, f) grid.
+def surface(chains: ChainSet, train: np.ndarray, grid_spec=None) -> SurfaceGrid:
+    """Predictive mean/sd of the slope field of a force channel's draws on a
+    regular (v_c, f) grid; the grid does not record the channel.
 
     Each node reports the closed-form moments of the mixture of per-draw
     conditionals, with no sampling and no dependence on ``chains.seed``.
@@ -198,7 +193,7 @@ def surface(
     """
     v_axis, f_axis = _grid(train, grid_spec)
     mean, sd = _mixture(_conditionals(chains, train, v_axis, f_axis))
-    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd, channel=channel)
+    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +286,7 @@ def life_surface(
     y = np.log(np.asarray(life, dtype=float))
     mean, sd = _mixture((np.exp(m + v / 2), np.expm1(v) * np.exp(2 * m + v))
                         for m, v in _conditionals(chains, controls, v_axis, f_axis, y))
-    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd, channel="life")
+    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +302,8 @@ def fit_taylor(pairs) -> TaylorFit:
     if arr.shape[0] < 2:
         raise InsufficientDataError("need at least 2 (v_c, T) pairs")
     v, t = arr[:, 0], arr[:, 1]
-    if np.any(v <= 0) or np.any(t <= 0):
-        raise DomainError("cutting speed and tool life must be strictly positive")
+    if not np.all((0 < arr) & (arr < np.inf)):
+        raise DomainError("cutting speed and tool life must be finite and strictly positive")
     if np.unique(v).size < 2:
         raise DegenerateFitError("all cutting speeds equal; Taylor fit is degenerate")
     if np.unique(t).size < 2:

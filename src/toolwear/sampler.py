@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class ChainSet:
     # None where the draws come from a file that does not record them (CSV)
     accept_stats: np.ndarray | None = None  # mean acceptance probability per chain
     divergences: np.ndarray | None = None   # post-warmup divergence count per chain
-    step_sizes: np.ndarray = field(default_factory=lambda: np.array([]))
+    step_sizes: np.ndarray | None = None    # adapted step size per chain
 
     @property
     def n_chains(self) -> int:

@@ -88,20 +88,18 @@ def _best_split(cum: np.ndarray, cum2: np.ndarray, lo: int, hi: int, min_len: in
 
 
 def binary_segmentation(
-    trace: RawTrace | np.ndarray,
+    trace: RawTrace,
     penalty: float | None = None,
     min_seg_len: int = 20,
     channel: str = "Ft",
 ) -> Segmentation:
-    """Recursive binary segmentation of one force channel.
+    """Recursive binary segmentation of the trace's ``channel``.
 
     A split is accepted iff the reduction in within-segment SSE exceeds
     ``penalty`` (default: :func:`default_penalty` of the signal). No segment
     shorter than ``min_seg_len`` is produced.
     """
-    x = trace.forces[channel] if isinstance(trace, RawTrace) else np.asarray(trace, float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidDataError("non-finite samples in trace")
+    x = trace.forces[channel]
     if min_seg_len < 2:
         raise InvalidDataError("min_seg_len must be >= 2")
     n = len(x)

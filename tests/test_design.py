@@ -17,8 +17,8 @@ from toolwear.errors import DomainError, UnsupportedDimensionError
 
 
 def sobol_unit_direct(dim, n, skip=0):
-    """Same sequence as ``sobol_unit`` via the direct binary construction:
-    an independent cross-check of the Gray-code path."""
+    """The direct binary construction, one point at a time; the scipy
+    comparisons below are the independent check of the sequence itself."""
     v = _direction_integers(dim)
     return np.array([_sobol_state(skip + i, v).astype(float) * _SCALE for i in range(n)])
 

@@ -179,10 +179,12 @@ class TestTables:
     def test_csv_draws_record_no_sampler_statistics(self, tmp_path):
         tio.write_draws_csv(tmp_path / "d.csv", make_chainset(np.random.default_rng(2)))
         back = tio.read_draws_csv(tmp_path / "d.csv")
-        assert back.divergences is None and back.accept_stats is None
+        stats = ("step_sizes", "accept_stats", "divergences")
+        assert [getattr(back, k) for k in stats] == [None] * 3
         tio.write_draws_npz(tmp_path / "d.npz", back)
         again = tio.read_draws_npz(tmp_path / "d.npz")
-        assert again.divergences is None and np.array_equal(again.draws, back.draws)
+        assert [getattr(again, k) for k in stats] == [None] * 3
+        assert np.array_equal(again.draws, back.draws)
 
 
 # finite floats, with the awkward ones always in play
@@ -413,6 +415,15 @@ class TestCli:
         assert sum(ln.endswith("initial") for ln in lines[1:]) == 3
         assert sum(ln.endswith("reserve") for ln in lines[1:]) == 2
 
+    def test_design_bytes_are_pinned(self, tmp_path):
+        """The 21 + 5 design of the benchmark, byte for byte: a change to the
+        Sobol points or to the table format shows here."""
+        out = tmp_path / "design.csv"
+        assert main(["design", "--v-min", "20", "--v-max", "60", "--f-min", "20", "--f-max",
+                     "50", "--n-initial", "21", "--n-reserve", "5", "-o", str(out)]) == 0
+        assert tio.sha256_file(out) == \
+            "df25a047b5bf46fe2e39ccc28f3f353be571b54c451f958eba445e9c6e783bb0"
+
     def test_design_rejects_bad_bounds(self, capsys):
         code = main(["design", "--v-min", "60", "--v-max", "20",
                      "--f-min", "20", "--f-max", "50", "--n-initial", "3"])
@@ -453,19 +464,30 @@ class TestCli:
         assert draws.exists() and summary.exists()
 
         code = main(["diagnose", "--draws", str(draws),
-                     "--threshold", "1.5"])
+                     "--threshold", "1.5", "--summary-out", str(tmp_path / "diagnosed.csv")])
         assert code == 0
+        assert (tmp_path / "diagnosed.csv").read_bytes() == summary.read_bytes()
         code = main(["diagnose", "--draws", str(draws),
                      "--threshold", "1.0000001"])
         assert code == 2
 
         surf = tmp_path / "surface.csv"
+        matrix = tmp_path / "surface.mat"
         code = main(["predict", "--draws", str(draws),
                      "--controls", str(data / "controls.csv"),
-                     "--channel", "Ft", "-o", str(surf)])
+                     "--channel", "Ft", "-o", str(surf), "--matrix-out", str(matrix)])
         assert code == 0
         assert surf.read_text().startswith("v_c,f,mean,sd")
         assert len(surf.read_text().strip().splitlines()) == 401
+
+        # the matrix: a row of 0 and the f axis, then per v_c value that value and the means
+        text = matrix.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text
+        rows = np.array([line.split() for line in text.decode().splitlines()], dtype=float)
+        v, f, mean = np.loadtxt(surf, delimiter=",", skiprows=1, usecols=(0, 1, 2), unpack=True)
+        assert rows.shape == (21, 21) and rows[0, 0] == 0
+        assert np.array_equal(rows[0, 1:], f[:20]) and np.array_equal(rows[1:, 0], v[::20])
+        assert np.array_equal(rows[1:, 1:].ravel(), mean)
 
     @staticmethod
     def draws_file(path, names, rng):
@@ -820,6 +842,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{draws}:4: {what}" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("edit, line, what", [
+        (lambda rows: rows + ["0,1,999.0"], 8, "expected chain 2 iteration 0"),  # a repeat
+        (lambda rows: rows[3:] + rows[:3], 2, "expected chain 0 iteration 0"),  # chains swapped
+        (lambda rows: [rows[0], rows[2], rows[1], *rows[3:]], 3, "expected chain 0 iteration 1"),
+        (lambda rows: rows[:4] + rows[5:], 6, "expected chain 1 iteration 1"),  # a row missing
+        (lambda rows: rows[:-1], 6, "chain 1 ends short of the first chain's 3 iterations"),
+    ], ids=["repeated", "chains-swapped", "reordered", "missing", "short-last-chain"])
+    def test_draws_out_of_order_exit_1_naming_line(self, tmp_path, capsys, edit, line, what):
+        """Draws rows run as ``write_draws_csv`` writes them: chain by chain,
+        each chain's iterations from 0, every chain as long."""
+        rows = [f"{c},{i},{c + i / 10}" for c in range(2) for i in range(3)]
+        draws = write(tmp_path / "d.csv", "\n".join(["chain,iteration,a", *edit(rows)]) + "\n")
+        assert main(["diagnose", "--draws", draws]) == 1
+        err = capsys.readouterr().err
+        assert f"{draws}:{line}: {what}" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("argv, text, what", [
+        (["fit", "--channel", "life", "--warmup", "5", "--samples", "5", "--controls"],
+         "id,v_c,f,tool_life\n1,20,20,200\n2,40,35,nan\n3,60,50,12\n",
+         "{path}:3: tool_life must be finite and positive"),
+        (["fit", "--channel", "life", "--warmup", "5", "--samples", "5", "--controls"],
+         "id,v_c,f,tool_life\n1,20,20,200\n2,inf,35,60\n3,60,50,12\n",
+         "{path}:3: settings must be finite and positive"),
+        (["taylor", "--input"], "id,v_c,f,tool_life\n1,20,20,200\n2,inf,35,60\n3,60,50,12\n",
+         "cutting speed and tool life must be finite and strictly positive"),
+        (["taylor", "--input"], "v_c,life\n20,255\n40,nan\n58,10\n",
+         "cutting speed and tool life must be finite and strictly positive"),
+    ])
+    def test_non_finite_controls_and_taylor_values_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                          argv, text, what):
+        monkeypatch.setenv("TOOLWEAR_OUTPUT_DIR", str(tmp_path))
+        path = write(tmp_path / "controls.csv", text)
+        assert main(argv + [path]) == 1
+        err = capsys.readouterr().err
+        assert what.format(path=path) in err and "internal error" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["controls.csv"]
+
     @pytest.mark.parametrize("grid, what", [
         ("nan:50:5,25:45:5", "grid bounds must be finite"),
         (None, "draws hold non-finite values"),  # an infinite slope in npz draws
@@ -853,6 +912,13 @@ class TestExitCodes:
         ("grid=5", "grid must be [v_min, v_max, nv, f_min, f_max, nf]"),
         ("grid=[20, 60, 5, 20, 50]", "grid must be [v_min"),
         ("grid=[20, 60, 5, 20, .nan, 5]", "grid must be [v_min"),
+        ("grid=[20, 60, 1, 20, 50, 5]", "grid resolutions nv and nf must be integers >= 2, "
+                                        "got [1, 5]"),
+        ("grid=[20, 60, 2.5, 20, 50, 5]", "grid resolutions nv and nf must be integers >= 2"),
+        ("fit_tool_life=5", "fit_tool_life must be true or false, got 5"),
+        ("fit_tool_life=[1]", "fit_tool_life must be true or false, got [1]"),
+        ("fit_tool_life='no'", "fit_tool_life must be true or false, got 'no'"),
+        ("channels=[Ft, Ft]", "channels must not repeat, got ['Ft', 'Ft']"),
         ("sampler={chains: x}", "sampler chains must be an integer >= 2, got 'x'"),
         ("sampler={chains: 1}", "sampler chains must be an integer >= 2, got 1"),
         ("sampler={chains: true}", "sampler chains must be an integer >= 2, got True"),
@@ -998,6 +1064,12 @@ class TestExitCodes:
             n_retained=0, seed=0, accept_stats=np.ones(2), divergences=np.zeros(2, dtype=int)))
         assert main(["predict", "--draws", str(draws), "--controls", files["controls6"],
                      "--channel", "life", "-o", str(tmp_path / "surface.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{draws}: no draws" in err and "internal error" not in err
+
+    def test_csv_without_parameters_exits_1(self, tmp_path, capsys):
+        draws = write(tmp_path / "d.csv", "chain,iteration\n0,0\n0,1\n1,0\n1,1\n")
+        assert main(["diagnose", "--draws", draws]) == 1
         err = capsys.readouterr().err
         assert f"{draws}: no draws" in err and "internal error" not in err
 

@@ -563,6 +563,11 @@ class TestTaylor:
             fit_taylor([(20.0, -5.0), (30.0, 10.0)])
         with pytest.raises(DomainError):
             fit_taylor([(0.0, 5.0), (30.0, 10.0)])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                fit_taylor([(20.0, bad), (30.0, 10.0)])
+            with pytest.raises(DomainError, match="must be finite"):
+                fit_taylor([(bad, 5.0), (30.0, 10.0)])
         with pytest.raises(InsufficientDataError):
             fit_taylor([(20.0, 255.0)])
         with pytest.raises(DegenerateFitError):

@@ -222,11 +222,20 @@ def write_draws_csv(path, chains: ChainSet) -> None:
                  for c in range(chains.n_chains) for it in range(chains.n_retained)))
 
 
+def _param_names(path, names) -> list[str]:
+    """``names`` as strings; a parameter named twice raises ValidationError naming it."""
+    names = [str(n) for n in names]
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise ValidationError(f"{path}: parameter column {repeated[0]!r} repeated")
+    return names
+
+
 def read_draws_csv(path) -> ChainSet:
     """Draws in the row order :func:`write_draws_csv` writes: chain by chain
     from chain 0, each chain's iterations from 0, every chain as long as the
     first. A missing, repeated or reordered row raises ValidationError naming
-    its line."""
+    its line, and a repeated parameter column one naming the column."""
     header, values = _read_numeric(path, lambda h: h[:2] == ["chain", "iteration"],
                                    "draws header chain,iteration,...")
     if not values[:, 2:].size:
@@ -250,7 +259,8 @@ def read_draws_csv(path) -> ChainSet:
                               f"{len(index) // n_iter} ends short of the first chain's "
                               f"{n_iter} iterations")
     draws = np.ascontiguousarray(values[:, 2:]).reshape(-1, n_iter, len(header) - 2)
-    return ChainSet(draws=draws, param_names=header[2:], n_warmup=0, n_retained=n_iter, seed=0)
+    return ChainSet(draws=draws, param_names=_param_names(path, header[2:]), n_warmup=0,
+                    n_retained=n_iter, seed=0)
 
 
 def read_draws(path) -> ChainSet:
@@ -278,7 +288,7 @@ def read_draws_npz(path) -> ChainSet:
         if not z["draws"].size:
             raise ValidationError(f"{path}: no draws")
         return ChainSet(
-            draws=z["draws"], param_names=[str(n) for n in z["param_names"]],
+            draws=z["draws"], param_names=_param_names(path, z["param_names"]),
             n_warmup=int(z["n_warmup"]), n_retained=z["draws"].shape[1],
             seed=int(z["seed"]), **{k: z.get(k) for k in _CHAIN_STATS},
         )

@@ -10,6 +10,13 @@ K x K factor plus about nv*K^2*nf multiply-adds, not nv*nf*K exponentials and a
 triangular solve, and its result does not depend on the BLAS thread count. Tool
 life is modeled on the log scale by a direct GP regression (no per-experiment
 linear stage) and reported through its log-normal moments.
+
+The draws are checked once in the calling process. Each chain's share of a
+surface is then summarized in its own :func:`~toolwear.sampler.fork_map` task
+(count, mean, M2, summed variance, lowest variance before clamping), and the
+summaries are pooled in chain order (Chan, Golub & LeVeque 1979). The split
+follows the chains of the draws, so a surface's bits do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg.lapack import dtrtri
@@ -33,7 +41,7 @@ from .model import (
     hc_log_scale,
     normal_prior,
 )
-from .sampler import ChainSet, run_chains
+from .sampler import ChainSet, fork_map, run_chains
 
 DEFAULT_RESOLUTION = 20
 DEFAULT_MARGIN = 0.10
@@ -83,6 +91,8 @@ def gp_conditional(
     chol, _ = cholesky_cov(train, kernel, jitter=jitter)
     mean, var = _moments(chol, beta, mu_beta, kernel.eta_sq + kernel.sigma_b_sq,
                          cross_cov(np.atleast_2d(star), train, kernel), np.ones((len(chol), 1)))
+    _warn_clamped(var.min())
+    var = np.maximum(var, 0.0)
     if np.ndim(star) == 1:
         return float(mean[0, 0]), float(var[0, 0])
     return mean[:, 0], var[:, 0]
@@ -92,26 +102,47 @@ def _moments(chol, field, mu, prior_var, ev, ef):
     """Conditional (mean, var) at nodes (i, j) of cross-covariance ``ev[i] * ef[:, j]``.
 
     ``w`` stacks nv (K, K) @ (K, nf) products, which, unlike one flattened GEMM,
-    give the same bits whatever the BLAS thread count. Variances are clamped at
-    zero; a warning is emitted if one falls below -1e-10 first.
+    give the same bits whatever the BLAS thread count. Variances are returned
+    before any clamping at zero.
     """
     chol_inv, _ = dtrtri(chol, lower=1)
     w = (chol_inv * ev[:, None, :]) @ ef
     var = prior_var - np.einsum("ikj,ikj->ij", w, w)
-    if np.any(var < -1e-10):
-        warnings.warn(f"conditional variance fell to {var.min():.3e}; clamping to 0")
-    return mu + (chol_inv @ np.subtract(field, mu)) @ w, np.maximum(var, 0.0)
+    return mu + (chol_inv @ np.subtract(field, mu)) @ w, var
 
 
-def _conditionals(chains: ChainSet, train, v_axis, f_axis, y=None):
-    """GP conditional ``(mean, var)`` on the ``v_axis`` x ``f_axis`` grid for each retained draw.
+def _warn_clamped(lowest):
+    """Warn that variances are clamped to 0 when the ``lowest`` fell below -1e-10."""
+    if lowest < -1e-10:
+        warnings.warn(f"conditional variance fell to {lowest:.3e}; clamping to 0")
+
+
+def _pool(a, b):
+    """The summary of two sets of draws pooled, each summary (count, mean, M2,
+    sum of variances, lowest variance), by the pairwise update of Chan, Golub &
+    LeVeque (1979)."""
+    (na, mean_a, m2_a, var_a, low_a), (nb, mean_b, m2_b, var_b, low_b) = a, b
+    n, delta = na + nb, mean_b - mean_a
+    return (n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n),
+            var_a + var_b, min(low_a, low_b))
+
+
+def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
+    """Mean and sd, on the ``v_axis`` x ``f_axis`` grid, of the equal-weight
+    mixture of the GP conditionals of every retained draw.
 
     Force draws (``y`` omitted) condition their own ``beta[1..K]`` around
     ``mu_beta``; life draws condition the observed log life ``y`` around
-    ``mu_life``. ``train`` has one row per experiment; inputs are
-    standardized on it. Draws lacking a needed column, carrying slopes for
-    more experiments than ``train`` has, or non-finite in a column used raise
-    :class:`ValidationError` when iterated.
+    ``mu_life`` and enter through their log-normal moments. ``train`` has one
+    row per experiment; inputs are standardized on it. Draws lacking a needed
+    column, carrying slopes for more experiments than ``train`` has, or
+    non-finite in a column used raise :class:`ValidationError` here, before
+    any worker starts.
+
+    The mixture's variance is the average component variance plus the
+    variance of the component means. Each chain's task accumulates its share
+    by Welford's one-pass update; :func:`_pool` combines the chains in chain
+    order, and one warning reports the lowest variance clamped to 0.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     k = len(train)
@@ -124,36 +155,39 @@ def _conditionals(chains: ChainSet, train, v_axis, f_axis, y=None):
     if missing or extra:
         raise ValidationError(f"draws lack column {missing[0]!r}" if missing else
                               f"draws have column {extra[0]!r} beyond the {k} experiments given")
-    cols = chains.flat()[:, [names.index(n) for n in (*field, mu, *hyper)]]
+    cols = chains.draws[:, :, [names.index(n) for n in (*field, mu, *hyper)]]
     if not np.isfinite(cols).all():
         raise ValidationError("draws hold non-finite values")
-    fields = cols[:, :k] if y is None else np.broadcast_to(y, (len(cols), k))
     std = Standardizer.fit(train)
     xv, xf = std.transform(train).T
     zv, zf = ((np.asarray(a, dtype=float) - m) / s
               for a, m, s in zip((v_axis, f_axis), std.mean, std.sd))
     dv2, df2 = control_sq_dists(train)
     av2, af2 = (zv[:, None] - xv) ** 2, (xf[:, None] - zf) ** 2  # (nv, K), (K, nf)
-    for f, m, h in zip(fields, cols[:, -5], cols[:, -4:]):
-        cfg = KernelConfig(*h)
-        chol, _ = jittered_cholesky(np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2),
-                                    cfg.eta_sq, cfg.sigma_b_sq)
-        yield _moments(chol, f, m, cfg.eta_sq + cfg.sigma_b_sq,
-                       cfg.eta_sq * np.exp(-cfg.rho1 * av2), np.exp(-cfg.rho2 * af2))
 
+    def chain_summary(c):
+        n, mean, m2, var_sum, low = 0, 0.0, 0.0, 0.0, math.inf
+        for row in cols[c]:
+            cfg = KernelConfig(*row[-4:])
+            chol, _ = jittered_cholesky(np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2),
+                                        cfg.eta_sq, cfg.sigma_b_sq)
+            mean_d, var_d = _moments(chol, row[:k] if y is None else y, row[-5],
+                                     cfg.eta_sq + cfg.sigma_b_sq,
+                                     cfg.eta_sq * np.exp(-cfg.rho1 * av2), np.exp(-cfg.rho2 * af2))
+            low = min(low, var_d.min())
+            var_d = np.maximum(var_d, 0.0)
+            if y is not None:  # the life's log-normal moments
+                mean_d, var_d = (np.exp(mean_d + var_d / 2),
+                                 np.expm1(var_d) * np.exp(2 * mean_d + var_d))
+            n += 1
+            delta = mean_d - mean
+            mean += delta / n
+            m2 += delta * (mean_d - mean)
+            var_sum += var_d
+        return n, mean, m2, var_sum, low
 
-def _mixture(pairs):
-    """Mean and sd of the equal-weight mixture of components given as (mean, var).
-
-    Its variance is the average component variance plus the variance of the
-    component means, which Welford's one-pass update accumulates.
-    """
-    n, mean, m2, var_sum = 0, 0.0, 0.0, 0.0
-    for n, (mean_d, var_d) in enumerate(pairs, start=1):
-        delta = mean_d - mean
-        mean += delta / n
-        m2 += delta * (mean_d - mean)
-        var_sum += var_d
+    n, mean, m2, var_sum, low = reduce(_pool, fork_map(chain_summary, chains.n_chains))
+    _warn_clamped(low)
     return mean, np.sqrt((var_sum + m2) / n)
 
 
@@ -192,7 +226,7 @@ def surface(chains: ChainSet, train: np.ndarray, grid_spec=None) -> SurfaceGrid:
     A spec (v, v, 2, f, f, 2) gives the moments at the single node (v, f).
     """
     v_axis, f_axis = _grid(train, grid_spec)
-    mean, sd = _mixture(_conditionals(chains, train, v_axis, f_axis))
+    mean, sd = _mixture(chains, train, v_axis, f_axis)
     return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd)
 
 
@@ -283,9 +317,7 @@ def life_surface(
     moments of their mixture, with no sampling and no dependence on the seed.
     """
     v_axis, f_axis = _grid(controls, grid_spec)
-    y = np.log(np.asarray(life, dtype=float))
-    mean, sd = _mixture((np.exp(m + v / 2), np.expm1(v) * np.exp(2 * m + v))
-                        for m, v in _conditionals(chains, controls, v_axis, f_axis, y))
+    mean, sd = _mixture(chains, controls, v_axis, f_axis, np.log(np.asarray(life, dtype=float)))
     return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd)
 
 

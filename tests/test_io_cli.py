@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1066,6 +1067,23 @@ class TestExitCodes:
                      "--channel", "life", "-o", str(tmp_path / "surface.csv")]) == 1
         err = capsys.readouterr().err
         assert f"{draws}: no draws" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("suffix", [".csv", ".npz"])
+    @pytest.mark.parametrize("command", ["diagnose", "predict"])
+    def test_repeated_parameter_column_exits_1(self, tmp_path, capsys, suffix, command):
+        """Draws that name a parameter twice are refused, not read by one copy."""
+        files = TestCli().mismatch_inputs(tmp_path)
+        chains = tio.read_draws_csv(files["life"])
+        draws = tmp_path / f"repeated{suffix}"
+        tio.write_draws(draws, replace(
+            chains, draws=np.concatenate([chains.draws, chains.draws[:, :, 2:3]], axis=2),
+            param_names=[*chains.param_names, "rho1"]))
+        argv = {"diagnose": ["diagnose", "--draws", str(draws)],
+                "predict": ["predict", "--draws", str(draws), "--controls", files["controls6"],
+                            "--channel", "life", "-o", str(tmp_path / "surface.csv")]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{draws}: parameter column 'rho1' repeated" in err and "internal error" not in err
 
     def test_csv_without_parameters_exits_1(self, tmp_path, capsys):
         draws = write(tmp_path / "d.csv", "chain,iteration\n0,0\n0,1\n1,0\n1,1\n")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,12 +14,15 @@ from scipy import stats
 
 import toolwear
 from toolwear import io as tio
-from toolwear import kernel
+from toolwear import kernel, sampler
+from toolwear import predict as tpredict
+from toolwear.cli import main
 from toolwear.errors import (
     DegenerateFitError,
     DomainError,
     ExtrapolationError,
     InsufficientDataError,
+    NotPositiveDefiniteError,
     ValidationError,
 )
 from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix, cross_cov
@@ -310,6 +314,39 @@ def lognormal(m, v):
     return np.exp(m + v / 2), np.expm1(v) * np.exp(2 * m + v)
 
 
+def by_chains(chains, n_chains):
+    """The draws of a 1-chain ChainSet split into ``n_chains`` chains of equal length."""
+    draws = chains.draws.reshape(n_chains, -1, chains.draws.shape[2])
+    return replace(chains, draws=draws, n_retained=draws.shape[1])
+
+
+def write_predict_inputs(directory, rng, k=21, n_draws=100, n_chains=1, grid_size=60):
+    """``controls.csv``, ``draws_Ft.csv`` and ``draws_life.csv`` of K experiments
+    in ``directory``; returns the ``--grid`` of a grid_size^2 grid over their hull."""
+    train = rng.uniform([20, 20], [60, 50], size=(k, 2))
+    life = rng.uniform(10.0, 255.0, size=k)
+    (directory / "controls.csv").write_text("\n".join(
+        ["id,v_c,f,tool_life"] + [f"{i + 1},{v!r},{f!r},{t!r}"
+                                  for i, ((v, f), t) in enumerate(zip(train.tolist(),
+                                                                      life.tolist()))]))
+    force, life_chains = mixed_chainsets(rng, k, n_draws=n_draws)
+    tio.write_draws_csv(directory / "draws_Ft.csv", by_chains(force, n_chains))
+    tio.write_draws_csv(directory / "draws_life.csv", by_chains(life_chains, n_chains))
+    lo, hi = train.min(axis=0).tolist(), train.max(axis=0).tolist()
+    return f"{lo[0]!r}:{hi[0]!r}:{grid_size},{lo[1]!r}:{hi[1]!r}:{grid_size}"
+
+
+def predict_cli(directory, channel, grid, out, draws=None):
+    """Exit code of ``toolwear predict`` on the inputs in ``directory``."""
+    draws = draws or directory / f"draws_{channel}.csv"
+    return main(["predict", "--draws", str(draws), "--controls", str(directory / "controls.csv"),
+                 "--channel", channel, "--grid", grid, "-o", str(out)])
+
+
+def use_workers(monkeypatch, n):
+    monkeypatch.setattr(sampler, "_worker_count", lambda n_tasks: n)
+
+
 class TestClosedFormSurfaces:
     """Surfaces report the exact moments of the mixture of per-draw conditionals."""
 
@@ -361,6 +398,7 @@ class TestClosedFormSurfaces:
         escalated jitter. Those draws have eta_sq = 1 and a nugget of 1e-12
         eta_sq; a small nugget alone never rounds a K = 6 kernel matrix
         indefinite, so LAPACK is made to refuse their first jitter level."""
+        use_workers(monkeypatch, 1)  # the refusals are counted in this process
         train, _, force, _ = self.inputs(69)
         idx = {n: i for i, n in enumerate(force.param_names)}
         force.draws[0, ::10, idx["eta_sq"]] = 1.0
@@ -397,19 +435,7 @@ class TestClosedFormSurfaces:
     def test_blas_thread_count_does_not_change_surfaces(self, tmp_path):
         """``toolwear predict`` on K = 21 draws over a 60 x 60 grid writes the
         same bytes with one and with two BLAS threads."""
-        rng = np.random.default_rng(71)
-        k = 21
-        train = rng.uniform([20, 20], [60, 50], size=(k, 2))
-        life = rng.uniform(10.0, 255.0, size=k)
-        (tmp_path / "controls.csv").write_text("\n".join(
-            ["id,v_c,f,tool_life"] + [f"{i + 1},{v!r},{f!r},{t!r}"
-                                      for i, ((v, f), t) in enumerate(zip(train.tolist(),
-                                                                          life.tolist()))]))
-        force, life_chains = mixed_chainsets(rng, k, n_draws=100)
-        tio.write_draws_csv(tmp_path / "draws_Ft.csv", force)
-        tio.write_draws_csv(tmp_path / "draws_life.csv", life_chains)
-        lo, hi = train.min(axis=0).tolist(), train.max(axis=0).tolist()
-        grid = f"{lo[0]!r}:{hi[0]!r}:60,{lo[1]!r}:{hi[1]!r}:60"
+        grid = write_predict_inputs(tmp_path, np.random.default_rng(71))
         script = ("import sys; from toolwear.cli import main; d = sys.argv[1]; sys.exit(max("
                   "main(['predict', '--draws', f'{d}/draws_{c}.csv', '--controls', "
                   "f'{d}/controls.csv', '--channel', c, '--grid', sys.argv[2], "
@@ -445,6 +471,98 @@ class TestClosedFormSurfaces:
                 grid = make(other)
                 assert np.array_equal(grid.mean, ref.mean)
                 assert np.array_equal(grid.sd, ref.sd)
+
+
+class TestChainWorkers:
+    """Surfaces are built one fork_map task per chain and pooled in chain order."""
+
+    def test_surfaces_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        """``predict`` on K = 21 draws in 4 chains over a 60 x 60 grid writes
+        the same bytes on 1, 2 and 3 workers."""
+        grid = write_predict_inputs(tmp_path, np.random.default_rng(73), n_chains=4)
+        files = []
+        for n in (1, 2, 3):
+            use_workers(monkeypatch, n)
+            for channel in ("Ft", "life"):
+                assert predict_cli(tmp_path, channel, grid, tmp_path / f"{n}_{channel}.csv") == 0
+            files.append([(tmp_path / f"{n}_{c}.csv").read_bytes() for c in ("Ft", "life")])
+        assert files[0][0].count(b"\n") == 60 * 60 + 1
+        assert files[0] == files[1] == files[2]
+
+    def test_pooled_chains_match_one_pass_over_all_draws(self, monkeypatch):
+        """Pooling 5 chains' summaries gives the moments of one Welford pass
+        over all their draws as a single chain, to rounding."""
+        use_workers(monkeypatch, 2)
+        rng = np.random.default_rng(75)
+        train, life = rng.uniform([20, 20], [60, 50], size=(6, 2)), rng.uniform(10, 255, size=6)
+        force, life_chains = mixed_chainsets(rng, 6, n_draws=150)
+        for make, chains in ((lambda c: surface(c, train), force),
+                             (lambda c: life_surface(c, train, life), life_chains)):
+            one, pooled = make(chains), make(by_chains(chains, 5))
+            assert np.allclose(pooled.mean, one.mean, rtol=1e-12, atol=0.0)
+            assert np.allclose(pooled.sd, one.sd, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("fault, what", [
+        ("missing column", "draws lack column 'rho2'"),
+        ("extra slope", "draws have column 'beta[22]' beyond the 21 experiments given"),
+        ("non-finite", "parameter values must be finite"),
+    ])
+    def test_bad_draws_exit_1_before_any_worker(self, tmp_path, monkeypatch, capsys, fault, what):
+        grid = write_predict_inputs(tmp_path, np.random.default_rng(77), n_draws=40, n_chains=4)
+        chains = tio.read_draws_csv(tmp_path / "draws_Ft.csv")
+        names, draws = list(chains.param_names), chains.draws
+        if fault == "missing column":
+            keep = [i for i, n in enumerate(names) if n != "rho2"]
+            names, draws = [names[i] for i in keep], draws[:, :, keep]
+        elif fault == "extra slope":
+            names, draws = names + ["beta[22]"], np.concatenate([draws, draws[:, :, :1]], axis=2)
+        else:
+            draws = draws.copy()
+            draws[2, 5, names.index("mu_beta")] = math.nan
+        bad = tmp_path / "bad.csv"
+        tio.write_draws_csv(bad, replace(chains, draws=draws, param_names=names))
+        mapped = []
+        monkeypatch.setattr(tpredict, "fork_map", lambda fn, n: mapped.append(n))
+        errors = []
+        for n in (1, 2):
+            use_workers(monkeypatch, n)
+            assert predict_cli(tmp_path, "Ft", grid, tmp_path / "s.csv", draws=bad) == 1
+            errors.append(capsys.readouterr().err)
+        assert what in errors[0] and errors[0] == errors[1]
+        assert mapped == [] and not (tmp_path / "s.csv").exists()
+
+    def test_unfactorable_draw_in_a_worker_keeps_its_class(self, tmp_path, monkeypatch, capsys):
+        grid = write_predict_inputs(tmp_path, np.random.default_rng(79), n_draws=40, n_chains=4)
+        monkeypatch.setattr(kernel, "dpotrf", lambda cov, **kw: (cov, 1))
+        use_workers(monkeypatch, 2)
+        chains = tio.read_draws_csv(tmp_path / "draws_life.csv")
+        records = tio.load_controls(tmp_path / "controls.csv")
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            life_surface(chains, [[r.v_c, r.f] for r in records], [r.tool_life for r in records])
+        assert predict_cli(tmp_path, "Ft", grid, tmp_path / "s.csv") == 1
+        err = capsys.readouterr().err
+        assert "error: covariance not positive definite" in err and "internal error" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_clamping_warns_once_in_the_caller(self, monkeypatch):
+        """A worker's warning would not reach the caller; the lowest variance of
+        all chains comes back with their summaries and is warned about once."""
+        dtrtri = tpredict.dtrtri
+        monkeypatch.setattr(tpredict, "dtrtri",
+                            lambda chol, lower: (3.0 * dtrtri(chol, lower=lower)[0], 0))
+        rng = np.random.default_rng(81)
+        train = rng.uniform([20, 20], [60, 50], size=(6, 2))
+        force = by_chains(mixed_chainsets(rng, 6, n_draws=120)[0], 4)
+        messages = []
+        for n in (1, 2):
+            use_workers(monkeypatch, n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                grid = surface(force, train)
+            assert len(caught) == 1 and "clamping to 0" in str(caught[0].message)
+            messages.append(str(caught[0].message))
+            assert np.all(grid.sd >= 0.0)
+        assert messages[0] == messages[1] and "conditional variance fell to -" in messages[0]
 
 
 class TestToolLife:

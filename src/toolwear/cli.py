@@ -4,12 +4,18 @@ Subcommands: design, segment, simulate, fit, diagnose, predict, taylor, run.
 Exit codes: 0 success, 1 validation/input error, 2 convergence warning,
 3 internal error. The ``TOOLWEAR_OUTPUT_DIR`` environment variable supplies
 the default output directory where one is not given explicitly.
+
+The stages that reach LAPACK (``pipeline``, ``predict``, ``simulate``) are
+imported inside the handlers that run them, after their option checks, so
+``--help``, ``design``, ``diagnose`` and a rejected option never load
+``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,11 +26,7 @@ from . import io as tio
 from .design import DesignBounds, augmentation_plan
 from .diagnostics import PSRF_THRESHOLD, not_converged, summarize
 from .errors import SamplingError, ToolwearError, ValidationError
-from .pipeline import (attach_series, fit_channel, fit_files, load_records, predict_channel,
-                       run_pipeline, segment_trace)
-from .predict import fit_taylor
 from .segmentation import CHANNELS
-from .simulate import simulate_dataset, simulate_raw_trace
 
 ENV_OUTPUT_DIR = "TOOLWEAR_OUTPUT_DIR"
 
@@ -94,7 +96,9 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    series, seg = segment_trace(args.trace, _section(args, "segmentation"), args.channel)
+    seg_cfg = _section(args, "segmentation")
+    from .pipeline import segment_trace
+    series, seg = segment_trace(args.trace, seg_cfg, args.channel)
     series_out = _out_path(args.series_out, "series.csv")
     tio.write_series(series_out, series.length, series.forces)
     report_out = _out_path(args.report_out, "segments.csv")
@@ -106,6 +110,7 @@ def _cmd_segment(args) -> int:
 
 def _cmd_simulate(args) -> int:
     tio.check_seed(args.seed)
+    from .simulate import simulate_dataset, simulate_raw_trace
     out = Path(args.output_dir) if args.output_dir else _default_output_dir()
     out.mkdir(parents=True, exist_ok=True)
     records, truth = simulate_dataset(
@@ -134,6 +139,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     smp, seed = _section(args, "sampler"), tio.check_seed(args.seed)
+    from .pipeline import attach_series, fit_channel, fit_files, load_records
     records = load_records(args.controls)
     priors = tio.parse_priors(None if args.priors is None else tio.load_yaml(args.priors))
     if args.channel != "life":
@@ -150,6 +156,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if not 1.0 <= args.threshold < math.inf:  # PSRF is at least 1; nan would pass every draw
+        raise ValidationError(f"--threshold must be a finite number >= 1.0, got {args.threshold}")
     chains = tio.read_draws(args.draws)
     summary = summarize(chains)
     if args.summary_out is not None:
@@ -175,6 +183,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_predict(args) -> int:
     chains = tio.read_draws(args.draws)
     grid_spec = _parse_grid(args.grid) if args.grid else None
+    from .pipeline import load_records, predict_channel
     grid = predict_channel(chains, load_records(args.controls), args.channel, grid_spec)
     out = _out_path(args.output, f"surface_{args.channel}.csv")
     tio.write_surface_csv(out, grid)
@@ -185,7 +194,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
-    fit = fit_taylor(tio.load_taylor(args.input))
+    rows = tio.load_taylor(args.input)
+    from .predict import fit_taylor
+    fit = fit_taylor(rows)
     print(f"n = {tio.fmt(fit.n)}")
     print(f"C = {tio.fmt(fit.C)}")
     print(f"residual sd (log life) = {tio.fmt(fit.residual_sd)}")
@@ -205,6 +216,7 @@ def _cmd_run(args) -> int:
         except yaml.YAMLError as exc:
             raise ValidationError(f"--set {key}: invalid YAML: {exc}") from exc
     config.override(overrides)
+    from .pipeline import run_pipeline
     result = run_pipeline(config)
     print(f"pipeline complete: {len(result.artifacts)} artifacts, "
           f"manifest {result.manifest_path}")

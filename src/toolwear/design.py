@@ -103,6 +103,9 @@ def sobol_unit(dim: int, n: int, skip: int = 0) -> np.ndarray:
         raise DomainError(f"n must be >= 1, got {n}")
     if skip < 0:
         raise DomainError(f"skip must be >= 0, got {skip}")
+    if skip + n > 2 ** _N_BITS:
+        raise DomainError(f"points skip..skip+n-1 must have indices below 2^{_N_BITS}, "
+                          f"got skip={skip}, n={n}")
     v = _direction_integers(dim)
     return np.array([_sobol_state(skip + i, v) for i in range(n)]).astype(float) * _SCALE
 

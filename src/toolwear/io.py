@@ -22,14 +22,17 @@ import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
 from .errors import ValidationError
-from .model import ExperimentRecord, PriorConfig
 from .sampler import ChainSet
 from .segmentation import CHANNELS
+
+if TYPE_CHECKING:  # the model imports scipy.linalg; only the functions that build one load it
+    from .model import ExperimentRecord, PriorConfig
 
 
 def fmt(x) -> str:
@@ -76,6 +79,7 @@ def write_controls(path, records) -> None:
 
 def load_controls(path) -> list[ExperimentRecord]:
     """Controls table: CSV with header id,v_c,f[,tool_life]."""
+    from .model import ExperimentRecord
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
     if _names(header[:3]) != ["id", "v_c", "f"]:
@@ -400,6 +404,7 @@ def load_yaml(path):
 def parse_priors(raw) -> PriorConfig:
     """Prior scales from a mapping (None for the defaults); unknown keys and
     scales that are not finite positive numbers raise ValidationError."""
+    from .model import PriorConfig
     raw = {} if raw is None else raw
     _check_keys(raw, {f.name for f in fields(PriorConfig)}, "prior")
     for key, val in raw.items():

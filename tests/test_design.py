@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import qmc
 
 from toolwear.design import (
+    _N_BITS,
     _SCALE,
     DesignBounds,
     _direction_integers,
@@ -110,6 +111,17 @@ class TestSobolUnit:
     def test_zero_points_rejected(self):
         with pytest.raises(DomainError):
             sobol_unit(3, 0)
+
+    def test_last_index_of_the_direction_integers(self):
+        """Index 2^32 - 1 is the last the 32-bit direction integers reach; its
+        gray code is 2^31, so its first coordinate is 2^-32."""
+        last = 2 ** _N_BITS - 1
+        assert sobol_unit(1, 1, skip=last)[0, 0] == 2.0 ** -_N_BITS
+        assert np.array_equal(sobol_unit(2, 2, skip=last - 1), sobol_unit_direct(2, 2, last - 1))
+        with pytest.raises(DomainError, match="indices below 2\\^32, got skip=4294967295, n=2"):
+            sobol_unit(2, 2, skip=last)
+        with pytest.raises(DomainError, match="indices below 2\\^32"):
+            sobol_unit(2, 1, skip=last + 1)
 
     def test_origin_and_skip_one(self):
         assert sobol_unit(1, 1)[0, 0] == 0.0

@@ -816,6 +816,10 @@ class TestExitCodes:
         (["simulate", "--n-points", "1"], "a series needs n_points >= 2, got 1"),
         (["design", "--v-min", "20", "--v-max", "inf", "--f-min", "20", "--f-max", "50",
           "--n-initial", "3"], "need 0 < v_min < v_max < inf, got [20.0, inf]"),
+        (["design", "--v-min", "20", "--v-max", "60", "--f-min", "20", "--f-max", "50",
+          "--n-initial", "2", "--skip", "4294967296"], "indices below 2^32, got skip=4294967296"),
+        (["design", "--v-min", "20", "--v-max", "60", "--f-min", "20", "--f-max", "50",
+          "--n-initial", "3", "--skip", "4294967294"], "indices below 2^32, got skip=4294967294"),
     ])
     def test_simulate_and_design_sizes_exit_1(self, tmp_path, capsys, monkeypatch, argv, what):
         monkeypatch.setenv("TOOLWEAR_OUTPUT_DIR", str(tmp_path))
@@ -823,6 +827,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert what in err and "internal error" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0.99"])
+    def test_diagnose_threshold_below_1_or_not_finite_exits_1(self, tmp_path, capsys,
+                                                               threshold):
+        """PSRF is at least 1, so such a threshold would pass or flag every draw;
+        it is refused before the draws file is read (here it does not exist)."""
+        missing = tmp_path / "no_such_draws.csv"
+        assert main(["diagnose", "--draws", str(missing), "--threshold", threshold]) == 1
+        err = capsys.readouterr().err
+        assert "--threshold must be a finite number >= 1.0" in err and str(missing) not in err
+
+    def test_diagnose_threshold_of_1_is_accepted(self, tmp_path, capsys):
+        tio.write_draws_csv(tmp_path / "d.csv", make_chainset(np.random.default_rng(2)))
+        assert main(["diagnose", "--draws", str(tmp_path / "d.csv"), "--threshold", "1.0"]) in (0, 2)
+        assert "error" not in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
@@ -1194,16 +1213,79 @@ class TestParallelChains:
         manifest = json.loads((tmp_path / "raw_out" / "manifest.json").read_text())
         assert manifest["failed_stage"].startswith("segment: ")
 
-    def test_cli_import_loads_no_worker_pool(self):
-        """``import toolwear.cli`` does not import ``multiprocessing``: only a stage
-        that runs on more than one worker pays for it, not every command's start-up."""
+    @staticmethod
+    def python(code, *args):
+        """The last line ``code`` prints when run with ``args`` in a fresh
+        interpreter that imports this package."""
         src = str(Path(toolwear.__file__).resolve().parents[1])
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        loaded = subprocess.run(
-            [sys.executable, "-c", "import sys, toolwear.cli; print(sorted(sys.modules))"],
-            env=env, check=True, capture_output=True, text=True).stdout
+        return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                              capture_output=True, text=True).stdout.splitlines()[-1]
+
+    def test_cli_import_loads_no_worker_pool(self):
+        """``import toolwear.cli`` does not import ``multiprocessing``: only a stage
+        that runs on more than one worker pays for it, not every command's start-up."""
+        loaded = self.python("import sys, toolwear.cli; print(sorted(sys.modules))")
         assert "'toolwear.cli'" in loaded and "'multiprocessing'" not in loaded
+
+    def test_cli_start_up_loads_no_lapack(self):
+        """Importing the CLI and building its parser leaves ``scipy.linalg``
+        (about half of a command's start-up) unloaded."""
+        assert self.python("import sys, toolwear.cli as c; c.build_parser(); "
+                           "print('scipy.linalg' in sys.modules)") == "False"
+
+    def test_pipeline_import_loads_lapack(self):
+        assert self.python("import sys, toolwear.pipeline; "
+                           "print('scipy.linalg' in sys.modules)") == "True"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["design", "--v-min", "20", "--v-max", "60", "--f-min", "20", "--f-max", "50",
+          "--n-initial", "3", "-o", "{tmp}/design.csv"], 0),
+        (["diagnose", "--draws", "{tmp}/draws.csv"], 0),
+        (["fit", "--controls", "{tmp}/controls.csv", "--chains", "1"], 1),
+        (["run", "--config", "{tmp}/run.yaml"], 1),
+    ])
+    def test_commands_without_linear_algebra_load_no_lapack(self, tmp_path, argv, code):
+        """Options are checked, and ``design`` and ``diagnose`` run, without
+        ``scipy.linalg``; ``run``'s config lacks ``controls``."""
+        tio.write_draws_csv(tmp_path / "draws.csv", make_chainset(np.random.default_rng(4)))
+        write(tmp_path / "run.yaml", "seed: 1\noutput_dir: out\n")
+        out = self.python("import sys; from toolwear.cli import main; code = main(sys.argv[1:]); "
+                          "print(code, 'scipy.linalg' in sys.modules)",
+                          *(a.format(tmp=tmp_path) for a in argv))
+        assert out == f"{code} False"
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "run"])
+    def test_workers_fork_after_lapack_is_loaded(self, tmp_path, data, command):
+        """Every ``fork_map`` a command makes finds ``scipy.linalg.lapack`` already
+        imported, so no forked worker imports it again. The spy replaces
+        ``sampler.fork_map`` before ``pipeline`` and ``predict`` are imported,
+        and they must bind it too."""
+        fit = ["fit", "--controls", str(data / "controls.csv"), "--series-dir", str(data),
+               "--chains", "2", "--warmup", "30", "--samples", "20",
+               "--draws-out", str(tmp_path / "draws.csv"),
+               "--summary-out", str(tmp_path / "summary.csv")]
+        if command == "predict":
+            assert main(fit) in (0, 2)
+        argv = {"fit": fit,
+                "predict": ["predict", "--draws", str(tmp_path / "draws.csv"), "--controls",
+                            str(data / "controls.csv"), "-o", str(tmp_path / "surface.csv")],
+                "run": ["run", "--config", self.run_config(tmp_path)]}[command]
+        out = self.python("""
+import sys
+from toolwear import cli, sampler
+seen, fork_map = [], sampler.fork_map
+def spy(fn, n):
+    seen.append('scipy.linalg.lapack' in sys.modules)
+    return fork_map(fn, n)
+sampler.fork_map, sampler._worker_count = spy, lambda n_tasks: 2
+code = cli.main(sys.argv[1:])
+bound = all(sys.modules[m].fork_map is spy for m in ('toolwear.pipeline', 'toolwear.predict'))
+print(code in (0, 2), bound, len(seen), all(seen))""", *argv)
+        calls = {"fit": 1, "predict": 1, "run": 4}[command]  # run: fit and predict, Ft and life
+        assert out == f"True True {calls} True"
 
     def test_error_in_a_worker_keeps_its_exit_code(self, tmp_path, monkeypatch, data, capsys):
         def invalid(self, u):

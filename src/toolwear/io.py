@@ -40,6 +40,11 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def _floats(a):
+    """``a`` as nested lists of Python floats, which ``csv`` writes as :func:`fmt` does."""
+    return np.asarray(a, dtype=float).tolist()
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -172,9 +177,8 @@ def load_series(path, record: ExperimentRecord | None = None):
 
 
 def write_series(path, length, forces) -> None:
-    _write_rows(path, ["L", *CHANNELS],
-                ([fmt(length[i])] + [fmt(forces[ch][i]) for ch in CHANNELS]
-                 for i in range(len(length))))
+    columns = [length] + [forces[ch] for ch in CHANNELS]
+    _write_rows(path, ["L", *CHANNELS], zip(*map(_floats, columns)))
 
 
 def write_trace(path, trace) -> None:
@@ -222,8 +226,8 @@ def write_draws_csv(path, chains: ChainSet) -> None:
     """Draws table: chain,iteration and one column per parameter, chain by
     chain. It records none of the per-chain statistics; the npz form does."""
     _write_rows(path, ["chain", "iteration", *chains.param_names],
-                ([c, it] + [fmt(v) for v in chains.draws[c, it]]
-                 for c in range(chains.n_chains) for it in range(chains.n_retained)))
+                ([c, it, *row] for c in range(chains.n_chains)
+                 for it, row in enumerate(_floats(chains.draws[c]))))
 
 
 def _param_names(path, names) -> list[str]:
@@ -300,14 +304,14 @@ def read_draws_npz(path) -> ChainSet:
 
 def write_summary_csv(path, summary) -> None:
     _write_rows(path, ["parameter", "mean", "sd", "q2.5", "median", "q97.5", "psrf"],
-                ([name] + [fmt(v) for v in vals] for name, *vals in summary.rows()))
+                ([name, *_floats(vals)] for name, *vals in summary.rows()))
 
 
 def write_surface_csv(path, grid) -> None:
     """Long-format surface (v_c, f, mean, sd), one row per grid node."""
+    v, f = np.meshgrid(grid.v_axis, grid.f_axis, indexing="ij")
     _write_rows(path, ["v_c", "f", "mean", "sd"],
-                ([fmt(v), fmt(f), fmt(grid.mean[i, j]), fmt(grid.sd[i, j])]
-                 for i, v in enumerate(grid.v_axis) for j, f in enumerate(grid.f_axis)))
+                zip(*(_floats(np.ravel(a)) for a in (v, f, grid.mean, grid.sd))))
 
 
 def write_surface_matrix(path, grid) -> None:

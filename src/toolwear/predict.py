@@ -13,10 +13,11 @@ linear stage) and reported through its log-normal moments.
 
 The draws are checked once in the calling process. Each chain's share of a
 surface is then summarized in its own :func:`~toolwear.sampler.fork_map` task
-(count, mean, M2, summed variance, lowest variance before clamping), and the
-summaries are pooled in chain order (Chan, Golub & LeVeque 1979). The split
-follows the chains of the draws, so a surface's bits do not depend on the
-worker count.
+(count, mean, M2, summed variance, lowest variance before clamping) in blocks
+of draws sized from the grid, with only the factor and the products per draw.
+The blocks, then the chains, are pooled in order (Chan, Golub & LeVeque 1979).
+The split follows the chains of the draws, so a surface's bits do not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ from .sampler import ChainSet, fork_map, run_chains
 DEFAULT_RESOLUTION = 20
 DEFAULT_MARGIN = 0.10
 MIN_LIVES = 3  # experiments with a tool life the life GP needs
+# Draws per block of a surface: at most 64, with its two buffers within 8 MB
+_BLOCK_DRAWS, _BLOCK_BYTES = 64, 8 << 20
 # Half-Cauchy priors of the life GP on eta^2, 1/rho1, 1/rho2, sigma_b^2
 _HC_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -106,7 +109,7 @@ def _moments(chol, field, mu, prior_var, ev, ef):
     before any clamping at zero.
     """
     chol_inv, _ = dtrtri(chol, lower=1)
-    w = (chol_inv * ev[:, None, :]) @ ef
+    w = np.einsum("kt,it->ikt", chol_inv, ev) @ ef
     var = prior_var - np.einsum("ikj,ikj->ij", w, w)
     return mu + (chol_inv @ np.subtract(field, mu)) @ w, var
 
@@ -137,12 +140,14 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
     row per experiment; inputs are standardized on it. Draws lacking a needed
     column, carrying slopes for more experiments than ``train`` has, or
     non-finite in a column used raise :class:`ValidationError` here, before
-    any worker starts.
+    any worker starts; and a non-positive ``eta_sq``, ``rho1``, ``rho2`` or
+    ``sigma_b_sq`` raises :class:`DomainError` naming the first one found.
 
     The mixture's variance is the average component variance plus the
-    variance of the component means. Each chain's task accumulates its share
-    by Welford's one-pass update; :func:`_pool` combines the chains in chain
-    order, and one warning reports the lowest variance clamped to 0.
+    variance of the component means. Each chain's task sums its draws in
+    blocks of :data:`_BLOCK_DRAWS`, fewer where two (B, nv, nf) buffers would
+    pass :data:`_BLOCK_BYTES`; :func:`_pool` folds the blocks, then the chains,
+    in order, and one warning reports the lowest variance clamped to 0.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     k = len(train)
@@ -158,33 +163,37 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
     cols = chains.draws[:, :, [names.index(n) for n in (*field, mu, *hyper)]]
     if not np.isfinite(cols).all():
         raise ValidationError("draws hold non-finite values")
+    bad = np.argwhere(cols[:, :, -4:] <= 0)  # in chain, draw, column order
+    if len(bad):
+        raise DomainError(f"{hyper[bad[0][-1]]} must be strictly positive")
     std = Standardizer.fit(train)
     xv, xf = std.transform(train).T
     zv, zf = ((np.asarray(a, dtype=float) - m) / s
               for a, m, s in zip((v_axis, f_axis), std.mean, std.sd))
     dv2, df2 = control_sq_dists(train)
     av2, af2 = (zv[:, None] - xv) ** 2, (xf[:, None] - zf) ** 2  # (nv, K), (K, nf)
+    size = max(1, min(_BLOCK_DRAWS, _BLOCK_BYTES // (16 * len(zv) * len(zf))))
+    means, variances = np.empty((2, size, len(zv), len(zf)))
+
+    def block_summary(rows):
+        eta_sq, rho1, rho2, _ = rows[:, -4:].T[:, :, None, None]  # each (B, 1, 1)
+        e_mat, ev = np.exp(-rho1 * dv2 - rho2 * df2), eta_sq * np.exp(-rho1 * av2)
+        ef = np.exp(-rho2 * af2)
+        mean, var = means[:len(rows)], variances[:len(rows)]
+        for d, row in enumerate(rows):
+            chol, _ = jittered_cholesky(e_mat[d], row[-4], row[-1])
+            mean[d], var[d] = _moments(chol, row[:k] if y is None else y, row[-5],
+                                       row[-4] + row[-1], ev[d], ef[d])
+        low = var.min()
+        np.maximum(var, 0.0, out=var)
+        if y is not None:  # the life's log-normal moments
+            mean, var = np.exp(mean + var / 2), np.expm1(var) * np.exp(2 * mean + var)
+        centre = mean.mean(axis=0)
+        return len(rows), centre, ((mean - centre) ** 2).sum(axis=0), var.sum(axis=0), low
 
     def chain_summary(c):
-        n, mean, m2, var_sum, low = 0, 0.0, 0.0, 0.0, math.inf
-        for row in cols[c]:
-            cfg = KernelConfig(*row[-4:])
-            chol, _ = jittered_cholesky(np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2),
-                                        cfg.eta_sq, cfg.sigma_b_sq)
-            mean_d, var_d = _moments(chol, row[:k] if y is None else y, row[-5],
-                                     cfg.eta_sq + cfg.sigma_b_sq,
-                                     cfg.eta_sq * np.exp(-cfg.rho1 * av2), np.exp(-cfg.rho2 * af2))
-            low = min(low, var_d.min())
-            var_d = np.maximum(var_d, 0.0)
-            if y is not None:  # the life's log-normal moments
-                mean_d, var_d = (np.exp(mean_d + var_d / 2),
-                                 np.expm1(var_d) * np.exp(2 * mean_d + var_d))
-            n += 1
-            delta = mean_d - mean
-            mean += delta / n
-            m2 += delta * (mean_d - mean)
-            var_sum += var_d
-        return n, mean, m2, var_sum, low
+        return reduce(_pool, (block_summary(cols[c, i:i + size])
+                              for i in range(0, cols.shape[1], size)))
 
     n, mean, m2, var_sum, low = reduce(_pool, fork_map(chain_summary, chains.n_chains))
     _warn_clamped(low)

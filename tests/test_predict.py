@@ -490,8 +490,8 @@ class TestChainWorkers:
         assert files[0] == files[1] == files[2]
 
     def test_pooled_chains_match_one_pass_over_all_draws(self, monkeypatch):
-        """Pooling 5 chains' summaries gives the moments of one Welford pass
-        over all their draws as a single chain, to rounding."""
+        """Pooling 5 chains' summaries gives the moments of the same draws
+        taken as a single chain, to rounding."""
         use_workers(monkeypatch, 2)
         rng = np.random.default_rng(75)
         train, life = rng.uniform([20, 20], [60, 50], size=(6, 2)), rng.uniform(10, 255, size=6)
@@ -502,10 +502,36 @@ class TestChainWorkers:
             assert np.allclose(pooled.mean, one.mean, rtol=1e-12, atol=0.0)
             assert np.allclose(pooled.sd, one.sd, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("name, value, size", [
+        ("_BLOCK_DRAWS", 1, 1),
+        ("_BLOCK_BYTES", 16 * 400 * 7, 7),  # 2 buffers x 8 bytes x 20 x 20 nodes x 7 draws
+    ])
+    def test_smaller_blocks_match_the_default(self, monkeypatch, name, value, size):
+        """Blocks of 1 and of 7 draws (the last one ragged) give the surfaces
+        of the default 64 to rounding; the number of pooled blocks shows the
+        block size in use."""
+        use_workers(monkeypatch, 1)
+        rng = np.random.default_rng(81)
+        train, life = rng.uniform([20, 20], [60, 50], size=(6, 2)), rng.uniform(10, 255, size=6)
+        force, life_chains = mixed_chainsets(rng, 6, n_draws=150)
+        makes = (lambda: surface(force, train), lambda: life_surface(life_chains, train, life))
+        default = [make() for make in makes]
+        pooled = []
+        pool = tpredict._pool
+        monkeypatch.setattr(tpredict, "_pool", lambda a, b: pooled.append(1) or pool(a, b))
+        monkeypatch.setattr(tpredict, name, value)
+        for make, ref in zip(makes, default):
+            pooled.clear()
+            grid = make()
+            assert len(pooled) == math.ceil(150 / size) - 1
+            assert np.allclose(grid.mean, ref.mean, rtol=1e-12, atol=0.0)
+            assert np.allclose(grid.sd, ref.sd, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("fault, what", [
         ("missing column", "draws lack column 'rho2'"),
         ("extra slope", "draws have column 'beta[22]' beyond the 21 experiments given"),
         ("non-finite", "parameter values must be finite"),
+        ("non-positive", "rho1 must be strictly positive"),
     ])
     def test_bad_draws_exit_1_before_any_worker(self, tmp_path, monkeypatch, capsys, fault, what):
         grid = write_predict_inputs(tmp_path, np.random.default_rng(77), n_draws=40, n_chains=4)
@@ -518,7 +544,12 @@ class TestChainWorkers:
             names, draws = names + ["beta[22]"], np.concatenate([draws, draws[:, :, :1]], axis=2)
         else:
             draws = draws.copy()
-            draws[2, 5, names.index("mu_beta")] = math.nan
+            if fault == "non-finite":
+                draws[2, 5, names.index("mu_beta")] = math.nan
+            else:  # rho1 comes first in chain, draw, column order
+                draws[2, 5, names.index("rho1")] = -0.5
+                draws[2, 5, names.index("sigma_b_sq")] = 0.0
+                draws[3, 0, names.index("eta_sq")] = -1.0
         bad = tmp_path / "bad.csv"
         tio.write_draws_csv(bad, replace(chains, draws=draws, param_names=names))
         mapped = []

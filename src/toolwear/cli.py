@@ -148,10 +148,12 @@ def _cmd_fit(args) -> int:
         attach_series(records, args.series_dir)
     chains = fit_channel(records, args.channel, priors, smp, seed)
     files, warnings = fit_files(chains, args.channel)
-    for arg, (name, writer, obj) in zip((args.draws_out, args.summary_out), files):
-        writer(path := _out_path(arg, name), obj)
+    draws = _out_path(args.draws_out, files[0][0])
+    paths = (draws, tio.chains_path(draws), _out_path(args.summary_out, files[2][0]))
+    for path, (_, writer, obj) in zip(paths, files):
+        writer(path, obj)
         print(f"wrote {path}")
-    print(f"worst PSRF {files[1][2].worst_psrf():.3f}, divergences {chains.divergences.tolist()}")
+    print(f"worst PSRF {files[2][2].worst_psrf():.3f}, divergences {chains.divergences.tolist()}")
     return _verdict(warnings)
 
 
@@ -270,19 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     _section_options(p, "sampler")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--priors", help="YAML file of prior scales")
-    p.add_argument("--draws-out", help="draws output path: .npz for numpy's archive, else CSV")
+    p.add_argument("--draws-out", help="draws CSV path; the per-chain statistics go beside it "
+                                       "in <name>.chains.csv")
     p.add_argument("--summary-out", help="fit summary CSV path")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("diagnose", help="convergence report for a draws file")
-    p.add_argument("--draws", required=True, help="draws file (.csv or .npz)")
+    p.add_argument("--draws", required=True,
+                   help="draws CSV from fit, read with its <name>.chains.csv where present")
     p.add_argument("--summary-out", help="also write the summary CSV here")
     p.add_argument("--threshold", type=float, default=PSRF_THRESHOLD,
                    help="PSRF threshold for the convergence flag")
     p.set_defaults(handler=_cmd_diagnose)
 
     p = sub.add_parser("predict", help="posterior-predictive surface on a (v_c, f) grid")
-    p.add_argument("--draws", required=True, help="draws file from fit")
+    p.add_argument("--draws", required=True, help="draws CSV from fit")
     p.add_argument("--controls", required=True, help="training controls CSV")
     p.add_argument("--channel", choices=[*CHANNELS, "life"], default="Ft")
     p.add_argument("--grid", help="v_min:v_max:nv,f_min:f_max:nf (default: 20x20 over the hull)")

@@ -47,13 +47,10 @@ class DesignPoint:
 
 def _load_direction_numbers():
     """Parse the bundled Joe-Kuo table: one row (d, s, a, m_1..m_s) per dimension."""
-    rows = {}
     text = resources.files("toolwear.data").joinpath("joe_kuo_d16.txt").read_text()
-    for line in text.strip().splitlines()[1:]:
-        parts = [int(tok) for tok in line.split()]
-        d, s, a, m = parts[0], parts[1], parts[2], parts[3:]
-        rows[d] = (s, a, m)
-    return rows
+    rows = (map(int, line.split()) for line in text.strip().splitlines()[1:])
+    return {d: (s, a, m) for d, s, a, *m in rows}
+
 
 _JOE_KUO = _load_direction_numbers()
 
@@ -61,9 +58,7 @@ _JOE_KUO = _load_direction_numbers()
 def _direction_integers(dim: int, n_bits: int = _N_BITS) -> np.ndarray:
     """Direction integers V[dim][k] for k = 0..n_bits-1, as uint64 scaled to 2^32."""
     v = np.zeros((dim, n_bits), dtype=np.uint64)
-    # first dimension: van der Corput in base 2
-    for k in range(n_bits):
-        v[0, k] = 1 << (n_bits - 1 - k)
+    v[0] = [1 << (n_bits - 1 - k) for k in range(n_bits)]  # van der Corput in base 2
     for d in range(2, dim + 1):
         s, a, m = _JOE_KUO[d]
         for k in range(min(s, n_bits)):

@@ -58,9 +58,9 @@ class FitSummary:
         return [n for n, r in zip(self.param_names, self.psrf) if r > threshold]
 
     def rows(self):
-        for i, name in enumerate(self.param_names):
-            yield (name, self.mean[i], self.sd[i], self.q2_5[i],
-                   self.median[i], self.q97_5[i], self.psrf[i])
+        """(name, mean, sd, q2.5, median, q97.5, psrf) of each parameter."""
+        return zip(self.param_names, self.mean, self.sd, self.q2_5, self.median, self.q97_5,
+                   self.psrf)
 
 
 def summarize(chains: ChainSet) -> FitSummary:

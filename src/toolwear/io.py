@@ -5,12 +5,13 @@ Every CSV file is written by one table writer in ``csv``'s default dialect
 (shortest round-trip decimal): ``read(write(x)) == x`` exactly, and re-runs
 are byte-identical.
 
-Traces, series, draws and Taylor inputs are read by one numeric CSV reader:
-it checks the header, then parses the body with ``np.loadtxt``. Only when
-that fails does it walk the rows with ``csv`` and ``float()``, which accepts
-a few more spellings (``1_000``, whitespace-only rows, quoted cells) and
-otherwise finds the malformed row. Blank rows are skipped, and every error
-about a row names it as ``file:line``.
+Traces, series, draws with their per-chain sidecars, and Taylor inputs are
+read by one numeric CSV reader: it checks the header, then parses the body
+with ``np.loadtxt``. Only when that fails does it walk the rows with ``csv``
+and ``float()``, which accepts a few more spellings (``1_000``,
+whitespace-only rows, quoted cells) and otherwise finds the malformed row.
+Blank rows are skipped, and every error about a row names it as
+``file:line``.
 """
 
 from __future__ import annotations
@@ -224,19 +225,10 @@ def load_taylor(path):
 
 def write_draws_csv(path, chains: ChainSet) -> None:
     """Draws table: chain,iteration and one column per parameter, chain by
-    chain. It records none of the per-chain statistics; the npz form does."""
+    chain. The per-chain statistics go in a sidecar (:func:`write_chain_stats`)."""
     _write_rows(path, ["chain", "iteration", *chains.param_names],
                 ([c, it, *row] for c in range(chains.n_chains)
                  for it, row in enumerate(_floats(chains.draws[c]))))
-
-
-def _param_names(path, names) -> list[str]:
-    """``names`` as strings; a parameter named twice raises ValidationError naming it."""
-    names = [str(n) for n in names]
-    repeated = [n for i, n in enumerate(names) if n in names[:i]]
-    if repeated:
-        raise ValidationError(f"{path}: parameter column {repeated[0]!r} repeated")
-    return names
 
 
 def read_draws_csv(path) -> ChainSet:
@@ -266,40 +258,55 @@ def read_draws_csv(path) -> ChainSet:
         raise ValidationError(f"{path}:{_line_of(path, len(index) - 1)}: chain "
                               f"{len(index) // n_iter} ends short of the first chain's "
                               f"{n_iter} iterations")
-    draws = np.ascontiguousarray(values[:, 2:]).reshape(-1, n_iter, len(header) - 2)
-    return ChainSet(draws=draws, param_names=_param_names(path, header[2:]), n_warmup=0,
-                    n_retained=n_iter, seed=0)
+    names = header[2:]
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise ValidationError(f"{path}: parameter column {repeated[0]!r} repeated")
+    draws = np.ascontiguousarray(values[:, 2:]).reshape(-1, n_iter, len(names))
+    return ChainSet(draws=draws, param_names=names, n_warmup=0, n_retained=n_iter, seed=0)
+
+
+_CHAIN_STATS = ["chain", "step_size", "accept_stat", "divergences"]  # the sidecar's header
+
+
+def chains_path(path) -> Path:
+    """The sidecar of the draws file ``path``: ``draws_Ft.csv`` -> ``draws_Ft.chains.csv``."""
+    return Path(path).with_suffix(".chains.csv")
+
+
+def write_chain_stats(path, chains: ChainSet) -> None:
+    """Sidecar table: chain,step_size,accept_stat,divergences, one row per chain."""
+    _write_rows(path, _CHAIN_STATS, zip(range(chains.n_chains), _floats(chains.step_sizes),
+                                        _floats(chains.accept_stats), chains.divergences.tolist()))
 
 
 def read_draws(path) -> ChainSet:
-    """Draws from an ``.npz`` file, or from a CSV file under any other name."""
-    return (read_draws_npz if str(path).endswith(".npz") else read_draws_csv)(path)
+    """Draws from the CSV file ``path`` with the per-chain statistics of its
+    sidecar (:func:`chains_path`), which read as not recorded (None) where
+    there is none. A fault in the sidecar raises ValidationError naming its line."""
+    chains, side = read_draws_csv(path), chains_path(path)
+    if not side.exists():
+        return chains
 
+    def header(cells):
+        if _names(cells) != _CHAIN_STATS:
+            raise ValidationError(f"{side}:1: expected header {','.join(_CHAIN_STATS)}")
+        return True
 
-def write_draws(path, chains: ChainSet) -> None:
-    (write_draws_npz if str(path).endswith(".npz") else write_draws_csv)(path, chains)
-
-
-_CHAIN_STATS = ("step_sizes", "accept_stats", "divergences")  # in the npz's key order
-
-
-def write_draws_npz(path, chains: ChainSet) -> None:
-    """Compact columnar form; parameter names, layout and the per-chain
-    statistics the draws carry travel in the file."""
-    stats = {k: getattr(chains, k) for k in _CHAIN_STATS if getattr(chains, k) is not None}
-    np.savez_compressed(path, draws=chains.draws, param_names=np.array(chains.param_names),
-                        n_warmup=chains.n_warmup, seed=chains.seed, **stats)
-
-
-def read_draws_npz(path) -> ChainSet:
-    with np.load(path, allow_pickle=False) as z:
-        if not z["draws"].size:
-            raise ValidationError(f"{path}: no draws")
-        return ChainSet(
-            draws=z["draws"], param_names=_param_names(path, z["param_names"]),
-            n_warmup=int(z["n_warmup"]), n_retained=z["draws"].shape[1],
-            seed=int(z["seed"]), **{k: z.get(k) for k in _CHAIN_STATS},
-        )
+    chain, step, accept, div = _read_numeric(side, header, "")[1].T
+    m, n, row = chains.n_chains, chains.n_retained, np.arange(len(chain))
+    checks = ((f"expected one row per chain of the draws, chains 0 to {m - 1} in order",
+               (chain == row) & (row < m)),
+              ("step_size must be finite and above 0", np.isfinite(step) & (step > 0)),
+              ("accept_stat must be between 0 and 1", (accept >= 0) & (accept <= 1)),
+              (f"divergences must be an integer from 0 to {n}",
+               (div >= 0) & (div <= n) & (div == np.floor(div))))
+    bad = np.argwhere(~np.column_stack([ok for _, ok in checks])).tolist()  # row, then column
+    i, j = bad[0] if bad else (len(row) - 1, 0)
+    if bad or len(row) < m:  # a wrong row, or too few
+        raise ValidationError(f"{side}:{_line_of(side, i) if i >= 0 else 1}: {checks[j][0]}")
+    chains.step_sizes, chains.accept_stats, chains.divergences = step, accept, div.astype(int)
+    return chains
 
 
 def write_summary_csv(path, summary) -> None:
@@ -360,7 +367,8 @@ SETTINGS = {
                           "number of chains"),
         "warmup": Setting(1000, int, lambda v: _number(v, int) and v >= 0, "an integer >= 0",
                           "warmup iterations per chain"),
-        "samples": Setting(1000, int, lambda v: _number(v, int) and v >= 1, "an integer >= 1",
+        # the split-chain PSRF needs 4 draws per chain
+        "samples": Setting(1000, int, lambda v: _number(v, int) and v >= 4, "an integer >= 4",
                            "retained draws per chain"),
         "max_tree_depth": Setting(10, int, lambda v: _number(v, int) and v >= 1,
                                   "an integer >= 1", "maximum NUTS tree depth"),

@@ -91,9 +91,11 @@ def fit_channel(records, channel: str, priors, smp: dict, seed: int):
 
 
 def fit_files(chains, channel: str):
-    """A fit's draws and summary files, each (name, writer, object), and why it is not converged."""
-    summary = summarize(chains)
-    return ([(f"draws_{channel}.csv", tio.write_draws, chains),
+    """A fit's draws, their sidecar and summary files, each (name, writer,
+    object), and why it is not converged."""
+    summary, draws = summarize(chains), f"draws_{channel}.csv"
+    return ([(draws, tio.write_draws_csv, chains),
+             (tio.chains_path(draws).name, tio.write_chain_stats, chains),
              (f"summary_{channel}.csv", tio.write_summary_csv, summary)],
             not_converged(chains, summary, channel))
 

@@ -43,7 +43,7 @@ class ChainSet:
     n_warmup: int
     n_retained: int
     seed: int
-    # None where the draws come from a file that does not record them (CSV)
+    # None where the draws come from a draws CSV without its sidecar (io.read_draws)
     accept_stats: np.ndarray | None = None  # mean acceptance probability per chain
     divergences: np.ndarray | None = None   # post-warmup divergence count per chain
     step_sizes: np.ndarray | None = None    # adapted step size per chain

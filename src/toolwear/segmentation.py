@@ -104,9 +104,8 @@ def binary_segmentation(
         raise InvalidDataError("min_seg_len must be >= 2")
     n = len(x)
     if n < 2 * min_seg_len:
-        raise InsufficientDataError(
-            f"trace of {n} samples is too short for min_seg_len={min_seg_len}"
-        )
+        raise InsufficientDataError(f"trace of {n} samples is too short for "
+                                    f"min_seg_len={min_seg_len}")
     if penalty is None:
         penalty = default_penalty(x)
     if penalty < 0:
@@ -155,19 +154,10 @@ def extract_contact_phases(
     """
     if seg.n_samples != trace.n_samples:
         raise InvalidDataError("segmentation does not match trace length")
-    keep = [
-        (lo, hi)
-        for (lo, hi), mean in zip(seg.segments(), seg.segment_means)
-        if mean > contact_threshold
-    ]
+    keep = [(lo, hi) for (lo, hi), mean in zip(seg.segments(), seg.segment_means)
+            if mean > contact_threshold]
     if not keep:
-        raise EmptyContactError(
-            f"no segment mean exceeds contact threshold {contact_threshold}"
-        )
+        raise EmptyContactError(f"no segment mean exceeds contact threshold {contact_threshold}")
     idx = np.concatenate([np.arange(lo, hi) for lo, hi in keep])
-    n = len(idx)
-    length = trace.length_per_sample * np.arange(1, n + 1)
-    return ExperimentSeries(
-        length=length,
-        forces={k: v[idx] for k, v in trace.forces.items()},
-    )
+    return ExperimentSeries(length=trace.length_per_sample * np.arange(1, len(idx) + 1),
+                            forces={k: v[idx] for k, v in trace.forces.items()})

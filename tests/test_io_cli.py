@@ -38,7 +38,15 @@ def make_chainset(rng, m=2, n=25, k=3):
         param_names=[f"p{i}" for i in range(k)],
         n_warmup=10, n_retained=n, seed=0,
         accept_stats=np.full(m, 0.85), divergences=np.zeros(m, dtype=int),
+        step_sizes=np.full(m, 0.25),
     )
+
+
+def write_draws_pair(path, chains):
+    """The draws CSV at ``path`` and its per-chain sidecar, as ``fit`` writes them."""
+    tio.write_draws_csv(path, chains)
+    tio.write_chain_stats(tio.chains_path(path), chains)
+    return str(path)
 
 
 class TestControlsIO:
@@ -122,15 +130,18 @@ class TestDrawsIO:
         assert np.array_equal(back.draws, chains.draws)
         assert back.param_names == chains.param_names
 
-    def test_npz_roundtrip(self, tmp_path):
+    def test_csv_pair_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         chains = make_chainset(rng, m=3, n=17, k=5)
-        path = tmp_path / "d.npz"
-        tio.write_draws_npz(path, chains)
-        back = tio.read_draws_npz(path)
+        chains.divergences, chains.accept_stats = np.array([0, 4, 17]), np.array([0.0, 0.6, 1.0])
+        write_draws_pair(tmp_path / "d.csv", chains)
+        assert tio.chains_path(tmp_path / "d.csv") == tmp_path / "d.chains.csv"
+        back = tio.read_draws(tmp_path / "d.csv")
         assert np.array_equal(back.draws, chains.draws)
         assert back.param_names == chains.param_names
-        assert np.array_equal(back.divergences, chains.divergences)
+        for stat in ("step_sizes", "accept_stats", "divergences"):
+            assert np.array_equal(getattr(back, stat), getattr(chains, stat)), stat
+        assert back.divergences.dtype.kind == "i"
 
     def test_fmt_roundtrips_floats(self):
         rng = np.random.default_rng(11)
@@ -166,7 +177,8 @@ class TestTables:
         written = sorted(tmp_path.rglob("*.csv"))
         names = {p.name for p in written}
         assert {"design.csv", "report.csv", "controls.csv", "trace_1.csv", "series_1.csv",
-                "changepoints.csv", "draws_Ft.csv", "summary_life.csv", "surface_Ft.csv"} <= names
+                "changepoints.csv", "draws_Ft.csv", "draws_Ft.chains.csv", "summary_life.csv",
+                "surface_Ft.csv"} <= names
         assert [p for p in written if not crlf_table(p)] == []
 
     def test_controls_round_trip(self, tmp_path):
@@ -178,12 +190,16 @@ class TestTables:
             [(r.id, r.v_c, r.f, r.tool_life) for r in records]
 
     def test_csv_draws_record_no_sampler_statistics(self, tmp_path):
-        tio.write_draws_csv(tmp_path / "d.csv", make_chainset(np.random.default_rng(2)))
-        back = tio.read_draws_csv(tmp_path / "d.csv")
+        """The draws CSV alone records no statistics: without its sidecar they read
+        as not recorded, and ``read_draws_csv`` never reads the sidecar."""
+        chains = make_chainset(np.random.default_rng(2))
+        tio.write_draws_csv(tmp_path / "d.csv", chains)
+        assert not tio.chains_path(tmp_path / "d.csv").exists()
         stats = ("step_sizes", "accept_stats", "divergences")
+        back = tio.read_draws(tmp_path / "d.csv")
         assert [getattr(back, k) for k in stats] == [None] * 3
-        tio.write_draws_npz(tmp_path / "d.npz", back)
-        again = tio.read_draws_npz(tmp_path / "d.npz")
+        write_draws_pair(tmp_path / "d.csv", chains)
+        again = tio.read_draws_csv(tmp_path / "d.csv")
         assert [getattr(again, k) for k in stats] == [None] * 3
         assert np.array_equal(again.draws, back.draws)
 
@@ -313,31 +329,33 @@ class TestNumericReader:
 @PROPERTY
 @given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 4), st.data())
 def test_draws_round_trip_what_each_format_records(tmp_path, m, n, k, data):
-    """npz gives back the draws, names, warmup length, seed and every per-chain
-    statistic; CSV gives back the draws and names and records no statistics."""
-    def floats(size):
-        return np.array(data.draw(st.lists(FINITE, min_size=size, max_size=size)))
+    """The draws CSV with its sidecar gives back the draws, names and every
+    per-chain statistic; the draws CSV alone gives back the draws and names and
+    records no statistics."""
+    def floats(size, values=FINITE):
+        return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
 
     name = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}(\[[1-9][0-9]?\])?", fullmatch=True)
     names = data.draw(st.lists(name, min_size=k, max_size=k, unique=True))
     chains = ChainSet(
         draws=floats(m * n * k).reshape(m, n, k), param_names=names,
         n_warmup=data.draw(st.integers(0, 10 ** 6)), n_retained=n,
-        seed=data.draw(st.integers(0, 2 ** 32 - 1)), accept_stats=floats(m),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+        accept_stats=floats(m, st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0, 5e-324]))),
         divergences=np.array(data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))),
-        step_sizes=floats(m),
+        step_sizes=floats(m, st.floats(0, exclude_min=True, allow_infinity=False)),
     )
-    tio.write_draws_npz(tmp_path / "d.npz", chains)
-    back = tio.read_draws_npz(tmp_path / "d.npz")
+    write_draws_pair(tmp_path / "d.csv", chains)
+    back = tio.read_draws(tmp_path / "d.csv")
     assert same_bits(back.draws, chains.draws) and back.param_names == names
-    assert (back.n_warmup, back.n_retained, back.seed) == (chains.n_warmup, n, chains.seed)
+    assert back.n_retained == n
     for stat in ("accept_stats", "divergences", "step_sizes"):
         assert same_bits(getattr(back, stat), getattr(chains, stat)), stat
 
-    tio.write_draws_csv(tmp_path / "d.csv", chains)
-    back = tio.read_draws_csv(tmp_path / "d.csv")
+    tio.chains_path(tmp_path / "d.csv").unlink()
+    back = tio.read_draws(tmp_path / "d.csv")
     assert same_bits(back.draws, chains.draws) and back.param_names == names
-    assert back.accept_stats is None and back.divergences is None
+    assert back.accept_stats is None and back.divergences is None and back.step_sizes is None
 
 
 class TestRunConfig:
@@ -554,7 +572,7 @@ class TestCli:
     def test_subcommands_write_what_run_writes(self, tmp_path):
         """``segment``, ``fit`` and ``predict`` run ``run``'s stages: with its seed and
         sampler settings they write its series, draws, summaries and surfaces byte for
-        byte, the life GP's on the rows that have a tool life."""
+        byte, the draws' sidecars too, the life GP's on the rows that have a tool life."""
         data = tmp_path / "data"
         main(["simulate", "--output-dir", str(data), "--raw", "--n-experiments", "5",
               "--n-points", "100", "--seed", "2"])
@@ -584,8 +602,8 @@ class TestCli:
             assert main(["predict", "--draws", str(draws), "--controls", str(controls),
                          "--channel", channel,
                          "-o", str(mine / f"surface_{channel}.csv")]) == 0
-            for kind in ("draws", "summary", "surface"):
-                name = f"{kind}_{channel}.csv"
+            for name in (f"draws_{channel}.csv", f"draws_{channel}.chains.csv",
+                         f"summary_{channel}.csv", f"surface_{channel}.csv"):
                 assert (mine / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_run_manifest_does_not_depend_on_location(self, tmp_path):
@@ -630,15 +648,17 @@ class TestCli:
         assert f"{path}{what}" in err and "internal error" not in err
 
     def test_diagnose_reports_divergences_only_where_recorded(self, tmp_path, capsys):
+        """Draws with their sidecar report each chain's divergences; draws alone say
+        they are not recorded."""
         chains = make_chainset(np.random.default_rng(4))
         chains.divergences = np.array([0, 3])
-        tio.write_draws_csv(tmp_path / "d.csv", chains)
-        tio.write_draws_npz(tmp_path / "d.npz", chains)
-        for name in ("d.csv", "d.npz"):
+        tio.write_draws_csv(tmp_path / "alone.csv", chains)
+        write_draws_pair(tmp_path / "pair.csv", chains)
+        for name in ("alone.csv", "pair.csv"):
             assert main(["diagnose", "--draws", str(tmp_path / name), "--threshold", "100"]) == 0
-        csv_out, npz_out = capsys.readouterr().out.split("converged")[:2]
-        assert "divergences: not recorded in this draws file" in csv_out
-        assert "divergences: [0, 3]" in npz_out
+        alone_out, pair_out = capsys.readouterr().out.split("converged")[:2]
+        assert "divergences: not recorded in this draws file" in alone_out
+        assert "divergences: [0, 3]" in pair_out
 
     def test_segment_leaves_a_run_report_alone(self, tmp_path, monkeypatch):
         """``segment``'s default report name is not ``run``'s: in a ``run``
@@ -663,13 +683,13 @@ class TestCli:
     def test_fit_diagnose_and_run_judge_divergences_alike(self, tmp_path, capsys, monkeypatch,
                                                           channel):
         """Draws whose PSRF passes but whose retained transitions are 30% divergent
-        are not converged for ``fit``, ``diagnose`` on their npz file and ``run``,
-        for a force channel and for the life GP alike."""
+        are not converged for ``fit``, ``run`` and ``diagnose`` on the draws either
+        wrote, for a force channel and for the life GP alike."""
         def divergent(names, seed):
             draws = 1.0 + 0.01 * np.random.default_rng(0).normal(size=(2, 200, len(names)))
             return ChainSet(draws=draws, param_names=list(names), n_warmup=0, n_retained=200,
                             seed=seed, accept_stats=np.full(2, 0.8),
-                            divergences=np.array([50, 70]))
+                            divergences=np.array([50, 70]), step_sizes=np.full(2, 0.3))
 
         monkeypatch.setattr(pipeline, "run_chains",
                             lambda model, seed, **kw: divergent(model.param_names, seed))
@@ -683,35 +703,47 @@ class TestCli:
             "channels: [Ft]" if channel == "Ft" else "channels: []",
             f"fit_tool_life: {'true' if channel == 'life' else 'false'}",
         ]))
-        draws = tmp_path / "d.npz"
+        draws, run_draws = tmp_path / "d.csv", tmp_path / "out" / f"draws_{channel}.csv"
         capsys.readouterr()
         assert main(["fit", "--controls", str(data / "controls.csv"), "--series-dir", str(data),
                      "--channel", channel, "--draws-out", str(draws),
                      "--summary-out", str(tmp_path / "s.csv")]) == 2
         assert main(["diagnose", "--draws", str(draws)]) == 2
         assert main(["run", "--config", cfg]) == 2
+        assert main(["diagnose", "--draws", str(run_draws)]) == 2
         out = capsys.readouterr()
         warning = f"divergence rate 30.0% for {channel}"
         assert out.err.splitlines() == [f"warning: {warning}",
                                         f"warning: divergence rate 30.0% for {draws}",
-                                        f"warning: {warning}"]
+                                        f"warning: {warning}",
+                                        f"warning: divergence rate 30.0% for {run_draws}"]
         assert "converged: all PSRF" not in out.out
+        assert out.out.count("divergences: [50, 70]") == 2
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["warnings"] == [warning]
         assert manifest["stages"][-2:] == [f"fit:{channel}", f"predict:{channel}"]
 
-    def test_draws_out_suffix_picks_the_draws_format(self, tmp_path, capsys):
+    def test_fit_writes_the_chain_sidecar_beside_the_draws(self, tmp_path, capsys):
+        """``fit --draws-out d.csv`` writes the per-chain statistics to d.chains.csv,
+        from which ``read_draws`` gives back the statistics of the fit."""
         data = tmp_path / "data"
         main(["simulate", "--output-dir", str(data), "--n-experiments", "3",
               "--n-points", "20", "--seed", "6"])
         fit = ["fit", "--controls", str(data / "controls.csv"), "--channel", "life",
                "--chains", "2", "--warmup", "20", "--samples", "10",
                "--summary-out", str(tmp_path / "s.csv")]
-        assert main([*fit, "--draws-out", str(tmp_path / "d.npz")]) in (0, 2)
-        assert tio.read_draws_npz(tmp_path / "d.npz").divergences is not None
-        assert main([*fit, "--format", "csv", "--draws-out", str(tmp_path / "d.csv")]) == 1
+        capsys.readouterr()
+        assert main([*fit, "--draws-out", str(tmp_path / "d.csv")]) in (0, 2)
+        side = tmp_path / "d.chains.csv"
+        out = capsys.readouterr().out
+        assert f"wrote {side}" in out
+        assert side.read_bytes().startswith(b"chain,step_size,accept_stat,divergences\r\n")
+        back = tio.read_draws(tmp_path / "d.csv")
+        assert f"divergences {back.divergences.tolist()}" in out
+        assert back.step_sizes.shape == back.accept_stats.shape == (2,)
+        assert main([*fit, "--format", "csv", "--draws-out", str(tmp_path / "e.csv")]) == 1
         assert "unrecognized arguments: --format" in capsys.readouterr().err
-        assert not (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("command, section, defaults", [
         (["segment", "--trace", "t.csv"], "segmentation",
@@ -756,7 +788,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["failed_stage"] is None
         assert "fit:Ft" in manifest["stages"]
-        assert "draws_Ft.csv" in manifest["artifacts"]
+        assert {"draws_Ft.csv", "draws_Ft.chains.csv"} <= set(manifest["artifacts"])
 
     def test_run_config_override(self, tmp_path):
         data = tmp_path / "data"
@@ -878,6 +910,54 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{draws}:{line}: {what}" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("rows, line, what", [
+        (["chain,step,accept_stat,divergences", "0,0.5,0.8,0", "1,0.5,0.8,0"], 1,
+         "expected header chain,step_size,accept_stat,divergences"),
+        (["chain,step_size,accept_stat,divergences", "1,0.5,0.8,0", "0,0.5,0.8,0"], 2,
+         "expected one row per chain of the draws, chains 0 to 1 in order"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,0"], 2,
+         "expected one row per chain of the draws, chains 0 to 1 in order"),
+        (["chain,step_size,accept_stat,divergences"], 1,
+         "expected one row per chain of the draws, chains 0 to 1 in order"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,0", "1,0.5,0.8,0",
+          "2,0.5,0.8,0"], 4, "expected one row per chain of the draws, chains 0 to 1 in order"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,0", "", "1,0.5,0.8,1.5"], 4,
+         "divergences must be an integer from 0 to 10"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,11", "1,0.5,0.8,0"], 2,
+         "divergences must be an integer from 0 to 10"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,0", "1,0.5,0.8,-1"], 3,
+         "divergences must be an integer from 0 to 10"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,1.5,0", "1,0.5,0.8,0"], 2,
+         "accept_stat must be between 0 and 1"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,0", "1,0.5,nan,0"], 3,
+         "accept_stat must be between 0 and 1"),
+        (["chain,step_size,accept_stat,divergences", "0,0,0.8,0", "1,0.5,0.8,0"], 2,
+         "step_size must be finite and above 0"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,0", "1,inf,-1,9"], 3,
+         "step_size must be finite and above 0"),
+        (["chain,step_size,accept_stat,divergences", "0,0.5,0.8,0", "1,0.5,0.8"], 3,
+         "malformed row"),
+    ], ids=["header", "order", "too-few", "none", "too-many", "fractional-divergences",
+            "too-many-divergences", "negative-divergences", "accept-above-1", "accept-nan",
+            "zero-step", "infinite-step-first", "short-row"])
+    @pytest.mark.parametrize("command", ["diagnose", "predict"])
+    def test_bad_chain_sidecar_exits_1_naming_line(self, tmp_path, capsys, rows, line, what,
+                                                   command):
+        """The sidecar beside a draws file is checked against them, each fault
+        naming its file line: the header, one row per chain in chain order, and
+        each statistic in its range."""
+        files = TestCli().mismatch_inputs(tmp_path)
+        draws = tmp_path / "d.csv"
+        tio.write_draws_csv(draws, tio.read_draws_csv(files["life"]))  # 2 chains of 10
+        side = write(tio.chains_path(draws), "\r\n".join(rows) + "\r\n")
+        argv = {"diagnose": ["diagnose", "--draws", str(draws)],
+                "predict": ["predict", "--draws", str(draws), "--controls", files["controls6"],
+                            "--channel", "life", "-o", str(tmp_path / "surface.csv")]}[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{side}:{line}: {what}" in err and "internal error" not in err
+        assert not (tmp_path / "surface.csv").exists()
+
     @pytest.mark.parametrize("argv, text, what", [
         (["fit", "--channel", "life", "--warmup", "5", "--samples", "5", "--controls"],
          "id,v_c,f,tool_life\n1,20,20,200\n2,40,35,nan\n3,60,50,12\n",
@@ -899,17 +979,22 @@ class TestExitCodes:
         assert what.format(path=path) in err and "internal error" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["controls.csv"]
 
+    # The draws CSV reader refuses non-finite values itself
+    # (test_malformed_draws_exit_1_naming_line); the None case hands predict draws that
+    # hold an infinite slope already in memory, so surface()'s own check must exit 1.
     @pytest.mark.parametrize("grid, what", [
+        (None, "draws hold non-finite values"),  # an infinite slope in draws in memory
         ("nan:50:5,25:45:5", "grid bounds must be finite"),
-        (None, "draws hold non-finite values"),  # an infinite slope in npz draws
+        ("20:inf:5,25:45:5", "grid bounds must be finite"),
     ])
-    def test_predict_non_finite_input_exits_1(self, tmp_path, capsys, grid, what):
+    def test_predict_non_finite_input_exits_1(self, tmp_path, capsys, monkeypatch, grid, what):
         files = TestCli().mismatch_inputs(tmp_path)
-        draws = tio.read_draws_csv(files["force"])
-        draws.draws[1, 3, draws.param_names.index("beta[2]")] = math.inf
-        tio.write_draws_npz(tmp_path / "draws_Ft.npz", draws)
-        argv = ["predict", "--draws", files["force"] if grid else str(tmp_path / "draws_Ft.npz"),
-                "--controls", files["controls6"], "-o", str(tmp_path / "surface.csv")]
+        if grid is None:
+            draws = tio.read_draws(files["force"])
+            draws.draws[1, 3, draws.param_names.index("beta[2]")] = math.inf
+            monkeypatch.setattr(tio, "read_draws", lambda path: draws)
+        argv = ["predict", "--draws", files["force"], "--controls", files["controls6"],
+                "-o", str(tmp_path / "surface.csv")]
         assert main(argv + (["--grid", grid] if grid else [])) == 1
         err = capsys.readouterr().err
         assert what in err and "internal error" not in err
@@ -942,7 +1027,7 @@ class TestExitCodes:
         ("sampler={chains: x}", "sampler chains must be an integer >= 2, got 'x'"),
         ("sampler={chains: 1}", "sampler chains must be an integer >= 2, got 1"),
         ("sampler={chains: true}", "sampler chains must be an integer >= 2, got True"),
-        ("sampler={samples: 0}", "sampler samples must be an integer >= 1"),
+        ("sampler={samples: 0}", "sampler samples must be an integer >= 4"),
         ("sampler={warmup: -3}", "sampler warmup must be an integer >= 0"),
         ("sampler={max_tree_depth: 0}", "sampler max_tree_depth must be an integer >= 1"),
         ("sampler={target_accept: 1.5}", "sampler target_accept must be a number between"),
@@ -950,6 +1035,7 @@ class TestExitCodes:
         ("segmentation={min_seg_len: 2.5}", "segmentation min_seg_len must be an integer >= 2"),
         ("segmentation={threshold: .inf}", "segmentation threshold must be a finite number"),
         ("segmentation={length_per_sample: 0}", "segmentation length_per_sample must be"),
+        ("sampler={samples: 3}", "sampler samples must be an integer >= 4, got 3"),
     ])
     def test_run_overrides_are_validated(self, tmp_path, capsys, override, what):
         """``--set`` values are checked as the config file's are, before any stage runs."""
@@ -962,10 +1048,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("option, what", [
         (["--chains", "1"], "sampler chains must be an integer >= 2, got 1"),
-        (["--samples", "0"], "sampler samples must be an integer >= 1, got 0"),
+        (["--samples", "0"], "sampler samples must be an integer >= 4, got 0"),
         (["--warmup=-3"], "sampler warmup must be an integer >= 0, got -3"),
         (["--max-tree-depth=-1"], "sampler max_tree_depth must be an integer >= 1, got -1"),
         (["--target-accept", "1.5"], "sampler target_accept must be a number between 0 and 1"),
+        (["--samples", "3"], "sampler samples must be an integer >= 4, got 3"),  # split PSRF
     ])
     def test_fit_sampler_options_are_checked(self, tmp_path, capsys, option, what):
         """``fit`` checks its sampler options as a run config's ``sampler`` section."""
@@ -1076,12 +1163,10 @@ class TestExitCodes:
         assert f"{priors}: invalid YAML" in err and "internal error" not in err
         assert not (tmp_path / "d.csv").exists()
 
-    def test_npz_without_draws_exits_1(self, tmp_path, capsys):
+    def test_draws_without_iterations_exits_1(self, tmp_path, capsys):
         files = TestCli().mismatch_inputs(tmp_path)
-        draws = tmp_path / "draws_life.npz"
-        tio.write_draws_npz(draws, ChainSet(
-            draws=np.empty((2, 0, 5)), param_names=ToolLifeModel.param_names, n_warmup=0,
-            n_retained=0, seed=0, accept_stats=np.ones(2), divergences=np.zeros(2, dtype=int)))
+        draws = write(tmp_path / "draws_life.csv",
+                      ",".join(["chain", "iteration", *ToolLifeModel.param_names]) + "\n")
         assert main(["predict", "--draws", str(draws), "--controls", files["controls6"],
                      "--channel", "life", "-o", str(tmp_path / "surface.csv")]) == 1
         err = capsys.readouterr().err
@@ -1090,11 +1175,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("suffix", [".csv", ".npz"])
     @pytest.mark.parametrize("command", ["diagnose", "predict"])
     def test_repeated_parameter_column_exits_1(self, tmp_path, capsys, suffix, command):
-        """Draws that name a parameter twice are refused, not read by one copy."""
+        """Draws that name a parameter twice are refused, not read by one copy. A
+        draws file is CSV whatever its name: no suffix picks another format."""
         files = TestCli().mismatch_inputs(tmp_path)
         chains = tio.read_draws_csv(files["life"])
         draws = tmp_path / f"repeated{suffix}"
-        tio.write_draws(draws, replace(
+        tio.write_draws_csv(draws, replace(
             chains, draws=np.concatenate([chains.draws, chains.draws[:, :, 2:3]], axis=2),
             param_names=[*chains.param_names, "rho1"]))
         argv = {"diagnose": ["diagnose", "--draws", str(draws)],
@@ -1160,7 +1246,8 @@ class TestParallelChains:
             monkeypatch.setattr(sampler, "_worker_count", lambda n_chains: n)
             code, draws, summary = self.fit(data, tmp_path, n)
             assert code in (0, 2)
-            files.append((draws.read_bytes(), summary.read_bytes()))
+            files.append((draws.read_bytes(), tio.chains_path(draws).read_bytes(),
+                          summary.read_bytes()))
         assert files[0] == files[1]
 
     def test_run_manifest_does_not_depend_on_workers(self, tmp_path, monkeypatch, data):

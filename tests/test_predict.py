@@ -452,16 +452,18 @@ class TestClosedFormSurfaces:
             assert one == (tmp_path / f"t2_{channel}.csv").read_bytes()
 
     def test_independent_of_seed_and_storage(self, tmp_path):
-        """Seed, CSV round-trip (which resets the seed) and npz give one surface."""
+        """Seed, and a CSV round-trip (which resets the seed) with and without the
+        per-chain sidecar, give one surface."""
         train, life, force, life_chains = self.inputs(65)
 
         def variants(chains, name):
             yield replace(chains, seed=chains.seed + 1)
-            for ext, write, read in ((".csv", tio.write_draws_csv, tio.read_draws_csv),
-                                     (".npz", tio.write_draws_npz, tio.read_draws_npz)):
-                path = tmp_path / (name + ext)
-                write(path, chains)
-                yield read(path)
+            path = tmp_path / f"{name}.csv"
+            tio.write_draws_csv(path, chains)
+            yield tio.read_draws(path)
+            tio.write_chain_stats(tio.chains_path(path),
+                                  replace(chains, step_sizes=np.full(chains.n_chains, 0.5)))
+            yield tio.read_draws(path)
 
         for chains, name, make in (
                 (force, "force", lambda c: surface(c, train)),

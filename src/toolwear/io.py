@@ -225,7 +225,9 @@ def load_taylor(path):
 
 def write_draws_csv(path, chains: ChainSet) -> None:
     """Draws table: chain,iteration and one column per parameter, chain by
-    chain. The per-chain statistics go in a sidecar (:func:`write_chain_stats`)."""
+    chain. The per-chain statistics go in a sidecar (:func:`write_chain_stats`);
+    an older sidecar of ``path`` is removed, since it describes other draws."""
+    chains_path(path).unlink(missing_ok=True)
     _write_rows(path, ["chain", "iteration", *chains.param_names],
                 ([c, it, *row] for c in range(chains.n_chains)
                  for it, row in enumerate(_floats(chains.draws[c]))))

@@ -7,11 +7,13 @@ during a windowed warmup (step-size phase, growing mass-matrix windows,
 final step-size phase). A transition is flagged divergent when the energy
 error exceeds :data:`DIVERGENCE_THRESHOLD`.
 
-The inverse mass matrix is a diagonal :class:`Metric`. It starts from the
-target's ``initial_metric()`` when the target offers one (the force model's
-least-squares variances), otherwise from the unit diagonal, and each
-mass-matrix window replaces it with the regularized variances of the
-window's draws.
+The inverse mass matrix is diagonal, held as the array ``inv_mass`` of its
+diagonal: the drift moves by ``step * inv_mass * p``, the velocity is
+``inv_mass * p`` and the momenta are drawn with standard deviations
+``1 / sqrt(inv_mass)``. It starts from the target's ``initial_metric()`` when
+the target offers one (the force model's least-squares variances), otherwise
+from the unit diagonal, and each mass-matrix window replaces it with the
+regularized variances of the window's draws (:func:`_window_inv_mass`).
 
 Each doubling builds its subtree leaf by leaf in a loop, without recursion.
 :func:`_merge` is the one place where two subtrees join: it draws the
@@ -57,53 +59,30 @@ class ChainSet:
         return self.draws.reshape(-1, self.draws.shape[2])
 
 
-class Metric:
-    """The inverse mass matrix, diagonal: ``inv_mass``.
-
-    It draws the momenta, gives the velocity M^-1 p that the drift and the
-    U-turn check take and the kinetic energy, and makes the next metric from
-    a mass-matrix window's draws.
-    """
-
-    def __init__(self, inv_mass):
-        self.inv_mass = np.asarray(inv_mass, dtype=float)
-        self._sd = np.sqrt(self.inv_mass)
-
-    def momentum(self, rng):
-        """A momentum draw, p ~ N(0, M)."""
-        return rng.standard_normal(self.inv_mass.shape) / self._sd
-
-    def velocity(self, p):
-        """M^-1 p."""
-        return self.inv_mass * p
-
-    def drift(self, x, p, step):
-        """x + step M^-1 p, multiplying ``step * inv_mass`` first."""
-        return x + step * self.inv_mass * p
-
-    def kinetic(self, p):
-        """p' M^-1 p / 2."""
-        return 0.5 * float((p * p * self.inv_mass).sum())
-
-    def from_window(self, draws):
-        """The metric of a mass-matrix window's ``draws``, shape (n, dim): their
-        variances shrunk by n / (n + 5), plus 5e-3 / (n + 5)."""
-        n = len(draws)
-        var = np.var(np.asarray(draws), axis=0, ddof=1)
-        return Metric((n / (n + 5.0)) * var + (5.0 / (n + 5.0)) * 1e-3)
+def _kinetic(p, inv_mass):
+    """The kinetic energy p' M^-1 p / 2."""
+    return 0.5 * float((p * p * inv_mass).sum())
 
 
-def leapfrog(x, p, grad, step, logp_grad_fn, metric):
+def _window_inv_mass(draws):
+    """The inverse mass of a mass-matrix window's ``draws``, shape (n, dim):
+    their variances shrunk by n / (n + 5), plus 5e-3 / (n + 5)."""
+    n = len(draws)
+    var = np.var(np.asarray(draws), axis=0, ddof=1)
+    return (n / (n + 5.0)) * var + (5.0 / (n + 5.0)) * 1e-3
+
+
+def leapfrog(x, p, grad, step, logp_grad_fn, inv_mass):
     """One symplectic leapfrog step: half kick, full drift, half kick.
 
     ``grad`` is the log-density gradient at ``x``, so each step evaluates
-    ``logp_grad_fn`` once; the drift moves by ``step`` times the velocity
-    M^-1 p of ``metric``. Returns ``(x, p, logp, grad)`` at the new state. A
-    covariance that cannot be factored there reads as ``logp = -inf`` with a
-    zero gradient, which the caller counts as a divergence.
+    ``logp_grad_fn`` once; the drift moves by ``step * inv_mass * p``, in that
+    order. Returns ``(x, p, logp, grad)`` at the new state. A covariance that
+    cannot be factored there reads as ``logp = -inf`` with a zero gradient,
+    which the caller counts as a divergence.
     """
     p = p + 0.5 * step * grad
-    x = metric.drift(x, p, step)
+    x = x + step * inv_mass * p
     try:
         logp, grad = logp_grad_fn(x)
     except NotPositiveDefiniteError:
@@ -162,9 +141,10 @@ def _merge(first, second, direction, rng):
     return first
 
 
-def nuts_transition(position, logp_grad_fn, step_size, rng,
-                    metric=None, max_tree_depth=10, logp0=None, grad0=None):
-    """One NUTS transition from ``position``.
+def nuts_transition(position, logp_grad_fn, step_size, rng, inv_mass, max_tree_depth,
+                    logp0, grad0):
+    """One NUTS transition from ``position``, where the log density and its
+    gradient are ``logp0`` and ``grad0``.
 
     Returns ``(new_position, stats)`` where stats holds the mean acceptance
     probability, divergence flag, tree depth, leapfrog count, and cached
@@ -174,17 +154,13 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
     holds its finished left halves, so merges run in the order of a
     recursive build; a subtree that turns or diverges is merged into every
     half still on the stack, and ends the doubling without joining the
-    trajectory. ``metric`` defaults to the unit diagonal.
+    trajectory.
     """
     x0 = np.asarray(position, dtype=float)
-    if metric is None:
-        metric = Metric(np.ones_like(x0))
-    if logp0 is None or grad0 is None:
-        logp0, grad0 = logp_grad_fn(x0)
-    p0 = metric.momentum(rng)
-    h0 = -logp0 + metric.kinetic(p0)
+    p0 = rng.standard_normal(inv_mass.shape) / np.sqrt(inv_mass)
+    h0 = -logp0 + _kinetic(p0, inv_mass)
     # weight exp(-(h0 - h0)) = 1
-    traj = _Tree(x0, p0, metric.velocity(p0), logp0, grad0, 0.0, 0.0, 0, False)
+    traj = _Tree(x0, p0, inv_mass * p0, logp0, grad0, 0.0, 0.0, 0, False)
     depth = 0
 
     while depth < max(max_tree_depth, 1):
@@ -192,12 +168,12 @@ def nuts_transition(position, logp_grad_fn, step_size, rng,
         x, p, g, _ = traj.hi if direction > 0 else traj.lo
         halves = []
         for leaf in range(1 << depth):
-            x, p, logp, g = leapfrog(x, p, g, direction * step_size, logp_grad_fn, metric)
+            x, p, logp, g = leapfrog(x, p, g, direction * step_size, logp_grad_fn, inv_mass)
             finite = math.isfinite(logp) and np.isfinite(x).all()
-            h = -logp + metric.kinetic(p) if finite else math.inf
+            h = -logp + _kinetic(p, inv_mass) if finite else math.inf
             delta = h - h0
             log_weight = -delta if math.isfinite(delta) else -math.inf
-            sub = _Tree(x, p, metric.velocity(p), logp, g, log_weight,
+            sub = _Tree(x, p, inv_mass * p, logp, g, log_weight,
                         math.exp(min(0.0, log_weight)), 1,
                         not math.isfinite(h) or delta > DIVERGENCE_THRESHOLD)
             # an odd leaf index closes a left half; a failed subtree closes them all
@@ -266,21 +242,18 @@ class DualAveraging:
         return math.exp(self.log_step_bar)
 
 
-def find_reasonable_step_size(logp_grad_fn, x0, rng, metric,
-                              logp0=None, grad0=None) -> float:
+def find_reasonable_step_size(logp_grad_fn, x0, rng, inv_mass, logp0, grad0) -> float:
     """Double/halve the step size until the one-step acceptance crosses 1/2.
 
-    ``logp0``/``grad0``, when given, are the density and gradient at ``x0``.
+    ``logp0``/``grad0`` are the density and gradient at ``x0``.
     """
     eps = 1.0
-    if logp0 is None or grad0 is None:
-        logp0, grad0 = logp_grad_fn(x0)
-    p0 = metric.momentum(rng)
-    h0 = -logp0 + metric.kinetic(p0)
+    p0 = rng.standard_normal(inv_mass.shape) / np.sqrt(inv_mass)
+    h0 = -logp0 + _kinetic(p0, inv_mass)
 
     def energy_after(eps):
-        _, p, logp, _ = leapfrog(x0, p0, grad0, eps, logp_grad_fn, metric)
-        return -logp + metric.kinetic(p) if math.isfinite(logp) else math.inf
+        _, p, logp, _ = leapfrog(x0, p0, grad0, eps, logp_grad_fn, inv_mass)
+        return -logp + _kinetic(p, inv_mass) if math.isfinite(logp) else math.inf
 
     delta = energy_after(eps) - h0
     direction = 1 if delta < math.log(2.0) else -1
@@ -293,9 +266,10 @@ def find_reasonable_step_size(logp_grad_fn, x0, rng, metric,
     return eps
 
 
-def _warmup_schedule(n_warmup, init_buffer=75, term_buffer=50, base_window=25):
+def _warmup_schedule(n_warmup):
     """(end of the step-size-only phase, ends of the mass-matrix windows); the
     last window ends where the final step-size-only phase starts."""
+    init_buffer, term_buffer, base_window = 75, 50, 25
     if n_warmup < init_buffer + term_buffer + base_window:
         init_buffer = max(1, int(0.15 * n_warmup))
         term_buffer = max(1, int(0.10 * n_warmup))
@@ -317,16 +291,16 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
     Returns ``(draws, accept_stat, divergences, step_size)``: the retained
     draws on the constrained scale, shape (n_samples, n_params), their mean
     acceptance probability, their divergence count and the adapted step size.
-    The metric starts from the inverse mass ``target.initial_metric()``
-    returns, or from the unit diagonal where the target has no such method.
+    The inverse mass starts from ``target.initial_metric()``, or from the
+    unit diagonal where the target has no such method.
     """
     constrain = getattr(target, "constrain", lambda u: u)
     initial_metric = getattr(target, "initial_metric", None)
     rng = np.random.default_rng(seed_seq)
     x = rng.uniform(-INIT_RADIUS, INIT_RADIUS, target.dim)
     logp, grad = target.logp_grad(x)
-    metric = Metric(initial_metric() if initial_metric else np.ones(target.dim))
-    eps = find_reasonable_step_size(target.logp_grad, x, rng, metric, logp, grad)
+    inv_mass = initial_metric() if initial_metric else np.ones(target.dim)
+    eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass, logp, grad)
     da = DualAveraging(eps, target_accept)
     init_buffer, window_ends = _warmup_schedule(n_warmup) if n_warmup > 0 else (0, [])
     window_draws = []
@@ -337,9 +311,8 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
     for it in range(n_warmup + n_samples):
         if it == n_warmup > 0:
             eps = da.adapted_step_size
-        x, stats = nuts_transition(x, target.logp_grad, eps, rng,
-                                   metric=metric, max_tree_depth=max_tree_depth,
-                                   logp0=logp, grad0=grad)
+        x, stats = nuts_transition(x, target.logp_grad, eps, rng, inv_mass,
+                                   max_tree_depth, logp, grad)
         logp, grad = stats["logp"], stats["grad"]
         if it >= n_warmup:
             accept_sum += stats["accept_prob"]
@@ -352,8 +325,8 @@ def _run_chain(seed_seq, target, n_warmup, n_samples, max_tree_depth, target_acc
         if window_ends and it + 1 == window_ends[0]:
             window_ends.pop(0)
             if len(window_draws) >= 10:
-                metric = metric.from_window(window_draws)
-                eps = find_reasonable_step_size(target.logp_grad, x, rng, metric,
+                inv_mass = _window_inv_mass(window_draws)
+                eps = find_reasonable_step_size(target.logp_grad, x, rng, inv_mass,
                                                 logp, grad)
                 da = DualAveraging(eps, target_accept)
             window_draws = []
@@ -427,8 +400,9 @@ def run_chains(
     """
     if n_chains < 2:
         raise SamplingError("need at least 2 chains (convergence diagnostics require it)")
-    if n_samples < 1:
-        raise SamplingError("n_samples must be >= 1")
+    if n_samples < 4:  # the rule of io.SETTINGS["sampler"]["samples"]
+        raise SamplingError("n_samples must be >= 4, as the sampler's samples setting "
+                            "requires: the split-chain PSRF needs 4 draws per chain")
 
     names = getattr(target, "param_names", [f"u[{i+1}]" for i in range(target.dim)])
     seeds = np.random.SeedSequence(seed).spawn(n_chains)

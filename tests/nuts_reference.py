@@ -7,8 +7,8 @@ asserts that the two agree bit for bit: position, every stats value and the
 generator state after the transition. The oracle keeps its own copy of the
 diagonal leapfrog step as it stood then, so it checks the integrator and its
 float order as well as the tree building, the multinomial draws and the
-U-turn checks. It takes the diagonal inverse mass as an array; the sampler
-under test gets the same diagonal as a ``Metric``.
+U-turn checks. It takes the diagonal inverse mass as an array, as the
+sampler under test does.
 
 The generalized U-turn criterion (Betancourt 2017, arXiv:1701.02434), ROADMAP
 item 3, changes the draws by design. It retires this oracle and its test.

@@ -660,6 +660,18 @@ class TestCli:
         assert "divergences: not recorded in this draws file" in alone_out
         assert "divergences: [0, 3]" in pair_out
 
+    def test_draws_written_alone_drop_an_older_sidecar(self, tmp_path, capsys):
+        """Draws written alone over a pair remove its sidecar, whose statistics
+        belong to the old draws: ``diagnose`` reports them as not recorded."""
+        rng, path = np.random.default_rng(5), tmp_path / "d.csv"
+        old = make_chainset(rng, n=50)
+        old.divergences = np.array([20, 20])
+        write_draws_pair(path, old)
+        tio.write_draws_csv(path, make_chainset(rng, n=50))
+        assert main(["diagnose", "--draws", str(path), "--threshold", "100"]) == 0
+        assert "divergences: not recorded in this draws file" in capsys.readouterr().out
+        assert not tio.chains_path(path).exists()
+
     def test_segment_leaves_a_run_report_alone(self, tmp_path, monkeypatch):
         """``segment``'s default report name is not ``run``'s: in a ``run``
         output directory it leaves ``changepoints.csv`` matching the manifest."""

@@ -9,12 +9,13 @@ from scipy import stats
 
 from gaussian_target import GaussianTarget
 from toolwear import sampler
+from toolwear.diagnostics import summarize
 from toolwear.errors import InvalidDataError, NotPositiveDefiniteError, SamplingError
 from toolwear.model import ForceChannelModel
 from toolwear.predict import fit_tool_life
 from toolwear.sampler import (
     DualAveraging,
-    Metric,
+    _window_inv_mass,
     find_reasonable_step_size,
     leapfrog,
     nuts_transition,
@@ -41,7 +42,7 @@ class TestLeapfrog:
         p = np.array([0.5, 3.0])
         zero = np.zeros_like(q)
         q2, p2, _, _ = leapfrog(q, p, zero, 0.25, lambda x: (0.0, np.zeros_like(x)),
-                                Metric(np.ones_like(q)))
+                                np.ones_like(q))
         assert np.allclose(q2, q + 0.25 * p)
         assert np.allclose(p2, p)
 
@@ -50,7 +51,7 @@ class TestLeapfrog:
         g = std_normal_grad(q)
         h0 = 0.5 * float(q @ q) + 0.5 * float(p @ p)
         for _ in range(1000):
-            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, Metric(np.ones(1)))
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(1))
         h1 = 0.5 * float(q @ q) + 0.5 * float(p @ p)
         assert abs(h1 - h0) < 0.01
 
@@ -59,10 +60,10 @@ class TestLeapfrog:
         q0, p0 = rng.normal(size=(2, 3))
         q, p, g = q0.copy(), p0.copy(), std_normal_grad(q0)
         for _ in range(25):
-            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, Metric(np.ones(3)))
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(3))
         p = -p
         for _ in range(25):
-            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, Metric(np.ones(3)))
+            q, p, _, g = leapfrog(q, p, g, 0.1, std_normal_logp_grad, np.ones(3))
         assert np.allclose(q, q0, atol=1e-12)
         assert np.allclose(-p, p0, atol=1e-12)
 
@@ -73,7 +74,7 @@ class TestLeapfrog:
 
         def step(z):
             q, p, _, _ = leapfrog(z[:2], z[2:], std_normal_grad(z[:2]), eps,
-                                  std_normal_logp_grad, Metric(np.ones(2)))
+                                  std_normal_logp_grad, np.ones(2))
             return np.concatenate([q, p])
 
         for _ in range(10):
@@ -86,19 +87,19 @@ class TestLeapfrog:
 
 
 class TestMetric:
-    """The metric's formulas, as bits, are checked by ``TestNutsOracle`` and
-    ``TestDiagonalDraws``; its window update by its documented formula here."""
+    """The diagonal metric's formulas, as bits, are checked by ``TestNutsOracle``
+    and ``TestDiagonalDraws``; its window update by its documented formula here."""
 
     def test_window_update_shrinks_the_variances(self):
-        """A window's metric is its sample variances shrunk by n / (n + 5),
+        """A window's inverse mass is its sample variances shrunk by n / (n + 5),
         plus 5e-3 / (n + 5): positive even where the draws do not move."""
         rng = np.random.default_rng(39)
         draws = rng.normal(size=(40, 5)) @ rng.normal(size=(5, 5))
         draws[:, 3] = 1.5
-        metric = Metric(np.ones(5)).from_window(draws)
+        inv_mass = _window_inv_mass(draws)
         expected = 40 / 45 * np.var(draws, axis=0, ddof=1) + 5 / 45 * 1e-3
-        assert np.allclose(metric.inv_mass, expected, rtol=1e-12)
-        assert metric.inv_mass[3] == pytest.approx(5 / 45 * 1e-3, rel=1e-12)
+        assert np.allclose(inv_mass, expected, rtol=1e-12)
+        assert inv_mass[3] == pytest.approx(5 / 45 * 1e-3, rel=1e-12)
 
 
 class TestNutsTransition:
@@ -108,8 +109,8 @@ class TestNutsTransition:
         moved = 0
         for _ in range(50):
             q = rng.normal(size=2)
-            q2, info = nuts_transition(q, std_normal_logp_grad, 0.5, rng,
-                                       max_tree_depth=0)
+            q2, info = nuts_transition(q, std_normal_logp_grad, 0.5, rng, np.ones(2), 0,
+                                       *std_normal_logp_grad(q))
             assert info["n_steps"] == 1
             assert info["depth"] <= 1
             moved += not np.array_equal(q2, q)
@@ -121,8 +122,8 @@ class TestNutsTransition:
         q = np.zeros(10)
         draws = np.empty((4000, 10))
         for i in range(len(draws)):
-            q, _ = nuts_transition(q, std_normal_logp_grad, 0.4, rng,
-                                   max_tree_depth=8)
+            q, _ = nuts_transition(q, std_normal_logp_grad, 0.4, rng, np.ones(10), 8,
+                                   *std_normal_logp_grad(q))
             draws[i] = q
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws) / 10)  # crude ESS guess
         assert np.all(np.abs(draws.mean(axis=0)) < 3 * se)
@@ -136,7 +137,8 @@ class TestNutsTransition:
         q = np.zeros(2)
         draws = np.empty((10000, 2))
         for i in range(len(draws)):
-            q, _ = nuts_transition(q, target.logp_grad, 0.25, rng, max_tree_depth=8)
+            q, _ = nuts_transition(q, target.logp_grad, 0.25, rng, np.ones(2), 8,
+                                   *target.logp_grad(q))
             draws[i] = q
         assert abs(np.corrcoef(draws.T)[0, 1] - rho) < 0.05
 
@@ -145,7 +147,8 @@ class TestNutsTransition:
             return -0.5e8 * float(x @ x), -1e8 * x
 
         rng = np.random.default_rng(12)
-        _, info = nuts_transition(np.array([1.0]), sharp, 1.0, rng, max_tree_depth=5)
+        x = np.array([1.0])
+        _, info = nuts_transition(x, sharp, 1.0, rng, np.ones(1), 5, *sharp(x))
         assert info["divergent"]
 
 
@@ -195,7 +198,7 @@ class TestNutsOracle:
                         x_ref, s_ref = reference(x, logp_grad, step, rng_ref, inv_mass,
                                                  max_depth, logp, grad)
                         x, s_new = nuts_transition(x, logp_grad, step, rng_new,
-                                                   Metric(inv_mass), max_depth, logp, grad)
+                                                   inv_mass, max_depth, logp, grad)
                         self.assert_same(x_ref, x, where)
                         assert s_ref.keys() == s_new.keys()
                         for key in s_ref:
@@ -300,8 +303,9 @@ class TestDualAveraging:
 
     def test_reasonable_step_size_positive(self):
         rng = np.random.default_rng(12)
-        eps = find_reasonable_step_size(std_normal_logp_grad, np.zeros(5),
-                                        rng, Metric(np.ones(5)))
+        x = np.zeros(5)
+        eps = find_reasonable_step_size(std_normal_logp_grad, x, rng, np.ones(5),
+                                        *std_normal_logp_grad(x))
         assert 0 < eps < 16
 
 
@@ -310,6 +314,19 @@ class TestRunChains:
         with pytest.raises(SamplingError):
             run_chains(standard_target(3), n_chains=1, n_warmup=10, n_samples=10)
 
+    def test_requires_four_samples(self):
+        """The samples setting's rule: the split-chain PSRF needs 4 draws per
+        chain, so 3 are refused before any chain runs."""
+        def never(u):
+            raise AssertionError("a chain ran")
+
+        target = standard_target(1)
+        target.logp_grad = never
+        with pytest.raises(SamplingError, match="n_samples must be >= 4"):
+            run_chains(target, n_chains=2, n_warmup=10, n_samples=3)
+        chains = run_chains(standard_target(1), n_chains=2, n_warmup=10, n_samples=4)
+        assert chains.draws.shape == (2, 4, 1)
+        assert np.isfinite(summarize(chains).worst_psrf())  # summarize takes them
     def test_gaussian_psrf_and_acceptance(self):
         chains = run_chains(standard_target(5), n_chains=4, n_warmup=400,
                             n_samples=400, seed=0)
@@ -347,8 +364,8 @@ class TestRunChains:
                             n_samples=n_samples, seed=8)
         n_cached, calls[:] = len(calls), []
         plain = sampler.nuts_transition
-        monkeypatch.setattr(sampler, "nuts_transition",
-                            lambda *a, logp0=None, grad0=None, **kw: plain(*a, **kw))
+        monkeypatch.setattr(sampler, "nuts_transition",  # re-evaluates its start state
+                            lambda x, fn, *a: plain(x, fn, *a[:-2], *fn(x)))
         uncached = run_chains(target, n_chains=n_chains, n_warmup=n_warmup,
                               n_samples=n_samples, seed=8)
         assert np.array_equal(cached.draws, uncached.draws)
@@ -378,8 +395,8 @@ class TestRunChains:
                             n_samples=n_samples, seed=8)
         n_cached, calls[:] = len(calls), []
         plain = sampler.find_reasonable_step_size
-        monkeypatch.setattr(sampler, "find_reasonable_step_size",
-                            lambda fn, x, rng, metric, *_: plain(fn, x, rng, metric))
+        monkeypatch.setattr(sampler, "find_reasonable_step_size",  # re-evaluates x
+                            lambda fn, x, *a: plain(fn, x, *a[:-2], *fn(x)))
         uncached = run_chains(target, n_chains=n_chains, n_warmup=n_warmup,
                               n_samples=n_samples, seed=8)
         assert np.array_equal(cached.draws, uncached.draws)
@@ -451,8 +468,9 @@ class TestDiagonalDraws:
     Two short fits on one worker, each 2 x (60 + 20): the 60 warmup
     iterations close one mass-matrix window, so the window update and the
     restarted step-size search are covered, not only the transitions. The
-    digests were recorded when the inverse mass was a bare array, before
-    :class:`Metric` held it; a change in the float order of the drift
+    digests were recorded when the inverse mass was a bare array, before a
+    ``Metric`` class held it, and hold unchanged now that it is one again; a
+    change in the float order of the drift
     (``step * inv_mass * p`` against ``step * (inv_mass * p)``) moves them.
     They hold for float64 on x86_64 with OpenBLAS; another BLAS build may
     round the life GP's factorizations differently.

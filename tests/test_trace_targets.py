@@ -41,5 +41,7 @@ def test_nuts_transition_reports_n_steps():
     def std_normal(x):
         return -0.5 * float(x @ x), -x
 
-    _, stats = nuts_transition(np.zeros(2), std_normal, 0.5, np.random.default_rng(0))
+    x = np.zeros(2)
+    _, stats = nuts_transition(x, std_normal, 0.5, np.random.default_rng(0), np.ones(2), 10,
+                               *std_normal(x))
     assert stats["n_steps"] >= 1

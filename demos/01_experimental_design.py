@@ -26,7 +26,7 @@ for p in reserve:
 # low-discrepancy points cover the square more evenly than iid uniforms:
 # compare nearest-neighbour spacings for the same sample size
 rng = np.random.default_rng(0)
-quasi = sobol_unit(2, 64, skip=1)
+quasi = sobol_unit(64, skip=1)
 iid = rng.uniform(size=(64, 2))
 
 

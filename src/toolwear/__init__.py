@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "design": ("DesignBounds", "DesignPoint", "augmentation_plan", "scale_design", "sobol_unit"),
     "diagnostics": ("PSRF_THRESHOLD", "FitSummary", "psrf", "summarize"),
-    "errors": ("ToolwearError", "UnsupportedDimensionError", "DomainError",
-               "InsufficientDataError", "EmptyContactError", "NotPositiveDefiniteError",
-               "InvalidDataError", "ExtrapolationError", "ValidationError",
-               "DegenerateFitError", "SamplingError"),
+    "errors": ("ToolwearError", "DomainError", "InsufficientDataError", "EmptyContactError",
+               "NotPositiveDefiniteError", "InvalidDataError", "ExtrapolationError",
+               "ValidationError", "DegenerateFitError", "SamplingError"),
     "io": ("RunConfig", "load_controls", "load_series", "load_trace"),
     "kernel": ("KernelConfig", "Standardizer", "cross_cov", "cov_matrix", "cholesky_cov"),
     "model": ("ExperimentRecord", "ModelParams", "PriorConfig", "ForceChannelModel",

@@ -98,7 +98,7 @@ def _cmd_design(args) -> int:
 def _cmd_segment(args) -> int:
     seg_cfg = _section(args, "segmentation")
     from .pipeline import segment_trace
-    series, seg = segment_trace(args.trace, seg_cfg, args.channel)
+    series, seg = segment_trace(args.trace, seg_cfg)
     series_out = _out_path(args.series_out, "series.csv")
     tio.write_series(series_out, series.length, series.forces)
     report_out = _out_path(args.report_out, "segments.csv")
@@ -248,10 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="output CSV (index,v_c,f,priority)")
     p.set_defaults(handler=_cmd_design)
 
-    p = sub.add_parser("segment", help="changepoint segmentation of a raw force trace")
+    p = sub.add_parser("segment", help="changepoint segmentation of a raw force trace on Ft")
     p.add_argument("--trace", required=True, help="raw trace CSV (sample,Ft,Ff,Fp)")
     _section_options(p, "segmentation")
-    p.add_argument("--channel", choices=CHANNELS, default="Ft", help="channel driving the segmentation")
     p.add_argument("--series-out", help="contact-phase series CSV (L,Ft,Ff,Fp)")
     p.add_argument("--report-out", help="segment report CSV (default segments.csv)")
     p.set_defaults(handler=_cmd_segment)

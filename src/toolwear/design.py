@@ -1,21 +1,19 @@
 """Quasi-random experimental designs over the (cutting speed, feed rate) plane.
 
-Points are generated from a Sobol sequence using Joe-Kuo direction numbers
-(bundled in ``data/joe_kuo_d16.txt``) and scaled onto user-supplied bounds.
-The sequence refines progressively, so a design can be augmented later by
-simply taking the next points.
+Points are generated from the two-dimensional Sobol sequence, one
+coordinate per control factor (cutting speed, then feed rate), and scaled
+onto user-supplied bounds. The sequence refines progressively, so a design
+can be augmented later by simply taking the next points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError
 
-MAX_DIM = 16
 _N_BITS = 32
 _SCALE = 2.0 ** (-_N_BITS)
 
@@ -45,37 +43,21 @@ class DesignPoint:
     f: float
 
 
-def _load_direction_numbers():
-    """Parse the bundled Joe-Kuo table: one row (d, s, a, m_1..m_s) per dimension."""
-    text = resources.files("toolwear.data").joinpath("joe_kuo_d16.txt").read_text()
-    rows = (map(int, line.split()) for line in text.strip().splitlines()[1:])
-    return {d: (s, a, m) for d, s, a, *m in rows}
-
-
-_JOE_KUO = _load_direction_numbers()
-
-
-def _direction_integers(dim: int, n_bits: int = _N_BITS) -> np.ndarray:
-    """Direction integers V[dim][k] for k = 0..n_bits-1, as uint64 scaled to 2^32."""
-    v = np.zeros((dim, n_bits), dtype=np.uint64)
-    v[0] = [1 << (n_bits - 1 - k) for k in range(n_bits)]  # van der Corput in base 2
-    for d in range(2, dim + 1):
-        s, a, m = _JOE_KUO[d]
-        for k in range(min(s, n_bits)):
-            v[d - 1, k] = np.uint64(m[k]) << np.uint64(n_bits - 1 - k)
-        for k in range(s, n_bits):
-            val = v[d - 1, k - s] ^ (v[d - 1, k - s] >> np.uint64(s))
-            for i in range(1, s):
-                if (a >> (s - 1 - i)) & 1:
-                    val ^= v[d - 1, k - i]
-            v[d - 1, k] = val
+def _direction_integers() -> np.ndarray:
+    """Direction integers V[d][k], k = 0..31, of both dimensions as uint64
+    scaled to 2^32: van der Corput in base 2, then the primitive polynomial
+    x + 1 (Joe & Kuo 2008: s = 1, a = 0, m_1 = 1)."""
+    v = np.zeros((2, _N_BITS), dtype=np.uint64)
+    v[0] = [1 << (_N_BITS - 1 - k) for k in range(_N_BITS)]
+    v[1, 0] = 1 << (_N_BITS - 1)
+    for k in range(1, _N_BITS):
+        v[1, k] = v[1, k - 1] ^ (v[1, k - 1] >> np.uint64(1))
     return v
 
 
 def _sobol_state(index: int, v: np.ndarray) -> np.ndarray:
     """Direct binary construction: XOR of direction integers selected by gray(index)."""
-    dim, n_bits = v.shape
-    x = np.zeros(dim, dtype=np.uint64)
+    x = np.zeros(2, dtype=np.uint64)
     gray = index ^ (index >> 1)
     k = 0
     while gray:
@@ -86,14 +68,12 @@ def _sobol_state(index: int, v: np.ndarray) -> np.ndarray:
     return x
 
 
-def sobol_unit(dim: int, n: int, skip: int = 0) -> np.ndarray:
-    """Points skip..skip+n-1 of the Sobol sequence in [0, 1)^dim.
+def sobol_unit(n: int, skip: int = 0) -> np.ndarray:
+    """Points skip..skip+n-1 of the Sobol sequence in [0, 1)^2, shape (n, 2).
 
     Each point is built directly by :func:`_sobol_state` from its index.
     Deterministic for fixed arguments.
     """
-    if not 1 <= dim <= MAX_DIM:
-        raise UnsupportedDimensionError(f"dim must be in 1..{MAX_DIM}, got {dim}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if skip < 0:
@@ -101,11 +81,11 @@ def sobol_unit(dim: int, n: int, skip: int = 0) -> np.ndarray:
     if skip + n > 2 ** _N_BITS:
         raise DomainError(f"points skip..skip+n-1 must have indices below 2^{_N_BITS}, "
                           f"got skip={skip}, n={n}")
-    v = _direction_integers(dim)
+    v = _direction_integers()
     return np.array([_sobol_state(skip + i, v) for i in range(n)]).astype(float) * _SCALE
 
 
-def scale_design(points: np.ndarray, bounds: DesignBounds, start_index: int = 0) -> list[DesignPoint]:
+def scale_design(points: np.ndarray, bounds: DesignBounds) -> list[DesignPoint]:
     """Affine-map unit-square points onto the design rectangle, order preserved."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -114,7 +94,7 @@ def scale_design(points: np.ndarray, bounds: DesignBounds, start_index: int = 0)
         raise DomainError("unit-cube coordinates must lie in [0, 1)")
     v = bounds.v_min + pts[:, 0] * (bounds.v_max - bounds.v_min)
     f = bounds.f_min + pts[:, 1] * (bounds.f_max - bounds.f_min)
-    return [DesignPoint(start_index + i, v[i], f[i]) for i in range(len(pts))]
+    return [DesignPoint(i, v[i], f[i]) for i in range(len(pts))]
 
 
 def augmentation_plan(
@@ -133,6 +113,6 @@ def augmentation_plan(
         raise DomainError(f"n_initial must be >= 1, got {n_initial}")
     if n_reserve < 0:
         raise DomainError(f"n_reserve must be >= 0, got {n_reserve}")
-    total = sobol_unit(2, n_initial + n_reserve, skip=skip)
+    total = sobol_unit(n_initial + n_reserve, skip=skip)
     scaled = scale_design(total, bounds)
     return scaled[:n_initial], scaled[n_initial:]

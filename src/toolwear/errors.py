@@ -5,10 +5,6 @@ class ToolwearError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnsupportedDimensionError(ToolwearError, ValueError):
-    """Sobol dimension outside the supported range."""
-
-
 class DomainError(ToolwearError, ValueError):
     """Input value outside the mathematically valid domain."""
 

@@ -212,12 +212,23 @@ def write_changepoints(path, segmentations) -> None:
 
 def load_taylor(path):
     """(v_c, tool life) rows, shape (n, 2), of a CSV with columns v_c and
-    life (or tool_life, when there is no life column)."""
-    def columns(header):
-        names = _names(header)
-        life = "life" if "life" in names else "tool_life"
-        return "v_c" in names and life in names and (names.index("v_c"), names.index(life))
-    return _read_numeric(path, columns, "columns v_c and life (or tool_life)")[1]
+    life (or tool_life, when there is no life column). A row whose life cell
+    is blank is skipped, as the life GP skips a record without a tool life."""
+    with open(path, newline="") as fh:
+        names = _names(next(csv.reader([fh.readline()]), []))
+    life = "life" if "life" in names else "tool_life"
+    if "v_c" not in names or life not in names:
+        raise ValidationError(f"{path}: expected columns v_c and life (or tool_life)")
+    v_col, life_col = names.index("v_c"), names.index(life)
+    rows = []
+    for lineno, row in _data_rows(path):
+        if life_col < len(row) and not row[life_col].strip():
+            continue
+        try:
+            rows.append([float(row[v_col]), float(row[life_col])])
+        except (ValueError, IndexError) as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,12 @@ def attach_series(records, series_dir) -> None:
         tio.load_series(Path(series_dir) / f"series_{rec.id}.csv", rec)
 
 
-def segment_trace(path, seg: dict, channel: str = "Ft"):
-    """(contact-phase series, segmentation) of a raw trace file, segmented by
-    ``channel`` with the settings of a ``segmentation`` section."""
+def segment_trace(path, seg: dict):
+    """(contact-phase series, segmentation) of a raw trace file, segmented with
+    the settings of a ``segmentation`` section."""
     trace = RawTrace(forces=tio.load_trace(path), length_per_sample=seg["length_per_sample"])
-    found = binary_segmentation(trace, penalty=seg["penalty"], min_seg_len=seg["min_seg_len"],
-                                channel=channel)
-    return extract_contact_phases(trace, found, seg["threshold"], channel=channel), found
+    found = binary_segmentation(trace, penalty=seg["penalty"], min_seg_len=seg["min_seg_len"])
+    return extract_contact_phases(trace, found, seg["threshold"]), found
 
 
 def fit_channel(records, channel: str, priors, smp: dict, seed: int):

@@ -3,8 +3,9 @@
 Binary segmentation with a change-in-mean CUSUM cost: the trace is split
 recursively at the index giving the largest drop in within-segment sum of
 squared errors, and a split is kept only when that drop exceeds a penalty.
-Segments whose mean force exceeds a contact threshold are concatenated into
-an analysis-ready (cutting length, force) series.
+Contact is found on the tangential force (:data:`CONTACT_CHANNEL`):
+segments whose mean ``Ft`` exceeds a contact threshold are concatenated,
+every channel alike, into an analysis-ready (cutting length, force) series.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import EmptyContactError, InsufficientDataError, InvalidDataError
 
 CHANNELS = ("Ft", "Ff", "Fp")
+CONTACT_CHANNEL = "Ft"  # the channel segmented to find tool contact
 
 
 @dataclass
@@ -91,15 +93,14 @@ def binary_segmentation(
     trace: RawTrace,
     penalty: float | None = None,
     min_seg_len: int = 20,
-    channel: str = "Ft",
 ) -> Segmentation:
-    """Recursive binary segmentation of the trace's ``channel``.
+    """Recursive binary segmentation of the trace's :data:`CONTACT_CHANNEL`.
 
     A split is accepted iff the reduction in within-segment SSE exceeds
     ``penalty`` (default: :func:`default_penalty` of the signal). No segment
     shorter than ``min_seg_len`` is produced.
     """
-    x = trace.forces[channel]
+    x = trace.forces[CONTACT_CHANNEL]
     if min_seg_len < 2:
         raise InvalidDataError("min_seg_len must be >= 2")
     n = len(x)
@@ -144,13 +145,13 @@ def extract_contact_phases(
     trace: RawTrace,
     seg: Segmentation,
     contact_threshold: float,
-    channel: str = "Ft",
 ) -> ExperimentSeries:
     """Drop non-contact segments and concatenate the rest in time order.
 
-    A segment is in contact when its mean force on ``channel`` exceeds the
-    threshold. Each retained sample advances the cutting length by
-    ``trace.length_per_sample``, so the returned L is strictly increasing.
+    A segment is in contact when its mean force on :data:`CONTACT_CHANNEL`
+    (``seg.segment_means``) exceeds the threshold. Each retained sample
+    advances the cutting length by ``trace.length_per_sample``, so the
+    returned L is strictly increasing.
     """
     if seg.n_samples != trace.n_samples:
         raise InvalidDataError("segmentation does not match trace length")

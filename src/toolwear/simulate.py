@@ -60,7 +60,8 @@ def simulate_dataset(
     beta = {ch: TRUE_MU_BETA + chol @ rng.standard_normal(n_experiments) for ch in CHANNELS}
     alpha = ALPHA_MEAN + ALPHA_SD * rng.standard_normal(n_experiments)
 
-    u = (controls - controls.min(axis=0)) / np.ptp(controls, axis=0)
+    span = np.ptp(controls, axis=0)
+    u = (controls - controls.min(axis=0)) / np.where(span > 0, span, 1.0)  # a single point
     log_life = np.log(255.0) + (np.log(10.0) - np.log(255.0)) * (0.6 * u[:, 0] + 0.4 * u[:, 1])
     life = np.exp(log_life + 0.1 * rng.standard_normal(n_experiments))
 

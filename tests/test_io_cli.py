@@ -629,6 +629,7 @@ class TestCli:
         "life,v_c\n255,20\n\n10,58\n",                   # any column order, blank rows
         "id,v_c,f,tool_life\n1,20,45,255\n2,58,22.5,10\n",  # a controls table
         "v_c,life,note\n20,255,new insert\r\n58,10\r\n",  # cells past those read
+        "id,v_c,f,tool_life\n1,20,45,255\n2,40,30,\n3,58,22.5,10\n",  # a blank life skipped
     ])
     def test_taylor_reads_the_columns_its_header_names(self, tmp_path, capsys, text):
         assert main(["taylor", "--input", write(tmp_path / "life.csv", text)]) == 0
@@ -646,6 +647,11 @@ class TestCli:
         assert main(["taylor", "--input", path]) == 1
         err = capsys.readouterr().err
         assert f"{path}{what}" in err and "internal error" not in err
+
+    def test_taylor_needs_two_lives_after_blank_ones_are_skipped(self, tmp_path, capsys):
+        one = write(tmp_path / "one.csv", "id,v_c,f,tool_life\n1,20,45,255\n2,40,30, \n")
+        assert main(["taylor", "--input", one]) == 1
+        assert "need at least 2 (v_c, T) pairs" in capsys.readouterr().err
 
     def test_diagnose_reports_divergences_only_where_recorded(self, tmp_path, capsys):
         """Draws with their sidecar report each chain's divergences; draws alone say
@@ -778,6 +784,17 @@ class TestCli:
         out = capsys.readouterr().out
         n = float([ln for ln in out.splitlines() if ln.startswith("n =")][0][4:])
         assert n == pytest.approx(math.log(58 / 20) / math.log(255 / 10), rel=1e-12)
+
+    def test_segment_has_no_channel_option(self, tmp_path, capsys):
+        """``segment`` finds contact on Ft, as ``run`` does; there is no other channel to name."""
+        assert main(["segment", "--trace", str(tmp_path / "trace.csv"), "--channel", "Ft"]) == 1
+        assert "unrecognized arguments: --channel Ft" in capsys.readouterr().err
+
+    def test_simulate_one_experiment_writes_a_readable_life(self, tmp_path):
+        """A single design point has no spread in v_c or f; its tool life stays finite."""
+        assert main(["simulate", "--output-dir", str(tmp_path), "--n-experiments", "1"]) == 0
+        [rec] = tio.load_controls(tmp_path / "controls.csv")
+        assert 0 < rec.tool_life < math.inf
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["segment", "--trace", "/nonexistent/trace.csv"]) == 1

@@ -462,6 +462,26 @@ class TestRunChains:
         assert np.all(np.sum(a.flat() ** 2, axis=1) <= 3.0 ** 2)
 
 
+class TestSecondMoments:
+    """A distributional guard on the transition rule.
+
+    ``TestNutsOracle`` and ``TestDiagonalDraws`` fail on any change to the
+    draws, valid or not; this test fails on an invalid rule. On a 10-D iid
+    standard normal, the mean of z^2 over all coordinates and draws is 1.
+    Its standard error comes from batch means (20 batches of 200 draws per
+    chain, 80 in all), and |z| < 4 has a two-sided false-alarm rate of about
+    6e-5 under normality. A top-level merge that always takes the new
+    subtree's proposal gives z of +6.8 to +11.4 at seeds 7-10.
+    """
+
+    def test_iid_gaussian_variance(self):
+        chains = run_chains(standard_target(10), 4, 1000, 4000, seed=7)
+        z2 = (chains.draws ** 2).mean(axis=2)  # (chain, draw), mean over coordinates
+        batches = z2.reshape(4, 20, -1).mean(axis=2).ravel()
+        z = (batches.mean() - 1.0) / (batches.std(ddof=1) / np.sqrt(batches.size))
+        assert abs(z) < 4.0, f"mean z^2 = {batches.mean():.4f}, z = {z:+.2f}"
+
+
 class TestDiagonalDraws:
     """The diagonal metric's draws, pinned by digest end to end.
 

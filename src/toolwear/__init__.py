@@ -23,10 +23,10 @@ _EXPORTS = {
     "io": ("RunConfig", "load_controls", "load_series", "load_trace"),
     "kernel": ("KernelConfig", "Standardizer", "cross_cov", "cov_matrix", "cholesky_cov"),
     "model": ("ExperimentRecord", "ModelParams", "PriorConfig", "ForceChannelModel",
-              "controls_array", "log_likelihood", "log_prior", "log_posterior"),
+              "ToolLifeModel", "controls_array", "log_likelihood", "log_prior", "log_posterior"),
     "pipeline": ("PipelineResult", "run_pipeline"),
-    "predict": ("SurfaceGrid", "TaylorFit", "ToolLifeModel", "gp_conditional", "surface",
-                "life_surface", "fit_tool_life", "fit_taylor", "taylor_life"),
+    "predict": ("SurfaceGrid", "TaylorFit", "gp_conditional", "surface", "life_surface",
+                "fit_tool_life", "fit_taylor", "taylor_life"),
     "sampler": ("ChainSet", "run_chains"),
     "segmentation": ("RawTrace", "Segmentation", "ExperimentSeries", "binary_segmentation",
                      "default_penalty", "extract_contact_phases"),

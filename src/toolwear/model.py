@@ -1,19 +1,20 @@
-"""Hierarchical force model: per-experiment linear wear trends tied by a GP.
+"""The two GP densities: the hierarchical force model and the tool-life GP.
 
-Likelihood: F_ij = alpha_i + beta_i * L_ij + eps_ij with eps_ij ~ N(0, sigma_i^2).
-The slopes beta get a GP prior over the standardized (v_c, f) plane with
-constant mean mu_beta; the intercepts alpha are regularized by a shared
-normal whose mean mu_alpha has a normal prior centred on the data (see
-:func:`alpha_centre`); hyperparameters carry Half-Cauchy / normal priors on
-the scales stated in :class:`PriorConfig`.
+:class:`ForceChannelModel` ties per-experiment linear wear trends by a GP:
+F_ij = alpha_i + beta_i * L_ij + eps_ij with eps_ij ~ N(0, sigma_i^2). The
+slopes beta get a GP prior over the standardized (v_c, f) plane with constant
+mean mu_beta; the intercepts alpha are regularized by a shared normal whose
+mean mu_alpha has a normal prior centred on the data (see :func:`alpha_centre`).
+The likelihood depends on each series only through per-experiment sufficient
+statistics computed once, so one density evaluation costs the same whatever
+the series lengths. :class:`ToolLifeModel` regresses log tool life on the same
+plane directly, with no per-experiment linear stage.
 
-Positive quantities are handled internally on the log scale (with the
-log-Jacobian terms included in the prior), so densities and gradients are
-defined over a fully unconstrained vector. The slopes are carried directly;
-the long force series identify them strongly. The likelihood depends on each
-series only through per-experiment sufficient statistics computed once, so
-one density evaluation costs the same whatever the series lengths. The GP
-level and the hyperprior terms are shared with the tool-life model.
+Both share the GP level (:func:`gp_level`) and the Half-Cauchy / normal
+hyperpriors (:func:`hc_log_scale`, :func:`normal_prior`) on the scales stated
+in :class:`PriorConfig`. Positive quantities are handled internally on the log
+scale (with the log-Jacobian terms included in the prior), so densities and
+gradients are defined over a fully unconstrained vector.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
-from .errors import InsufficientDataError, InvalidDataError
+from .errors import DegenerateFitError, DomainError, InsufficientDataError, InvalidDataError
 from .kernel import JITTER_START, KernelConfig, control_sq_dists, jittered_cholesky
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_2_OVER_PI = math.log(2.0 / math.pi)
+MIN_LIVES = 3  # experiments with a tool life the life GP needs
+# Half-Cauchy priors of the life GP on eta^2, 1/rho1, 1/rho2, sigma_b^2
+_HC_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -357,6 +361,66 @@ class ForceChannelModel:
             mu_alpha=c[3 * K], sigma_alpha=c[3 * K + 1], mu_beta=c[3 * K + 2],
             kernel=KernelConfig(c[3 * K + 3], c[3 * K + 4], c[3 * K + 5], c[3 * K + 6]),
         )
+
+
+# ---------------------------------------------------------------------------
+# tool-life GP (no per-experiment linear stage)
+
+class ToolLifeModel:
+    """Marginal GP regression of log tool life on standardized (v_c, f).
+
+    log life ~ MVN(mu * 1, eta^2 E + sigma_b^2 I), with the force model's kernel
+    family and prior scales; ``mu_beta_sd`` also sets the prior sd of mu (``mu_life``).
+    Equal lives raise :class:`DegenerateFitError`: with no spread in the log
+    lives the signal and noise variances both collapse to zero.
+    """
+
+    param_names = ["mu_life", "eta_sq", "rho1", "rho2", "sigma_b_sq"]
+    dim = 5
+
+    def __init__(self, controls, life, priors: PriorConfig | None = None):
+        self.controls = np.atleast_2d(np.asarray(controls, dtype=float))
+        life = np.asarray(life, dtype=float)
+        if np.any(life <= 0):
+            raise DomainError("tool life must be strictly positive")
+        self.y = np.log(life)
+        if np.ptp(self.y) == 0:
+            raise DegenerateFitError("all tool lives equal; the tool-life GP posterior is improper")
+        self.priors = priors or PriorConfig()
+        self.dv2, self.df2 = control_sq_dists(self.controls)
+        pri = self.priors
+        self._hc_scale = np.array([pri.eta_sq_scale, pri.inv_rho_scale,
+                                   pri.inv_rho_scale, pri.sigma_b_sq_scale])
+
+    def logp_grad(self, u):
+        u = np.asarray(u, dtype=float)
+        if not np.isfinite(u).all() or np.abs(u[1:]).max() > 300.0:
+            return -math.inf, np.zeros_like(u)
+        m, t = float(u[0]), u[1:]
+        grad = np.empty(5)
+        logp, d_r, grad[1:] = gp_level(self.y - m, *np.exp(t).tolist(), self.dv2, self.df2)
+        lp_m, dlp_m = normal_prior(m, self.priors.mu_beta_sd)
+        grad[0] = dlp_m - float(d_r.sum())
+        lp_hc, dlp_hc = hc_log_scale(t, self._hc_scale, _HC_SIGN)
+        grad[1:] += dlp_hc
+        return logp + lp_m + float(lp_hc.sum()), grad
+
+    def logp(self, u):
+        return self.logp_grad(u)[0]
+
+    def constrain(self, u):
+        return np.array([u[0], *np.exp(u[1:])])
+
+
+def life_data(records: list[ExperimentRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """(controls, tool lives) of the experiments that have a tool life, which
+    the life GP is fitted on and predicts from; fewer than :data:`MIN_LIVES`
+    raise :class:`InsufficientDataError`."""
+    with_life = [r for r in records if r.tool_life is not None]
+    if len(with_life) < MIN_LIVES:
+        raise InsufficientDataError(f"tool-life GP needs >= {MIN_LIVES} experiments "
+                                    f"with tool_life, got {len(with_life)}")
+    return controls_array(with_life), np.array([r.tool_life for r in with_life], dtype=float)
 
 
 # ---------------------------------------------------------------------------

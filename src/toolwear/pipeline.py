@@ -16,8 +16,8 @@ from pathlib import Path
 from . import io as tio
 from .diagnostics import not_converged, summarize
 from .errors import InsufficientDataError, ToolwearError, ValidationError
-from .model import ForceChannelModel, controls_array
-from .predict import fit_tool_life, life_data, life_surface, surface
+from .model import ForceChannelModel, ToolLifeModel, controls_array, life_data
+from .predict import life_surface, surface
 from .sampler import fork_map, run_chains
 from .segmentation import RawTrace, binary_segmentation, extract_contact_phases
 
@@ -79,14 +79,13 @@ def segment_trace(path, seg: dict):
 
 
 def fit_channel(records, channel: str, priors, smp: dict, seed: int):
-    """Draws of a force channel's model, or of the life GP when ``channel`` is
-    ``"life"``, sampled with the settings of a ``sampler`` section."""
-    kw = dict(n_chains=smp["chains"], n_warmup=smp["warmup"], n_samples=smp["samples"],
-              seed=seed, max_tree_depth=smp["max_tree_depth"],
-              target_accept=smp["target_accept"])
-    if channel == "life":
-        return fit_tool_life(records, priors=priors, **kw)
-    return run_chains(ForceChannelModel(records, channel=channel, priors=priors), **kw)
+    """Draws of a force channel's model, or of the life GP on :func:`life_data`
+    when ``channel`` is ``"life"``, sampled with the settings of a ``sampler`` section."""
+    target = (ToolLifeModel(*life_data(records), priors) if channel == "life"
+              else ForceChannelModel(records, channel=channel, priors=priors))
+    return run_chains(target, n_chains=smp["chains"], n_warmup=smp["warmup"],
+                      n_samples=smp["samples"], seed=seed, max_tree_depth=smp["max_tree_depth"],
+                      target_accept=smp["target_accept"])
 
 
 def fit_files(chains, channel: str):

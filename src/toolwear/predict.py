@@ -8,8 +8,7 @@ integrates out hyperparameter uncertainty without sampling or any seed. The
 kernel factors over the grid's v_c and f axes (Saatci 2011), so a draw costs one
 K x K factor plus about nv*K^2*nf multiply-adds, not nv*nf*K exponentials and a
 triangular solve, and its result does not depend on the BLAS thread count. Tool
-life is modeled on the log scale by a direct GP regression (no per-experiment
-linear stage) and reported through its log-normal moments.
+life is reported through its log-normal moments.
 
 The draws are checked once in the calling process. Each chain's share of a
 surface is then summarized in its own :func:`~toolwear.sampler.fork_map` task
@@ -34,23 +33,13 @@ from .errors import (DegenerateFitError, DomainError, ExtrapolationError,
                      InsufficientDataError, ValidationError)
 from .kernel import (KernelConfig, Standardizer, cholesky_cov, control_sq_dists, cross_cov,
                      jittered_cholesky)
-from .model import (
-    ExperimentRecord,
-    PriorConfig,
-    controls_array,
-    gp_level,
-    hc_log_scale,
-    normal_prior,
-)
+from .model import ExperimentRecord, PriorConfig, ToolLifeModel, life_data
 from .sampler import ChainSet, fork_map, run_chains
 
 DEFAULT_RESOLUTION = 20
 DEFAULT_MARGIN = 0.10
-MIN_LIVES = 3  # experiments with a tool life the life GP needs
 # Draws per block of a surface: at most 64, with its two buffers within 8 MB
 _BLOCK_DRAWS, _BLOCK_BYTES = 64, 8 << 20
-# Half-Cauchy priors of the life GP on eta^2, 1/rho1, 1/rho2, sigma_b^2
-_HC_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -240,77 +229,20 @@ def surface(chains: ChainSet, train: np.ndarray, grid_spec=None) -> SurfaceGrid:
 
 
 # ---------------------------------------------------------------------------
-# tool-life GP (no per-experiment linear stage)
-
-class ToolLifeModel:
-    """Marginal GP regression of log tool life on standardized (v_c, f).
-
-    log life ~ MVN(mu * 1, eta^2 E + sigma_b^2 I), with the force model's kernel
-    family and prior scales; ``mu_beta_sd`` also sets the prior sd of mu (``mu_life``).
-    """
-
-    param_names = ["mu_life", "eta_sq", "rho1", "rho2", "sigma_b_sq"]
-    dim = 5
-
-    def __init__(self, controls, life, priors: PriorConfig | None = None):
-        self.controls = np.atleast_2d(np.asarray(controls, dtype=float))
-        life = np.asarray(life, dtype=float)
-        if np.any(life <= 0):
-            raise DomainError("tool life must be strictly positive")
-        self.y = np.log(life)
-        self.priors = priors or PriorConfig()
-        self.dv2, self.df2 = control_sq_dists(self.controls)
-        pri = self.priors
-        self._hc_scale = np.array([pri.eta_sq_scale, pri.inv_rho_scale,
-                                   pri.inv_rho_scale, pri.sigma_b_sq_scale])
-
-    def logp_grad(self, u):
-        u = np.asarray(u, dtype=float)
-        if not np.isfinite(u).all() or np.abs(u[1:]).max() > 300.0:
-            return -math.inf, np.zeros_like(u)
-        m, t = float(u[0]), u[1:]
-        grad = np.empty(5)
-        logp, d_r, grad[1:] = gp_level(self.y - m, *np.exp(t).tolist(), self.dv2, self.df2)
-        lp_m, dlp_m = normal_prior(m, self.priors.mu_beta_sd)
-        grad[0] = dlp_m - float(d_r.sum())
-        lp_hc, dlp_hc = hc_log_scale(t, self._hc_scale, _HC_SIGN)
-        grad[1:] += dlp_hc
-        return logp + lp_m + float(lp_hc.sum()), grad
-
-    def logp(self, u):
-        return self.logp_grad(u)[0]
-
-    def constrain(self, u):
-        return np.array([u[0], *np.exp(u[1:])])
-
-
-def life_data(records: list[ExperimentRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """(controls, tool lives) of the experiments that have a tool life, which
-    the life GP is fitted on and predicts from; fewer than :data:`MIN_LIVES`
-    raise :class:`InsufficientDataError`."""
-    with_life = [r for r in records if r.tool_life is not None]
-    if len(with_life) < MIN_LIVES:
-        raise InsufficientDataError(f"tool-life GP needs >= {MIN_LIVES} experiments "
-                                    f"with tool_life, got {len(with_life)}")
-    return controls_array(with_life), np.array([r.tool_life for r in with_life], dtype=float)
-
+# tool-life GP
 
 def fit_tool_life(
     records: list[ExperimentRecord],
     priors: PriorConfig | None = None,
     **sampler_kw,
 ) -> ChainSet:
-    """Sample the life GP on the experiments that have a tool life (:func:`life_data`).
+    """Sample the life GP (:class:`~toolwear.model.ToolLifeModel`) on the
+    experiments that have a tool life (:func:`~toolwear.model.life_data`).
 
     ``sampler_kw`` go to :func:`~toolwear.sampler.run_chains` as they are.
-    :func:`life_surface` maps the draws to the predictive surface. Equal
-    tool lives raise :class:`DegenerateFitError`: with no spread in the log
-    lives the signal and noise variances both collapse to zero.
+    :func:`life_surface` maps the draws to the predictive surface.
     """
-    model = ToolLifeModel(*life_data(records), priors)
-    if np.ptp(model.y) == 0:
-        raise DegenerateFitError("all tool lives equal; the tool-life GP posterior is improper")
-    return run_chains(model, **sampler_kw)
+    return run_chains(ToolLifeModel(*life_data(records), priors), **sampler_kw)
 
 
 def life_surface(

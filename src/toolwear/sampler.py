@@ -400,9 +400,13 @@ def run_chains(
     """
     if n_chains < 2:
         raise SamplingError("need at least 2 chains (convergence diagnostics require it)")
-    if n_samples < 4:  # the rule of io.SETTINGS["sampler"]["samples"]
-        raise SamplingError("n_samples must be >= 4, as the sampler's samples setting "
-                            "requires: the split-chain PSRF needs 4 draws per chain")
+    # the rules of io.SETTINGS["sampler"]; the split-chain PSRF needs 4 draws per chain
+    for ok, rule in ((n_samples >= 4, "n_samples must be >= 4"),
+                     (n_warmup >= 0, "n_warmup must be >= 0"),
+                     (max_tree_depth >= 1, "max_tree_depth must be >= 1"),
+                     (0 < target_accept < 1, "target_accept must be between 0 and 1")):
+        if not ok:
+            raise SamplingError(f"{rule}, as the sampler settings require")
 
     names = getattr(target, "param_names", [f"u[{i+1}]" for i in range(target.dim)])
     seeds = np.random.SeedSequence(seed).spawn(n_chains)

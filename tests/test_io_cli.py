@@ -21,8 +21,7 @@ from toolwear import io as tio
 from toolwear import pipeline, sampler
 from toolwear.cli import build_parser, main
 from toolwear.errors import InvalidDataError, SamplingError, ValidationError
-from toolwear.model import ForceChannelModel
-from toolwear.predict import ToolLifeModel
+from toolwear.model import ForceChannelModel, ToolLifeModel
 from toolwear.sampler import ChainSet
 from toolwear.simulate import simulate_dataset
 
@@ -711,8 +710,6 @@ class TestCli:
 
         monkeypatch.setattr(pipeline, "run_chains",
                             lambda model, seed, **kw: divergent(model.param_names, seed))
-        monkeypatch.setattr(pipeline, "fit_tool_life",
-                            lambda records, seed, **kw: divergent(ToolLifeModel.param_names, seed))
         data = tmp_path / "data"
         main(["simulate", "--output-dir", str(data), "--n-experiments", "4",
               "--n-points", "20", "--seed", "6"])
@@ -1159,6 +1156,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"tool-life GP needs >= 3 experiments with tool_life, got {got}" in err
         assert not (tmp_path / "surface.csv").exists()
+
+    def test_fit_life_refuses_equal_lives(self, tmp_path, capsys, monkeypatch):
+        """``fit --channel life`` refuses equal lives while building the life
+        GP, before any chain runs."""
+        def never(*args, **kw):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(pipeline, "run_chains", never)
+        controls = write(tmp_path / "controls.csv", "id,v_c,f,tool_life\n" + "".join(
+            f"{i + 1},{20 + 10 * i},{20 + 8 * i},50\n" for i in range(4)))
+        assert main(["fit", "--controls", controls, "--channel", "life",
+                     "--draws-out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "all tool lives equal" in err and "internal error" not in err
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("section, what", [
         ("sampler: {chians: 2, warmup: 20, samples: 20}", "unknown sampler keys ['chians']"),

@@ -314,19 +314,43 @@ class TestRunChains:
         with pytest.raises(SamplingError):
             run_chains(standard_target(3), n_chains=1, n_warmup=10, n_samples=10)
 
-    def test_requires_four_samples(self):
-        """The samples setting's rule: the split-chain PSRF needs 4 draws per
-        chain, so 3 are refused before any chain runs."""
+    @staticmethod
+    def never_target():
+        """A target whose density fails the test if a chain ever evaluates it."""
         def never(u):
             raise AssertionError("a chain ran")
 
         target = standard_target(1)
         target.logp_grad = never
+        return target
+
+    def test_requires_four_samples(self):
+        """The samples setting's rule: the split-chain PSRF needs 4 draws per
+        chain, so 3 are refused before any chain runs."""
         with pytest.raises(SamplingError, match="n_samples must be >= 4"):
-            run_chains(target, n_chains=2, n_warmup=10, n_samples=3)
+            run_chains(self.never_target(), n_chains=2, n_warmup=10, n_samples=3)
         chains = run_chains(standard_target(1), n_chains=2, n_warmup=10, n_samples=4)
         assert chains.draws.shape == (2, 4, 1)
         assert np.isfinite(summarize(chains).worst_psrf())  # summarize takes them
+
+    def test_refuses_negative_warmup(self):
+        """The warmup setting's rule: a negative count once gave 5 draws per
+        chain labelled as 10; it is refused before any chain runs."""
+        with pytest.raises(SamplingError, match="n_warmup must be >= 0"):
+            run_chains(self.never_target(), 2, -5, 10)
+
+    def test_refuses_tree_depth_below_one(self):
+        """The max_tree_depth setting's rule, checked before any chain runs."""
+        with pytest.raises(SamplingError, match="max_tree_depth must be >= 1"):
+            run_chains(self.never_target(), 2, 10, 10, max_tree_depth=0)
+
+    @pytest.mark.parametrize("target_accept", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_refuses_target_accept_outside_unit_interval(self, target_accept):
+        """The target_accept setting's rule, 0 < target_accept < 1, checked
+        before any chain runs."""
+        with pytest.raises(SamplingError, match="target_accept must be between 0 and 1"):
+            run_chains(self.never_target(), 2, 10, 10, target_accept=target_accept)
+
     def test_gaussian_psrf_and_acceptance(self):
         chains = run_chains(standard_target(5), n_chains=4, n_warmup=400,
                             n_samples=400, seed=0)
@@ -477,6 +501,20 @@ class TestSecondMoments:
     def test_iid_gaussian_variance(self):
         chains = run_chains(standard_target(10), 4, 1000, 4000, seed=7)
         z2 = (chains.draws ** 2).mean(axis=2)  # (chain, draw), mean over coordinates
+        batches = z2.reshape(4, 20, -1).mean(axis=2).ravel()
+        z = (batches.mean() - 1.0) / (batches.std(ddof=1) / np.sqrt(batches.size))
+        assert abs(z) < 4.0, f"mean z^2 = {batches.mean():.4f}, z = {z:+.2f}"
+
+    def test_correlated_gaussian_variance(self):
+        """The same guard on a correlated target, which the diagonal metric
+        cannot whiten: AR(1) correlation 0.9 with sds from 0.3 to 3. The draws
+        are whitened by the covariance's Cholesky factor, then judged as above."""
+        sd = np.geomspace(0.3, 3.0, 10)
+        lag = np.abs(np.subtract.outer(np.arange(10), np.arange(10)))
+        cov = sd[:, None] * 0.9 ** lag * sd
+        chains = run_chains(GaussianTarget(np.zeros(10), cov), 4, 1000, 4000, seed=7)
+        white = np.linalg.solve(np.linalg.cholesky(cov), chains.flat().T)
+        z2 = (white ** 2).mean(axis=0).reshape(4, -1)  # (chain, draw)
         batches = z2.reshape(4, 20, -1).mean(axis=2).ravel()
         z = (batches.mean() - 1.0) / (batches.std(ddof=1) / np.sqrt(batches.size))
         assert abs(z) < 4.0, f"mean z^2 = {batches.mean():.4f}, z = {z:+.2f}"

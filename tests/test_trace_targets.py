@@ -35,6 +35,16 @@ def test_every_trace_target_resolves():
             assert callable(getattr(module, leaf, None)), f"{span}: {module.__name__}.{leaf}"
 
 
+def test_traced_life_density_is_the_model_class():
+    """``predict.ToolLifeModel.logp_grad`` is traced through ``predict``, which
+    imports the class from ``model``: both names must be the one class, or the
+    traced span would patch a copy the fits never call."""
+    import toolwear.model
+    import toolwear.predict
+
+    assert toolwear.predict.ToolLifeModel is toolwear.model.ToolLifeModel
+
+
 def test_nuts_transition_reports_n_steps():
     from toolwear.sampler import nuts_transition
 

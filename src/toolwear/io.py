@@ -10,8 +10,8 @@ read by one numeric CSV reader: it checks the header, then parses the body
 with ``np.loadtxt``. Only when that fails does it walk the rows with ``csv``
 and ``float()``, which accepts a few more spellings (``1_000``,
 whitespace-only rows, quoted cells) and otherwise finds the malformed row.
-Blank rows are skipped, and every error about a row names it as
-``file:line``.
+Inputs are UTF-8, a leading byte-order mark skipped. Blank rows are
+skipped, and every error about a row or a byte names it as ``file:line``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import hashlib
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
@@ -66,6 +67,22 @@ def _names(header) -> list[str]:
     return [c.strip() for c in header]
 
 
+@contextmanager
+def _open_text(path):
+    """``path`` read as UTF-8, a BOM skipped; a bad byte raises ValidationError naming its line."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValidationError(f"{path}:{line}: not UTF-8 text") from exc
+        raise
+
+
 # ---------------------------------------------------------------------------
 # design, controls and series
 
@@ -86,7 +103,7 @@ def write_controls(path, records) -> None:
 def load_controls(path) -> list[ExperimentRecord]:
     """Controls table: CSV with header id,v_c,f[,tool_life]."""
     from .model import ExperimentRecord
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         header = next(csv.reader([fh.readline()]), [])
     if _names(header[:3]) != ["id", "v_c", "f"]:
         raise ValidationError(f"{path}: expected header id,v_c,f[,tool_life]")
@@ -111,7 +128,7 @@ def load_controls(path) -> list[ExperimentRecord]:
 
 def _data_rows(path):
     """(file line, cells) of each body row that has a non-blank cell, as ``csv`` reads them."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for lineno, row in enumerate(reader, start=2):
@@ -134,7 +151,7 @@ def _read_numeric(path, columns, expected: str):
     needs a cell under each column it is parsed at (every header cell, with
     ``True``).
     """
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         header = next(csv.reader([fh.readline()]), [])
         usecols = columns(header)
         if not usecols:
@@ -214,7 +231,7 @@ def load_taylor(path):
     """(v_c, tool life) rows, shape (n, 2), of a CSV with columns v_c and
     life (or tool_life, when there is no life column). A row whose life cell
     is blank is skipped, as the life GP skips a record without a tool life."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         names = _names(next(csv.reader([fh.readline()]), []))
     life = "life" if "life" in names else "tool_life"
     if "v_c" not in names or life not in names:
@@ -421,7 +438,8 @@ def check_seed(seed):
 def load_yaml(path):
     """The YAML document in ``path``; a syntax error raises ValidationError."""
     try:
-        return yaml.safe_load(Path(path).read_text())
+        with _open_text(path) as fh:
+            return yaml.safe_load(fh.read())
     except yaml.YAMLError as exc:
         raise ValidationError(f"{path}: invalid YAML: {exc}") from exc
 

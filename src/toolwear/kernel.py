@@ -86,25 +86,20 @@ def cov_matrix(points: np.ndarray, cfg: KernelConfig, jitter: float = 0.0) -> np
 
 
 def jittered_cholesky(
-    e_mat: np.ndarray,
-    eta_sq: float,
-    sigma_b_sq: float,
-    jitter: float | None = None,
+    e_mat: np.ndarray, eta_sq: float, sigma_b_sq: float
 ) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``eta_sq * e_mat + (sigma_b_sq + jitter) * I``.
 
     ``e_mat`` is the unit-variance kernel matrix. Jitter starts at
     ``JITTER_START * eta_sq`` and grows tenfold per failed factorization up to
     ``JITTER_MAX * eta_sq``; near-duplicate design points can make the matrix
-    numerically singular. A given ``jitter`` is tried alone. Factors with
-    LAPACK ``dpotrf`` (upper triangle zeroed). Returns the factor and the
-    jitter on its diagonal, or raises :class:`NotPositiveDefiniteError`.
+    numerically singular. Factors with LAPACK ``dpotrf`` (upper triangle
+    zeroed). Returns the factor and the jitter on its diagonal, or raises
+    :class:`NotPositiveDefiniteError`.
     """
-    if jitter is not None and jitter < 0:
-        raise DomainError("jitter must be >= 0")
     cov = eta_sq * e_mat
-    jit = JITTER_START * eta_sq if jitter is None else jitter
-    for _ in range(1 if jitter is not None else JITTER_TRIES):
+    jit = JITTER_START * eta_sq
+    for _ in range(JITTER_TRIES):
         cov.flat[::len(cov) + 1] = eta_sq + sigma_b_sq + jit
         chol, info = dpotrf(cov, lower=1, clean=1)
         if info == 0:
@@ -113,13 +108,11 @@ def jittered_cholesky(
     raise NotPositiveDefiniteError(f"covariance not positive definite at jitter={tried:g}")
 
 
-def cholesky_cov(
-    points: np.ndarray, cfg: KernelConfig, jitter: float | None = None
-) -> tuple[np.ndarray, float]:
+def cholesky_cov(points: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of :func:`cov_matrix`, escalating jitter on failure.
 
     See :func:`jittered_cholesky`.
     """
     dv2, df2 = _sq_dists(points, points)
     e_mat = np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2)
-    return jittered_cholesky(e_mat, cfg.eta_sq, cfg.sigma_b_sq, jitter)
+    return jittered_cholesky(e_mat, cfg.eta_sq, cfg.sigma_b_sq)

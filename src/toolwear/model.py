@@ -313,9 +313,6 @@ class ForceChannelModel:
         grad[3 * K + 2] += dlp_mb
         return logp + lp_gp + float(lp_hc.sum()) + lp_ma + lp_mb, grad
 
-    def logp(self, u: np.ndarray) -> float:
-        return self.logp_grad(u)[0]
-
     def initial_metric(self) -> np.ndarray:
         """The sampler's starting inverse mass: least-squares variances.
 
@@ -404,9 +401,6 @@ class ToolLifeModel:
         lp_hc, dlp_hc = hc_log_scale(t, self._hc_scale, _HC_SIGN)
         grad[1:] += dlp_hc
         return logp + lp_m + float(lp_hc.sum()), grad
-
-    def logp(self, u):
-        return self.logp_grad(u)[0]
 
     def constrain(self, u):
         return np.array([u[0], *np.exp(u[1:])])

@@ -65,14 +65,8 @@ class TaylorFit:
     residual_sd: float
 
 
-def gp_conditional(
-    beta: np.ndarray,
-    mu_beta: float,
-    kernel: KernelConfig,
-    train: np.ndarray,
-    star: np.ndarray,
-    jitter: float | None = None,
-):
+def gp_conditional(beta: np.ndarray, mu_beta: float, kernel: KernelConfig, train: np.ndarray,
+                   star: np.ndarray):
     """Gaussian conditional of the slope field at one or more new points.
 
     Points are used on the scale given (standardize beforehand when the
@@ -80,7 +74,7 @@ def gp_conditional(
     from below; a warning is emitted if a value falls below -1e-10 first.
     Returns scalars for a single star, arrays for a batch.
     """
-    chol, _ = cholesky_cov(train, kernel, jitter=jitter)
+    chol, _ = cholesky_cov(train, kernel)
     mean, var = _moments(chol, beta, mu_beta, kernel.eta_sq + kernel.sigma_b_sq,
                          cross_cov(np.atleast_2d(star), train, kernel), np.ones((len(chol), 1)))
     _warn_clamped(var.min())

@@ -18,7 +18,7 @@ import pytest
 from gaussian_target import GaussianTarget
 from toolwear import io as tio
 from toolwear.diagnostics import psrf, summarize
-from toolwear.kernel import KernelConfig, Standardizer, cov_matrix, cross_cov
+from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix, cross_cov
 from toolwear.model import ExperimentRecord, ForceChannelModel, controls_array
 from toolwear.pipeline import run_pipeline
 from toolwear.predict import (fit_taylor, fit_tool_life, gp_conditional, life_surface,
@@ -52,7 +52,7 @@ def test_gradient_matches_finite_differences():
         for j in range(model.dim):
             e = np.zeros(model.dim)
             e[j] = h
-            fd[j] = (model.logp(u + e) - model.logp(u - e)) / (2 * h)
+            fd[j] = (model.logp_grad(u + e)[0] - model.logp_grad(u - e)[0]) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
         worst = max(worst, float(rel.max()))
     elapsed = time.monotonic() - t0
@@ -74,8 +74,8 @@ def test_gp_conditional_matches_dense_inverse():
         beta = rng.normal(size=k)
         mu = float(rng.normal())
         stars = rng.uniform(-2, 2, size=(5, 2))
-        mean, var = gp_conditional(beta, mu, cfg, train, stars, jitter=0.0)
-        cov = cov_matrix(train, cfg, jitter=0.0)
+        mean, var = gp_conditional(beta, mu, cfg, train, stars)
+        cov = cov_matrix(train, cfg, jitter=JITTER_START * cfg.eta_sq)
         inv = np.linalg.inv(cov)
         ks = cross_cov(stars, train, cfg)
         mean2 = mu + ks @ inv @ (beta - mu)

@@ -202,6 +202,42 @@ class TestTables:
         assert [getattr(again, k) for k in stats] == [None] * 3
         assert np.array_equal(again.draws, back.draws)
 
+    @pytest.mark.parametrize("kind", ["controls", "series", "trace", "draws", "taylor"])
+    def test_byte_order_mark_reads_like_the_plain_file(self, tmp_path, kind):
+        """A copy of a written file that starts with a UTF-8 byte-order mark, as
+        spreadsheet "CSV UTF-8" exports do, reads back equal to the plain file."""
+        records, _ = simulate_dataset(n_experiments=3, n_points=5, seed=1)
+        rng = np.random.default_rng(3)
+        plain = tmp_path / "plain" / "f.csv"
+        plain.parent.mkdir()
+        if kind == "controls":
+            tio.write_controls(plain, records)
+        elif kind == "taylor":  # v_c first, as the mark would hide it
+            with open(plain, "w", newline="") as fh:
+                csv.writer(fh).writerows([("v_c", "life"), *((r.v_c, r.tool_life)
+                                                             for r in records)])
+        elif kind == "series":
+            tio.write_series(plain, records[0].length, records[0].forces)
+        elif kind == "trace":
+            from toolwear.segmentation import RawTrace
+            tio.write_trace(plain, RawTrace(forces={ch: rng.normal(size=30)
+                                                    for ch in ("Ft", "Ff", "Fp")}))
+        else:
+            write_draws_pair(plain, make_chainset(rng))
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for path in plain.parent.iterdir():
+            (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        read = {"controls": tio.load_controls, "series": tio.load_series,
+                "trace": tio.load_trace, "draws": tio.read_draws, "taylor": tio.load_taylor}[kind]
+
+        def flat(x):  # nested values as lists, compared in one assert
+            x = vars(x) if hasattr(x, "__dict__") else x
+            x = list(x.values()) if isinstance(x, dict) else x
+            return [flat(v) for v in x] if isinstance(x, (tuple, list)) else np.asarray(x).tolist()
+
+        assert flat(read(marked / "f.csv")) == flat(read(plain))
+
 
 # finite floats, with the awkward ones always in play
 FINITE = st.one_of(
@@ -1241,6 +1277,29 @@ class TestExitCodes:
         trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n0,1,2,3\n1,4,5\n2,6,7,8\n")
         assert main(["segment", "--trace", trace]) == 1
         assert f"{trace}:3: malformed row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["segment", "taylor", "diagnose", "run"])
+    def test_input_that_is_not_utf8_exits_1_naming_line(self, tmp_path, capsys, command):
+        """A byte that is not UTF-8 is bad input, named by its file and line."""
+        if command == "segment":  # past the first 8 KB, inside the fast parse
+            lines = ["sample,Ft,Ff,Fp", *(f"{i},{i}.5,2,3" for i in range(1000))]
+            name, line, bad, flag = "t.csv", 700, b"\xff", "--trace"
+        elif command == "taylor":
+            lines = ["v_c,life", "20,255", "58,10", "40,30"]
+            name, line, bad, flag = "life.csv", 3, b"\xff", "--input"
+        elif command == "diagnose":
+            lines = ["chain,iteration,a", "0,0,1.5", "0,1,2.5", "1,0,1.0", "1,1,2.0"]
+            name, line, bad, flag = "d.csv", 4, b"\xff", "--draws"
+        else:
+            lines = ["seed: 3", "output_dir: out", "# cafe", "controls: controls.csv"]
+            name, line, bad, flag = "run.yaml", 3, b"\xe9", "--config"
+        data = [ln.encode() for ln in lines]
+        data[line - 1] += bad
+        path = tmp_path / name
+        path.write_bytes(b"\r\n".join(data) + b"\r\n")
+        assert main([command, flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: not UTF-8 text" in err and "internal error" not in err
 
     def test_header_only_trace_is_insufficient_data(self, tmp_path, capsys):
         trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n")

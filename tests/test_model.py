@@ -216,7 +216,7 @@ class TestGradient:
             for j in rng.choice(model.dim, size=6, replace=False):
                 e = np.zeros(model.dim)
                 e[j] = h
-                fd = (model.logp(u + e) - model.logp(u - e)) / (2 * h)
+                fd = (model.logp_grad(u + e)[0] - model.logp_grad(u - e)[0]) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     def test_likelihood_stationary_at_ols(self):
@@ -278,7 +278,7 @@ class TestGradient:
         records, _, _ = make_records(rng, k=4, n=6, sigma=2.0)
         params = make_params(rng, 4)
         model = ForceChannelModel(records, channel="Ft")
-        target = model.logp(model.unconstrain(params))
+        target = model.logp_grad(model.unconstrain(params))[0]
         direct = log_likelihood(params, records, "Ft") + log_prior(params, records)
         assert target == pytest.approx(direct, rel=1e-9)
 
@@ -333,14 +333,14 @@ class TestSufficientStatistics:
         records, model, u = problem
         params = model.params_from_constrained(model.constrain(u))
         direct = log_likelihood(params, records, "Ft") + log_prior(params, records)
-        assert model.logp(u) == pytest.approx(direct, rel=1e-9)
+        assert model.logp_grad(u)[0] == pytest.approx(direct, rel=1e-9)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(offset_force_problems())
     def test_every_coordinate_matches_finite_differences(self, problem):
         _, model, u = problem
         _, grad = model.logp_grad(u)
-        fd = central_differences(model.logp, u, 1e-5)
+        fd = central_differences(lambda w: model.logp_grad(w)[0], u, 1e-5)
         assert np.all(np.abs(grad - fd) <= 1e-6 * (1.0 + np.abs(grad)))
 
     def test_gp_level_gradient_at_escalated_jitter(self):

@@ -92,7 +92,7 @@ class TestGpConditional:
         train = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.3]])
         beta = np.array([1.0, -0.5, 2.0])
         for i in range(3):
-            mean, var = gp_conditional(beta, 0.3, cfg, train, train[i], jitter=0.0)
+            mean, var = gp_conditional(beta, 0.3, cfg, train, train[i])
             assert mean == pytest.approx(beta[i], abs=1e-6)
             assert var == pytest.approx(0.0, abs=1e-8)
 
@@ -100,7 +100,7 @@ class TestGpConditional:
         cfg = KernelConfig(eta_sq=2.0, rho1=1.0, rho2=1.0, sigma_b_sq=0.3)
         train = np.array([[0.0, 0.0], [1.0, 1.0]])
         mean, var = gp_conditional(np.array([5.0, -5.0]), 0.7, cfg, train,
-                                   np.array([100.0, 100.0]), jitter=0.0)
+                                   np.array([100.0, 100.0]))
         assert mean == pytest.approx(0.7, abs=1e-12)
         assert var == pytest.approx(cfg.eta_sq + cfg.sigma_b_sq, abs=1e-12)
 
@@ -110,13 +110,13 @@ class TestGpConditional:
         train = np.array([[0.0, 0.0], [1.0, 0.0]])
         beta = np.array([1.0, 2.0])
         star = np.array([0.0, 0.0])
-        # cov = [[2, e^-1], [e^-1, 2]]; k* = [1, e^-1]
-        e = math.exp(-1.0)
-        det = 4.0 - e * e
-        w = np.array([(2.0 - e * e) / det, e / det])  # k* @ inv(cov)
+        # cov = [[d, e^-1], [e^-1, d]] with d = 2 + JITTER_START; k* = [1, e^-1]
+        e, d = math.exp(-1.0), 2.0 + JITTER_START
+        det = d * d - e * e
+        w = np.array([(d - e * e) / det, e * (d - 1.0) / det])  # k* @ inv(cov)
         mean_hand = w @ beta
         var_hand = 2.0 - (w @ np.array([1.0, e]))
-        mean, var = gp_conditional(beta, 0.0, cfg, train, star, jitter=0.0)
+        mean, var = gp_conditional(beta, 0.0, cfg, train, star)
         assert mean == pytest.approx(mean_hand, rel=1e-12)
         assert var == pytest.approx(var_hand, rel=1e-12)
 
@@ -128,8 +128,9 @@ class TestGpConditional:
             train = rng.uniform(-2, 2, size=(k, 2))
             beta = rng.normal(size=k)
             stars = rng.uniform(-2, 2, size=(3, 2))
-            mean, var = gp_conditional(beta, 0.4, cfg, train, stars, jitter=0.0)
-            m2, v2 = dense_conditional(beta, 0.4, cfg, train, stars)
+            mean, var = gp_conditional(beta, 0.4, cfg, train, stars)
+            m2, v2 = dense_conditional(beta, 0.4, cfg, train, stars,
+                                       jitter=JITTER_START * cfg.eta_sq)
             assert np.allclose(mean, m2, atol=1e-8)
             assert np.allclose(var, np.maximum(v2, 0.0), atol=1e-8)
 
@@ -151,8 +152,8 @@ class TestGpConditional:
         beta = rng.normal(size=4)
         mu = 0.8
         star = np.array([0.3, -0.4])
-        m1, _ = gp_conditional(beta, mu, cfg, train, star, jitter=0.0)
-        m2, _ = gp_conditional(2 * beta - mu, mu, cfg, train, star, jitter=0.0)
+        m1, _ = gp_conditional(beta, mu, cfg, train, star)
+        m2, _ = gp_conditional(2 * beta - mu, mu, cfg, train, star)
         assert m2 - mu == pytest.approx(2 * (m1 - mu), rel=1e-10)
 
 
@@ -630,7 +631,7 @@ class TestToolLife:
                 for j in range(model.dim):
                     e = np.zeros(model.dim)
                     e[j] = h
-                    fd = (model.logp(u + e) - model.logp(u - e)) / (2 * h)
+                    fd = (model.logp_grad(u + e)[0] - model.logp_grad(u - e)[0]) / (2 * h)
                     assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
     def test_density_matches_dense_mvn(self):
@@ -651,7 +652,7 @@ class TestToolLife:
                 hyper += stats.halfcauchy.logpdf(sb_sq, scale=pri.sigma_b_sq_scale) + u[4]
                 for t, rho in ((u[2], rho1), (u[3], rho2)):
                     hyper += stats.halfcauchy.logpdf(1.0 / rho, scale=pri.inv_rho_scale) - t
-                assert model.logp(u) == pytest.approx(gp + hyper, rel=1e-10)
+                assert model.logp_grad(u)[0] == pytest.approx(gp + hyper, rel=1e-10)
 
     def test_requires_three_lives(self):
         from toolwear.predict import fit_tool_life

@@ -9,8 +9,9 @@ predictive life surface. The classical Taylor law v_c * T^n = C is
 fitted to the same data as a one-dimensional baseline for comparison.
 """
 
-from toolwear.model import controls_array
-from toolwear.predict import fit_taylor, fit_tool_life, life_surface, taylor_life
+from toolwear.model import ToolLifeModel, life_data
+from toolwear.predict import fit_taylor, life_surface, taylor_life
+from toolwear.sampler import run_chains
 from toolwear.simulate import simulate_dataset
 
 records, _ = simulate_dataset(n_experiments=10, n_points=30, seed=5)
@@ -20,9 +21,10 @@ for r in with_life:
     print(f"  v_c = {r.v_c:5.1f} m/min, f = {r.f:5.2f} um/rev -> "
           f"T = {r.tool_life:6.1f} min")
 
-chains = fit_tool_life(records, n_chains=2, n_warmup=500, n_samples=500, seed=5)
-controls = controls_array(with_life)
-lives = [r.tool_life for r in with_life]
+# the life GP is fitted like a force channel: its density, then the sampler
+controls, lives = life_data(records)
+chains = run_chains(ToolLifeModel(controls, lives), n_chains=2, n_warmup=500, n_samples=500,
+                    seed=5)
 grid = life_surface(chains, controls, lives)
 print(f"\nlife surface on {grid.n_nodes} nodes; "
       f"predicted life spans {grid.mean.min():.0f}-{grid.mean.max():.0f} min")

@@ -26,7 +26,7 @@ _EXPORTS = {
               "ToolLifeModel", "controls_array", "log_likelihood", "log_prior", "log_posterior"),
     "pipeline": ("PipelineResult", "run_pipeline"),
     "predict": ("SurfaceGrid", "TaylorFit", "gp_conditional", "surface", "life_surface",
-                "fit_tool_life", "fit_taylor", "taylor_life"),
+                "fit_taylor", "taylor_life"),
     "sampler": ("ChainSet", "run_chains"),
     "segmentation": ("RawTrace", "Segmentation", "ExperimentSeries", "binary_segmentation",
                      "default_penalty", "extract_contact_phases"),

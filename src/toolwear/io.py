@@ -5,11 +5,13 @@ Every CSV file is written by one table writer in ``csv``'s default dialect
 (shortest round-trip decimal): ``read(write(x)) == x`` exactly, and re-runs
 are byte-identical.
 
-Traces, series, draws with their per-chain sidecars, and Taylor inputs are
-read by one numeric CSV reader: it checks the header, then parses the body
-with ``np.loadtxt``. Only when that fails does it walk the rows with ``csv``
-and ``float()``, which accepts a few more spellings (``1_000``,
-whitespace-only rows, quoted cells) and otherwise finds the malformed row.
+Traces, series, and draws with their per-chain sidecars are read by one
+numeric CSV reader: it checks the header, then parses the body with
+``np.loadtxt``. Only when that fails does it walk the rows with ``csv`` and
+``float()``, which accepts a few more spellings (``1_000``, whitespace-only
+rows, quoted cells) and otherwise finds the malformed row. Controls and
+Taylor tables, whose life cells may be blank, walk their rows that way from
+the start.
 Inputs are UTF-8, a leading byte-order mark skipped. Blank rows are
 skipped, and every error about a row or a byte names it as ``file:line``.
 """

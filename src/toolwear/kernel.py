@@ -46,9 +46,14 @@ class Standardizer:
 
     @classmethod
     def fit(cls, points: np.ndarray) -> "Standardizer":
+        """Fitted on ``points``; a mean or sd that overflows raises :class:`DomainError`."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        mean = pts.mean(axis=0)
-        sd = pts.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = pts.mean(axis=0)
+            sd = pts.std(axis=0)
+        for name, m, s in zip(("v_c", "f"), mean, sd):
+            if not np.isfinite((m, s)).all():
+                raise DomainError(f"{name} mean or sd is not finite; cannot standardize")
         sd = np.where(sd > 0, sd, 1.0)  # single or coincident points
         return cls(mean=mean, sd=sd)
 
@@ -70,18 +75,22 @@ def control_sq_dists(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _sq_dists(x, x)
 
 
+def unit_kernel(rho1, rho2, dv2, df2):
+    """``exp(-rho1 dv2 - rho2 df2)``: the kernel at unit signal variance over
+    squared v_c and f distances, elementwise; ``rho1`` and ``rho2`` broadcast."""
+    return np.exp(-rho1 * dv2 - rho2 * df2)
+
+
 def cross_cov(stars: np.ndarray, train: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     """M x K covariance between prediction and training points; never nugget."""
-    dv2, df2 = _sq_dists(stars, train)
-    return cfg.eta_sq * np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2)
+    return cfg.eta_sq * unit_kernel(cfg.rho1, cfg.rho2, *_sq_dists(stars, train))
 
 
-def cov_matrix(points: np.ndarray, cfg: KernelConfig, jitter: float = 0.0) -> np.ndarray:
-    """K x K training covariance: kernel off the diagonal, nugget + jitter on it."""
-    if jitter < 0:
-        raise DomainError("jitter must be >= 0")
+def cov_matrix(points: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+    """K x K training covariance that :func:`cholesky_cov` factors first: kernel
+    off the diagonal, nugget + ``JITTER_START * eta_sq`` on it."""
     cov = cross_cov(points, points, cfg)
-    cov[np.diag_indices_from(cov)] = cfg.eta_sq + cfg.sigma_b_sq + jitter
+    cov[np.diag_indices_from(cov)] = cfg.eta_sq + cfg.sigma_b_sq + JITTER_START * cfg.eta_sq
     return cov
 
 
@@ -113,6 +122,5 @@ def cholesky_cov(points: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, flo
 
     See :func:`jittered_cholesky`.
     """
-    dv2, df2 = _sq_dists(points, points)
-    e_mat = np.exp(-cfg.rho1 * dv2 - cfg.rho2 * df2)
+    e_mat = unit_kernel(cfg.rho1, cfg.rho2, *_sq_dists(points, points))
     return jittered_cholesky(e_mat, cfg.eta_sq, cfg.sigma_b_sq)

@@ -27,7 +27,8 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .errors import DegenerateFitError, DomainError, InsufficientDataError, InvalidDataError
-from .kernel import JITTER_START, KernelConfig, control_sq_dists, jittered_cholesky
+from .kernel import (JITTER_START, KernelConfig, control_sq_dists, jittered_cholesky,
+                     unit_kernel)
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_2_OVER_PI = math.log(2.0 / math.pi)
@@ -131,7 +132,7 @@ def gp_level(r, eta_sq, rho1, rho2, sigma_b_sq, dv2, df2):
     diagonal by :func:`jittered_cholesky` scales with eta_sq and is
     differentiated as such. The solves and Sigma^-1 call LAPACK directly.
     """
-    e_mat = np.exp(-rho1 * dv2 - rho2 * df2)
+    e_mat = unit_kernel(rho1, rho2, dv2, df2)
     chol, jit = jittered_cholesky(e_mat, eta_sq, sigma_b_sq)
     q, _ = dtrtrs(chol, r, lower=1)
     v, _ = dtrtrs(chol, q, lower=1, trans=1)
@@ -259,11 +260,6 @@ class ForceChannelModel:
                   "eta_sq", "rho1", "rho2", "sigma_b_sq"]
         return names
 
-    def _split(self, u: np.ndarray):
-        K = self.K
-        return (u[:K], u[K:2 * K], u[2 * K:3 * K], u[3 * K], u[3 * K + 1],
-                u[3 * K + 2], u[3 * K + 3], u[3 * K + 4], u[3 * K + 5], u[3 * K + 6])
-
     # -- density + gradient --------------------------------------------------
 
     def logp_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -333,8 +329,9 @@ class ForceChannelModel:
 
     def constrain(self, u: np.ndarray) -> np.ndarray:
         """Map an unconstrained state to the reported constrained vector."""
-        a, beta, t_s, m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = self._split(u)
-        c = self.alpha_offset
+        K, c = self.K, self.alpha_offset
+        a, beta, t_s = u[:K], u[K:2 * K], u[2 * K:3 * K]
+        m_a, t_a, m_b, t_e, t_r1, t_r2, t_b = u[3 * K:]
         return np.concatenate([
             a + c, beta, np.exp(0.5 * t_s),
             [m_a + c, math.exp(0.5 * t_a), m_b,

@@ -31,10 +31,11 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import (DegenerateFitError, DomainError, ExtrapolationError,
                      InsufficientDataError, ValidationError)
-from .kernel import (KernelConfig, Standardizer, cholesky_cov, control_sq_dists, cross_cov,
-                     jittered_cholesky)
-from .model import ExperimentRecord, PriorConfig, ToolLifeModel, life_data
-from .sampler import ChainSet, fork_map, run_chains
+from .kernel import (KernelConfig, Standardizer, cholesky_cov, cross_cov, jittered_cholesky,
+                     unit_kernel)
+# ToolLifeModel is imported for the benchmark's trace of predict.ToolLifeModel.logp_grad
+from .model import ToolLifeModel  # noqa: F401
+from .sampler import ChainSet, fork_map
 
 DEFAULT_RESOLUTION = 20
 DEFAULT_MARGIN = 0.10
@@ -153,14 +154,14 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
     xv, xf = std.transform(train).T
     zv, zf = ((np.asarray(a, dtype=float) - m) / s
               for a, m, s in zip((v_axis, f_axis), std.mean, std.sd))
-    dv2, df2 = control_sq_dists(train)
+    dv2, df2 = (xv[:, None] - xv) ** 2, (xf[:, None] - xf) ** 2  # (K, K) each
     av2, af2 = (zv[:, None] - xv) ** 2, (xf[:, None] - zf) ** 2  # (nv, K), (K, nf)
     size = max(1, min(_BLOCK_DRAWS, _BLOCK_BYTES // (16 * len(zv) * len(zf))))
     means, variances = np.empty((2, size, len(zv), len(zf)))
 
     def block_summary(rows):
         eta_sq, rho1, rho2, _ = rows[:, -4:].T[:, :, None, None]  # each (B, 1, 1)
-        e_mat, ev = np.exp(-rho1 * dv2 - rho2 * df2), eta_sq * np.exp(-rho1 * av2)
+        e_mat, ev = unit_kernel(rho1, rho2, dv2, df2), eta_sq * np.exp(-rho1 * av2)
         ef = np.exp(-rho2 * af2)
         mean, var = means[:len(rows)], variances[:len(rows)]
         for d, row in enumerate(rows):
@@ -184,10 +185,13 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
 
 
 def _grid(train, grid_spec):
-    """The grid's v_c and f axes."""
+    """The grid's v_c and f axes, over training controls that spread in both."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     v_lo, v_hi = train[:, 0].min(), train[:, 0].max()
     f_lo, f_hi = train[:, 1].min(), train[:, 1].max()
+    for name, lo, hi in (("v_c", v_lo, v_hi), ("f", f_lo, f_hi)):
+        if lo == hi:
+            raise DegenerateFitError(f"all training {name} values equal; the surface is degenerate")
     if grid_spec is None:
         grid_spec = (v_lo, v_hi, DEFAULT_RESOLUTION, f_lo, f_hi, DEFAULT_RESOLUTION)
     v_min, v_max, nv, f_min, f_max, nf = grid_spec
@@ -214,7 +218,8 @@ def surface(chains: ChainSet, train: np.ndarray, grid_spec=None) -> SurfaceGrid:
     conditionals, with no sampling and no dependence on ``chains.seed``.
     ``grid_spec`` is (v_min, v_max, nv, f_min, f_max, nf); the default covers
     the training hull at 20 x 20 = 400 nodes. Grids reaching beyond
-    :data:`DEFAULT_MARGIN` past the hull raise :class:`ExtrapolationError`.
+    :data:`DEFAULT_MARGIN` past the hull raise :class:`ExtrapolationError`,
+    and training controls with no spread in v_c or f :class:`DegenerateFitError`.
     A spec (v, v, 2, f, f, 2) gives the moments at the single node (v, f).
     """
     v_axis, f_axis = _grid(train, grid_spec)
@@ -224,20 +229,6 @@ def surface(chains: ChainSet, train: np.ndarray, grid_spec=None) -> SurfaceGrid:
 
 # ---------------------------------------------------------------------------
 # tool-life GP
-
-def fit_tool_life(
-    records: list[ExperimentRecord],
-    priors: PriorConfig | None = None,
-    **sampler_kw,
-) -> ChainSet:
-    """Sample the life GP (:class:`~toolwear.model.ToolLifeModel`) on the
-    experiments that have a tool life (:func:`~toolwear.model.life_data`).
-
-    ``sampler_kw`` go to :func:`~toolwear.sampler.run_chains` as they are.
-    :func:`life_surface` maps the draws to the predictive surface.
-    """
-    return run_chains(ToolLifeModel(*life_data(records), priors), **sampler_kw)
-
 
 def life_surface(
     chains: ChainSet,

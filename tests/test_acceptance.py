@@ -18,11 +18,11 @@ import pytest
 from gaussian_target import GaussianTarget
 from toolwear import io as tio
 from toolwear.diagnostics import psrf, summarize
-from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix, cross_cov
-from toolwear.model import ExperimentRecord, ForceChannelModel, controls_array
+from toolwear.kernel import KernelConfig, Standardizer, cov_matrix, cross_cov
+from toolwear.model import (ExperimentRecord, ForceChannelModel, ToolLifeModel, controls_array,
+                            life_data)
 from toolwear.pipeline import run_pipeline
-from toolwear.predict import (fit_taylor, fit_tool_life, gp_conditional, life_surface,
-                              surface)
+from toolwear.predict import fit_taylor, gp_conditional, life_surface, surface
 from toolwear.sampler import ChainSet, run_chains
 from toolwear.segmentation import RawTrace, binary_segmentation
 from toolwear.simulate import simulate_dataset
@@ -75,7 +75,7 @@ def test_gp_conditional_matches_dense_inverse():
         mu = float(rng.normal())
         stars = rng.uniform(-2, 2, size=(5, 2))
         mean, var = gp_conditional(beta, mu, cfg, train, stars)
-        cov = cov_matrix(train, cfg, jitter=JITTER_START * cfg.eta_sq)
+        cov = cov_matrix(train, cfg)
         inv = np.linalg.inv(cov)
         ks = cross_cov(stars, train, cfg)
         mean2 = mu + ks @ inv @ (beta - mu)
@@ -183,7 +183,8 @@ def test_tool_life_endpoints():
                          tool_life=life)
         for i, ((v, f), life) in enumerate(zip(settings, lives))
     ]
-    chains = fit_tool_life(records, n_chains=2, n_warmup=500, n_samples=500, seed=106)
+    chains = run_chains(ToolLifeModel(*life_data(records)), n_chains=2, n_warmup=500,
+                        n_samples=500, seed=106)
     long_life, short_life = (
         life_surface(chains, controls_array(records), lives, node(*s)).mean[0, 0]
         for s in [(20.0, 45.0), (58.0, 22.5)])

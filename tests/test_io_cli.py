@@ -404,7 +404,7 @@ class TestRunConfig:
             "controls: data/controls.csv",
             "series_dir: data",
             "channels: [Ft]",
-        ]))
+        ]) + "\n")
 
     def test_valid_config_loads(self, tmp_path):
         cfg = tio.RunConfig.from_file(self.good_config(tmp_path))
@@ -1191,6 +1191,25 @@ class TestExitCodes:
                      "-o", str(tmp_path / "surface.csv")]) == 1
         err = capsys.readouterr().err
         assert f"tool-life GP needs >= 3 experiments with tool_life, got {got}" in err
+        assert not (tmp_path / "surface.csv").exists()
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning included
+    @pytest.mark.parametrize("speeds, feeds, what", [
+        ([1e308, 40, 50, 60], [20, 28, 36, 44], "v_c mean or sd is not finite"),
+        ([40, 40, 40, 40], [20, 28, 36, 44], "all training v_c values equal"),
+        ([20, 30, 40, 50], [35, 35, 35, 35], "all training f values equal"),
+    ], ids=["overflowing-speed", "equal-speeds", "equal-feeds"])
+    def test_predict_life_refuses_degenerate_controls(self, tmp_path, capsys, speeds, feeds,
+                                                      what):
+        """A speed so large that standardizing it overflows, or controls with
+        no spread in v_c or f, leave no surface to draw: exit 1, nothing written."""
+        draws = TestCli().mismatch_inputs(tmp_path)["life"]
+        controls = write(tmp_path / "controls.csv", "id,v_c,f,tool_life\n" + "".join(
+            f"{i + 1},{v!r},{f!r},{200 - 40 * i}\n" for i, (v, f) in enumerate(zip(speeds, feeds))))
+        assert main(["predict", "--draws", draws, "--controls", controls, "--channel", "life",
+                     "-o", str(tmp_path / "surface.csv")]) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
         assert not (tmp_path / "surface.csv").exists()
 
     def test_fit_life_refuses_equal_lives(self, tmp_path, capsys, monkeypatch):

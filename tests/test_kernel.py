@@ -78,13 +78,13 @@ class TestKernelEval:
 class TestCovMatrix:
     def test_single_point(self):
         cfg = KernelConfig(eta_sq=1.0, rho1=1.0, rho2=1.0, sigma_b_sq=0.5)
-        m = cov_matrix(np.array([[40.0, 35.0]]), cfg, jitter=0.25)
+        m = cov_matrix(np.array([[40.0, 35.0]]), cfg)
         assert m.shape == (1, 1)
-        assert m[0, 0] == pytest.approx(1.0 + 0.5 + 0.25)
+        assert m[0, 0] == 1.0 + 0.5 + JITTER_START  # exactly: approx would not see the jitter
 
     def test_coincident_pair_hand_value(self):
         cfg = KernelConfig(eta_sq=1.0, rho1=1.0, rho2=1.0, sigma_b_sq=0.5)
-        m = cov_matrix(np.array([[3.0, 4.0], [3.0, 4.0]]), cfg, jitter=0.0)
+        m = cov_matrix(np.array([[3.0, 4.0], [3.0, 4.0]]), cfg)
         assert np.allclose(m, [[1.5, 1.0], [1.0, 1.5]])
         assert np.allclose(np.sort(np.linalg.eigvalsh(m)), [0.5, 2.5])
 
@@ -92,7 +92,7 @@ class TestCovMatrix:
         rng = np.random.default_rng(4)
         cfg = random_config(rng)
         pts = rng.uniform(-3, 3, size=(21, 2))
-        m = cov_matrix(pts, cfg, jitter=0.0)
+        m = cov_matrix(pts, cfg)
         assert np.array_equal(m, m.T)
 
     def test_positive_definite_over_random_configs(self):
@@ -100,7 +100,7 @@ class TestCovMatrix:
         for _ in range(1000):
             cfg = random_config(rng)
             pts = rng.uniform(-3, 3, size=(int(rng.integers(1, 9)), 2))
-            np.linalg.cholesky(cov_matrix(pts, cfg, jitter=0.0))
+            np.linalg.cholesky(cov_matrix(pts, cfg))
 
     def test_jitter_escalation_handles_duplicates(self):
         """Many coincident points factor thanks to jitter escalation, and the
@@ -153,10 +153,10 @@ class TestCrossCov:
         rng = np.random.default_rng(10)
         cfg = random_config(rng)
         train = rng.uniform(-2, 2, size=(6, 2))
-        jitter = 0.01
-        full = cov_matrix(train, cfg, jitter=jitter)
+        full = cov_matrix(train, cfg)
         cross = cross_cov(train, train, cfg)
-        assert np.allclose(full - (cfg.sigma_b_sq + jitter) * np.eye(6), cross)
+        assert np.allclose(full - (cfg.sigma_b_sq + JITTER_START * cfg.eta_sq) * np.eye(6),
+                           cross)
 
     def test_distant_star_row_near_zero(self):
         cfg = KernelConfig(eta_sq=1.0, rho1=1.0, rho2=1.0, sigma_b_sq=0.5)
@@ -178,6 +178,12 @@ class TestStandardizer:
         z = Standardizer.fit(x).transform(x)
         assert np.all(np.isfinite(z))
         assert np.allclose(z[:, 0], 0.0)
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning included
+    def test_overflowing_spread_refused(self):
+        x = np.array([[1e308, 20.0], [40.0, 30.0], [50.0, 40.0]])
+        with pytest.raises(DomainError, match="v_c mean or sd is not finite"):
+            Standardizer.fit(x)
 
     def test_transform_is_affine(self):
         rng = np.random.default_rng(14)

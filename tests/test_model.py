@@ -128,7 +128,7 @@ class TestLogPrior:
         records, _, _ = make_records(rng, k=5, n=5)
         params = make_params(rng, 5)
         x = Standardizer.fit(controls_array(records)).transform(controls_array(records))
-        cov = cov_matrix(x, params.kernel, jitter=JITTER_START * params.kernel.eta_sq)
+        cov = cov_matrix(x, params.kernel)
         mvn = stats.multivariate_normal(mean=np.full(5, params.mu_beta), cov=cov)
 
         other = make_params(rng, 5)
@@ -249,7 +249,7 @@ class TestGradient:
         model = ForceChannelModel(records, channel="Ft")
         _, grad = model.logp_grad(model.unconstrain(params))
         x = Standardizer.fit(controls_array(records)).transform(controls_array(records))
-        cov = cov_matrix(x, params.kernel, jitter=JITTER_START * params.kernel.eta_sq)
+        cov = cov_matrix(x, params.kernel)
         expected = -solve(cov, params.beta - params.mu_beta, assume_a="pos")
         assert np.allclose(grad[k:2 * k], expected, rtol=1e-8, atol=1e-10)
 

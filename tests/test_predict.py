@@ -26,7 +26,7 @@ from toolwear.errors import (
     ValidationError,
 )
 from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix, cross_cov
-from toolwear.model import ExperimentRecord, PriorConfig
+from toolwear.model import ExperimentRecord, PriorConfig, life_data
 from toolwear.predict import (
     SurfaceGrid,
     ToolLifeModel,
@@ -36,12 +36,12 @@ from toolwear.predict import (
     surface,
     taylor_life,
 )
-from toolwear.sampler import ChainSet
+from toolwear.sampler import ChainSet, run_chains
 
 
-def dense_conditional(beta, mu_beta, cfg, train, star, jitter=0.0):
+def dense_conditional(beta, mu_beta, cfg, train, star):
     """Oracle: Gaussian conditional via an explicit matrix inverse."""
-    cov = cov_matrix(train, cfg, jitter=jitter)
+    cov = cov_matrix(train, cfg)
     inv = np.linalg.inv(cov)
     ks = cross_cov(np.atleast_2d(star), train, cfg)
     mean = mu_beta + ks @ inv @ (np.asarray(beta) - mu_beta)
@@ -129,8 +129,7 @@ class TestGpConditional:
             beta = rng.normal(size=k)
             stars = rng.uniform(-2, 2, size=(3, 2))
             mean, var = gp_conditional(beta, 0.4, cfg, train, stars)
-            m2, v2 = dense_conditional(beta, 0.4, cfg, train, stars,
-                                       jitter=JITTER_START * cfg.eta_sq)
+            m2, v2 = dense_conditional(beta, 0.4, cfg, train, stars)
             assert np.allclose(mean, m2, atol=1e-8)
             assert np.allclose(var, np.maximum(v2, 0.0), atol=1e-8)
 
@@ -303,8 +302,7 @@ def dense_moments(chains, train, nodes, y=None):
             mu = row[idx["mu_beta"]]
         else:
             field, mu = y, row[idx["mu_life"]]
-        m, v = dense_conditional(field, mu, cfg, x_train, x_nodes,
-                                 jitter=JITTER_START * cfg.eta_sq)
+        m, v = dense_conditional(field, mu, cfg, x_train, x_nodes)
         means.append(m)
         variances.append(v)
     return np.array(means), np.array(variances)
@@ -645,7 +643,7 @@ class TestToolLife:
                 u = self.random_state(rng)
                 m, eta_sq, rho1, rho2, sb_sq = model.constrain(u)
                 cfg = KernelConfig(eta_sq, rho1, rho2, sb_sq)
-                cov = cov_matrix(x, cfg, jitter=JITTER_START * eta_sq)
+                cov = cov_matrix(x, cfg)
                 gp = stats.multivariate_normal.logpdf(model.y, mean=np.full(k, m), cov=cov)
                 hyper = stats.norm.logpdf(m, 0.0, pri.mu_beta_sd)
                 hyper += stats.halfcauchy.logpdf(eta_sq, scale=pri.eta_sq_scale) + u[1]
@@ -655,26 +653,26 @@ class TestToolLife:
                 assert model.logp_grad(u)[0] == pytest.approx(gp + hyper, rel=1e-10)
 
     def test_requires_three_lives(self):
-        from toolwear.predict import fit_tool_life
         records = self.life_records([(20, 45), (58, 22.5)], [255.0, 10.0])
         with pytest.raises(InsufficientDataError):
-            fit_tool_life(records, n_chains=2, n_warmup=10, n_samples=10)
+            run_chains(ToolLifeModel(*life_data(records)), n_chains=2, n_warmup=10,
+                       n_samples=10)
 
     def test_constant_life_field(self):
-        from toolwear.predict import fit_tool_life
         rng = np.random.default_rng(53)
         settings = rng.uniform([20, 20], [60, 50], size=(8, 2))
         records = self.life_records(settings, np.full(8, 50.0))
         with pytest.raises(DegenerateFitError, match="all tool lives equal"):
-            fit_tool_life(records, n_chains=2, n_warmup=300, n_samples=300, seed=11)
+            run_chains(ToolLifeModel(*life_data(records)), n_chains=2, n_warmup=300,
+                       n_samples=300, seed=11)
 
     def test_life_surface_spans_training_envelope(self):
-        from toolwear.predict import fit_tool_life
         rng = np.random.default_rng(55)
         settings = rng.uniform([20, 20], [60, 50], size=(10, 2))
         lives = np.exp(np.log(255) - (settings[:, 0] - 20) / 40 * np.log(25.5))
         records = self.life_records(settings, lives)
-        chains = fit_tool_life(records, n_chains=2, n_warmup=300, n_samples=300, seed=13)
+        chains = run_chains(ToolLifeModel(*life_data(records)), n_chains=2, n_warmup=300,
+                            n_samples=300, seed=13)
         grid = life_surface(chains, settings, lives)
         lo = lives.min() - 3.0 * grid.sd.max()
         hi = lives.max() + 3.0 * grid.sd.max()

@@ -11,8 +11,8 @@ from gaussian_target import GaussianTarget
 from toolwear import sampler
 from toolwear.diagnostics import summarize
 from toolwear.errors import InvalidDataError, NotPositiveDefiniteError, SamplingError
-from toolwear.model import ForceChannelModel
-from toolwear.predict import fit_tool_life
+from toolwear.model import ForceChannelModel, ToolLifeModel, controls_array, life_data
+from toolwear.predict import life_surface, surface
 from toolwear.sampler import (
     DualAveraging,
     _window_inv_mass,
@@ -521,17 +521,20 @@ class TestSecondMoments:
 
 
 class TestDiagonalDraws:
-    """The diagonal metric's draws, pinned by digest end to end.
+    """The diagonal metric's draws, and the surfaces made from them, pinned by
+    digest end to end.
 
-    Two short fits on one worker, each 2 x (60 + 20): the 60 warmup
+    Three short fits on one worker, each 2 x (60 + 20): the 60 warmup
     iterations close one mass-matrix window, so the window update and the
     restarted step-size search are covered, not only the transitions. The
-    digests were recorded when the inverse mass was a bare array, before a
-    ``Metric`` class held it, and hold unchanged now that it is one again; a
-    change in the float order of the drift
+    Gaussian and life digests were recorded when the inverse mass was a bare
+    array, before a ``Metric`` class held it, and hold unchanged now that it is
+    one again; a change in the float order of the drift
     (``step * inv_mass * p`` against ``step * (inv_mass * p)``) moves them.
-    They hold for float64 on x86_64 with OpenBLAS; another BLAS build may
-    round the life GP's factorizations differently.
+    The force-model and surface digests pin the float order of the kernel in
+    the GP level and in the surfaces' mixture. They hold for float64 on x86_64
+    with OpenBLAS; another BLAS build may round the GP's factorizations
+    differently.
     """
 
     KW = dict(n_chains=2, n_warmup=60, n_samples=20)
@@ -539,6 +542,32 @@ class TestDiagonalDraws:
     @staticmethod
     def digest(chains):
         return hashlib.sha256(chains.draws.tobytes()).hexdigest()
+
+    @staticmethod
+    def grid_digest(grid):
+        return hashlib.sha256(np.stack([grid.mean, grid.sd]).tobytes()).hexdigest()
+
+    @staticmethod
+    def small_grid(controls):
+        """A 5 x 4 grid over the hull of ``controls``."""
+        (v_lo, f_lo), (v_hi, f_hi) = controls.min(axis=0), controls.max(axis=0)
+        return v_lo, v_hi, 5, f_lo, f_hi, 4
+
+    @pytest.fixture(scope="class")
+    def life_fit(self):
+        with pytest.MonkeyPatch.context() as m:
+            use_workers(m, 1)
+            records, _ = simulate_dataset(21, 20, seed=7)
+            controls, life = life_data(records)
+            return controls, life, run_chains(ToolLifeModel(controls, life), seed=7, **self.KW)
+
+    @pytest.fixture(scope="class")
+    def force_fit(self):
+        with pytest.MonkeyPatch.context() as m:
+            use_workers(m, 1)
+            records, _ = simulate_dataset(8, 20, seed=7)
+            return controls_array(records), run_chains(ForceChannelModel(records, "Ft"),
+                                                       seed=7, **self.KW)
 
     def test_gaussian(self, monkeypatch):
         use_workers(monkeypatch, 1)
@@ -548,9 +577,24 @@ class TestDiagonalDraws:
         assert self.digest(chains) == \
             "caff96833ec7618d84137ec311994bdd2c463b05f369dd1a0c06df2f929126a4"
 
-    def test_tool_life(self, monkeypatch):
-        use_workers(monkeypatch, 1)
-        records, _ = simulate_dataset(21, 20, seed=7)
-        chains = fit_tool_life(records, seed=7, **self.KW)
-        assert self.digest(chains) == \
+    def test_tool_life(self, life_fit):
+        assert self.digest(life_fit[-1]) == \
             "07eec4635ee5b3c6e3de4db491f0de29dd633fa0a8a49ebc7003028d6a0656e1"
+
+    def test_life_surface(self, monkeypatch, life_fit):
+        use_workers(monkeypatch, 1)
+        controls, life, chains = life_fit
+        grid = life_surface(chains, controls, life, self.small_grid(controls))
+        assert self.grid_digest(grid) == \
+            "a86e5b74cb59561ad891159391c4bde8c14b3ff9b66d51e38560396b32c870fc"
+
+    def test_force_model(self, force_fit):
+        assert self.digest(force_fit[1]) == \
+            "2f3bd6bf0f132442340212dc66ee9ec3fbbba3ab219aba6cedca73f581f1922a"
+
+    def test_force_surface(self, monkeypatch, force_fit):
+        use_workers(monkeypatch, 1)
+        controls, chains = force_fit
+        grid = surface(chains, controls, self.small_grid(controls))
+        assert self.grid_digest(grid) == \
+            "4acc09d2f0ab85a4146eb0b611d3d9b0aa9df09931913ec9822055891a3b5921"

@@ -5,13 +5,13 @@ Every CSV file is written by one table writer in ``csv``'s default dialect
 (shortest round-trip decimal): ``read(write(x)) == x`` exactly, and re-runs
 are byte-identical.
 
-Traces, series, and draws with their per-chain sidecars are read by one
-numeric CSV reader: it checks the header, then parses the body with
-``np.loadtxt``. Only when that fails does it walk the rows with ``csv`` and
+Every table is read through one header check (a refusal names ``file:1``)
+and one row walker, the one place that refuses a row that does not parse.
+Traces, series, and draws with their per-chain sidecars parse their bodies
+with ``np.loadtxt``; only when that fails do they walk the rows with
 ``float()``, which accepts a few more spellings (``1_000``, whitespace-only
-rows, quoted cells) and otherwise finds the malformed row. Controls and
-Taylor tables, whose life cells may be blank, walk their rows that way from
-the start.
+rows, quoted cells) and otherwise finds the row that fails. Controls and Taylor
+tables, whose life cells may be blank, walk their rows from the start.
 Inputs are UTF-8, a leading byte-order mark skipped. Blank rows are
 skipped, and every error about a row or a byte names it as ``file:line``.
 """
@@ -105,18 +105,13 @@ def write_controls(path, records) -> None:
 def load_controls(path) -> list[ExperimentRecord]:
     """Controls table: CSV with header id,v_c,f[,tool_life]."""
     from .model import ExperimentRecord
-    with _open_text(path) as fh:
-        header = next(csv.reader([fh.readline()]), [])
-    if _names(header[:3]) != ["id", "v_c", "f"]:
-        raise ValidationError(f"{path}: expected header id,v_c,f[,tool_life]")
+    header = _header(path, lambda h: _names(h[:3]) == ["id", "v_c", "f"],
+                     "header id,v_c,f[,tool_life]")
     has_life = _names(header[3:4]) == ["tool_life"]
     records, seen = [], set()
-    for lineno, row in _data_rows(path):
-        try:
-            rid, v_c, f = int(row[0]), float(row[1]), float(row[2])
-            life = float(row[3]) if has_life and len(row) > 3 and row[3].strip() else None
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
+    for lineno, (rid, v_c, f, life) in _rows(path, lambda row: (
+            int(row[0]), float(row[1]), float(row[2]),
+            float(row[3]) if has_life and len(row) > 3 and row[3].strip() else None)):
         if rid in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate experiment id {rid}")
         if not (0 < v_c < math.inf and 0 < f < math.inf):
@@ -128,39 +123,43 @@ def load_controls(path) -> list[ExperimentRecord]:
     return records
 
 
-def _data_rows(path):
-    """(file line, cells) of each body row that has a non-blank cell, as ``csv`` reads them."""
+def _header(path, ok, expected: str) -> list[str]:
+    """The header cells of ``path``, once ``ok(cells)``; else ``file:1: expected ...``."""
+    with _open_text(path) as fh:
+        header = next(csv.reader([fh.readline()]), [])
+    if not ok(header):
+        raise ValidationError(f"{path}:1: expected {expected}")
+    return header
+
+
+def _rows(path, parse):
+    """(file line, ``parse(cells)``) of each body row with a non-blank cell; a
+    ValueError or IndexError of ``parse`` is refused naming its line."""
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for lineno, row in enumerate(reader, start=2):
             if any(c.strip() for c in row):
-                yield lineno, row
+                try:
+                    value = parse(row)
+                except (ValueError, IndexError) as exc:
+                    raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
+                yield lineno, value
 
 
 def _line_of(path, index: int) -> int:
     """File line of the ``index``-th data row."""
-    return next(islice(_data_rows(path), index, None))[0]
+    return next(islice(_rows(path, len), index, None))[0]
 
 
-def _read_numeric(path, columns, expected: str):
-    """Numeric CSV body under a checked header -> (header cells, 2-D float array).
-
-    ``columns(cells)`` reads the header: a false value rejects it
-    (``ValidationError`` then says ``expected``), a tuple of column indices
-    parses and returns only those columns, in that order, and ``True``
-    parses every cell and returns the first ``len(header)`` columns. A row
-    needs a cell under each column it is parsed at (every header cell, with
-    ``True``).
-    """
+def _read_numeric(path, ok, expected: str, usecols=None):
+    """Numeric CSV body under a header ``ok`` accepts -> (header cells, 2-D float array):
+    the columns ``usecols`` indexes, in that order, or else the first
+    ``len(header)`` of every cell parsed. A row needs a cell under each column."""
+    header = _header(path, ok, expected)
+    ncols = len(header) if usecols is None else len(usecols)
     with _open_text(path) as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        usecols = columns(header)
-        if not usecols:
-            raise ValidationError(f"{path}: expected {expected}")
-        usecols = None if usecols is True else usecols
-        width = len(header) if usecols is None else max(usecols) + 1
-        ncols = len(header) if usecols is None else len(usecols)
+        fh.readline()
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
@@ -169,15 +168,16 @@ def _read_numeric(path, columns, expected: str):
                 values = None
     if values is not None and len(values) and values.shape[1] >= ncols:
         return header, values[:, :ncols]
-    rows = []
-    for lineno, row in _data_rows(path):
-        try:
-            if len(row) < width:
-                raise ValueError(f"{len(row)} cells, {width} needed")
-            rows.append([float(row[j]) for j in usecols or range(len(row))][:ncols])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
+    rows = [cells for _, cells in _rows(path, lambda row: [  # a short row raises IndexError
+        float(row[j]) for j in usecols or range(max(len(row), ncols))][:ncols])]
     return header, np.array(rows, dtype=float).reshape(-1, ncols)
+
+
+def _check_rows(path, ok, what: str) -> None:
+    """Refuse the first data row where ``ok`` is false, naming its file line."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: {what}")
 
 
 def load_series(path, record: ExperimentRecord | None = None):
@@ -186,10 +186,10 @@ def load_series(path, record: ExperimentRecord | None = None):
     Returns (L, forces); when ``record`` is given the series is attached to it.
     """
     _, values = _read_numeric(path, lambda h: _names(h) == ["L", *CHANNELS], "header L,Ft,Ff,Fp")
+    _check_rows(path, np.isfinite(values).all(axis=1), "L and forces must be finite")
     length = np.ascontiguousarray(values[:, 0])
-    bad = np.flatnonzero(length <= np.concatenate(([-np.inf], length[:-1])))
-    if bad.size:
-        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: L must be strictly increasing")
+    _check_rows(path, length > np.concatenate(([-np.inf], length[:-1])),
+                "L must be strictly increasing")
     forces = {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS, start=1)}
     if record is not None:
         record.set_series(length, forces)
@@ -209,8 +209,9 @@ def write_trace(path, trace) -> None:
 
 def load_trace(path):
     """Raw trace CSV (columns sample,Ft,Ff,Fp) -> forces dict; ``sample`` is not read."""
-    _, values = _read_numeric(path, lambda h: _names(h) == ["sample", *CHANNELS] and (1, 2, 3),
-                              "header sample,Ft,Ff,Fp")
+    _, values = _read_numeric(path, lambda h: _names(h) == ["sample", *CHANNELS],
+                              "header sample,Ft,Ff,Fp", usecols=(1, 2, 3))
+    _check_rows(path, np.isfinite(values).all(axis=1), "forces must be finite")
     return {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS)}
 
 
@@ -233,20 +234,16 @@ def load_taylor(path):
     """(v_c, tool life) rows, shape (n, 2), of a CSV with columns v_c and
     life (or tool_life, when there is no life column). A row whose life cell
     is blank is skipped, as the life GP skips a record without a tool life."""
-    with _open_text(path) as fh:
-        names = _names(next(csv.reader([fh.readline()]), []))
-    life = "life" if "life" in names else "tool_life"
-    if "v_c" not in names or life not in names:
-        raise ValidationError(f"{path}: expected columns v_c and life (or tool_life)")
-    v_col, life_col = names.index("v_c"), names.index(life)
-    rows = []
-    for lineno, row in _data_rows(path):
+    names = _names(_header(path, lambda h: "v_c" in _names(h) and (
+        "life" in _names(h) or "tool_life" in _names(h)), "columns v_c and life (or tool_life)"))
+    v_col, life_col = names.index("v_c"), names.index("life" if "life" in names else "tool_life")
+
+    def parse(row):  # None where the life cell is blank
         if life_col < len(row) and not row[life_col].strip():
-            continue
-        try:
-            rows.append([float(row[v_col]), float(row[life_col])])
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed row {row!r}") from exc
+            return None
+        return [float(row[v_col]), float(row[life_col])]
+
+    rows = [pair for _, pair in _rows(path, parse) if pair is not None]
     return np.array(rows, dtype=float).reshape(-1, 2)
 
 
@@ -319,13 +316,8 @@ def read_draws(path) -> ChainSet:
     chains, side = read_draws_csv(path), chains_path(path)
     if not side.exists():
         return chains
-
-    def header(cells):
-        if _names(cells) != _CHAIN_STATS:
-            raise ValidationError(f"{side}:1: expected header {','.join(_CHAIN_STATS)}")
-        return True
-
-    chain, step, accept, div = _read_numeric(side, header, "")[1].T
+    chain, step, accept, div = _read_numeric(side, lambda h: _names(h) == _CHAIN_STATS,
+                                             f"header {','.join(_CHAIN_STATS)}")[1].T
     m, n, row = chains.n_chains, chains.n_retained, np.arange(len(chain))
     checks = ((f"expected one row per chain of the draws, chains 0 to {m - 1} in order",
                (chain == row) & (row < m)),

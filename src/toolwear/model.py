@@ -157,6 +157,17 @@ def controls_array(records: list[ExperimentRecord]) -> np.ndarray:
     return np.array([[r.v_c, r.f] for r in records], dtype=float)
 
 
+def spread_hull(controls, consequence: str):
+    """(lowest, highest) (v_c, f) of training ``controls``; an axis with no spread
+    raises :class:`DegenerateFitError`, its message ending with ``consequence``."""
+    x = np.atleast_2d(np.asarray(controls, dtype=float))
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    for name, a, b in zip(("v_c", "f"), lo, hi):
+        if a == b:
+            raise DegenerateFitError(f"all training {name} values equal; {consequence}")
+    return lo, hi
+
+
 def channel_sums(records: list[ExperimentRecord], channel: str) -> np.ndarray:
     """Per-experiment sums of a channel's series about their means, shape
     (6, K): count, mean length, mean force, the length sum of squares, the
@@ -365,8 +376,8 @@ class ToolLifeModel:
 
     log life ~ MVN(mu * 1, eta^2 E + sigma_b^2 I), with the force model's kernel
     family and prior scales; ``mu_beta_sd`` also sets the prior sd of mu (``mu_life``).
-    Equal lives raise :class:`DegenerateFitError`: with no spread in the log
-    lives the signal and noise variances both collapse to zero.
+    Equal lives raise :class:`DegenerateFitError` (the signal and noise variances
+    both collapse to zero), as do controls with no spread in v_c or f.
     """
 
     param_names = ["mu_life", "eta_sq", "rho1", "rho2", "sigma_b_sq"]
@@ -380,6 +391,7 @@ class ToolLifeModel:
         self.y = np.log(life)
         if np.ptp(self.y) == 0:
             raise DegenerateFitError("all tool lives equal; the tool-life GP posterior is improper")
+        spread_hull(self.controls, "the tool-life surface is degenerate")
         self.priors = priors or PriorConfig()
         self.dv2, self.df2 = control_sq_dists(self.controls)
         pri = self.priors

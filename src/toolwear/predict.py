@@ -34,7 +34,7 @@ from .errors import (DegenerateFitError, DomainError, ExtrapolationError,
 from .kernel import (KernelConfig, Standardizer, cholesky_cov, cross_cov, jittered_cholesky,
                      unit_kernel)
 # ToolLifeModel is imported for the benchmark's trace of predict.ToolLifeModel.logp_grad
-from .model import ToolLifeModel  # noqa: F401
+from .model import ToolLifeModel, spread_hull  # noqa: F401
 from .sampler import ChainSet, fork_map
 
 DEFAULT_RESOLUTION = 20
@@ -186,12 +186,7 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
 
 def _grid(train, grid_spec):
     """The grid's v_c and f axes, over training controls that spread in both."""
-    train = np.atleast_2d(np.asarray(train, dtype=float))
-    v_lo, v_hi = train[:, 0].min(), train[:, 0].max()
-    f_lo, f_hi = train[:, 1].min(), train[:, 1].max()
-    for name, lo, hi in (("v_c", v_lo, v_hi), ("f", f_lo, f_hi)):
-        if lo == hi:
-            raise DegenerateFitError(f"all training {name} values equal; the surface is degenerate")
+    (v_lo, f_lo), (v_hi, f_hi) = spread_hull(train, "the surface is degenerate")
     if grid_spec is None:
         grid_spec = (v_lo, v_hi, DEFAULT_RESOLUTION, f_lo, f_hi, DEFAULT_RESOLUTION)
     v_min, v_max, nv, f_min, f_max, nf = grid_spec

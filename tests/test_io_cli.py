@@ -105,6 +105,12 @@ class TestSeriesIO:
         with pytest.raises(ValidationError, match="3"):
             tio.load_series(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_length_names_row(self, tmp_path, cell):
+        path = write(tmp_path / "s.csv", f"L,Ft,Ff,Fp\n1.0,5,3,2\n{cell},6,4,3\n3.0,6,4,3\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}:3: L and forces must be"):
+            tio.load_series(path)
+
     def test_trace_roundtrip(self, tmp_path):
         from toolwear.segmentation import RawTrace
         rng = np.random.default_rng(5)
@@ -358,6 +364,20 @@ class TestNumericReader:
         rows[1][-1] = cell
         path = write(tmp_path / "f.csv", "\n".join([header, *map(",".join, rows)]) + "\n")
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}:3: malformed row"):
+            reader(path)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("column", [-3, -1])
+    def test_non_finite_value_names_its_file_line(self, tmp_path, kind, cell, column):
+        """A value that parses but is not finite is refused by every numeric
+        reader, naming its file line, after blank rows as well."""
+        reader, header, lead, _ = READERS[kind]
+        rows = [lead(i) + ["2.5"] * 3 for i in range(3)]
+        rows[1][column] = cell
+        path = write(tmp_path / "f.csv", "\n".join([header, "", *map(",".join, rows)]) + "\n")
+        what = f"^{re.escape(path)}:4: [A-Za-z ]+ must be finite$"
+        with pytest.raises(ValidationError, match=what):
             reader(path)
 
 
@@ -675,7 +695,7 @@ class TestCli:
     @pytest.mark.parametrize("text, what", [
         ("v_c,life\n20,255\n\n58,ten\n", ":4: malformed row"),
         ("v_c,note,life\n20,a,255\n58,b\n", ":3: malformed row"),
-        ("v_c,T\n20,255\n58,10\n", ": expected columns v_c and life (or tool_life)"),
+        ("v_c,T\n20,255\n58,10\n", ":1: expected columns v_c and life (or tool_life)"),
     ])
     def test_taylor_bad_input_exits_1(self, tmp_path, capsys, text, what):
         path = write(tmp_path / "life.csv", text)
@@ -1225,6 +1245,27 @@ class TestExitCodes:
                      "--draws-out", str(tmp_path / "d.csv")]) == 1
         err = capsys.readouterr().err
         assert "all tool lives equal" in err and "internal error" not in err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("speeds, feeds, what", [
+        ([40, 40, 40, 40], [20, 28, 36, 44], "all training v_c values equal"),
+        ([20, 30, 45, 60], [30, 30, 30, 30], "all training f values equal"),
+    ], ids=["equal-speeds", "equal-feeds"])
+    def test_fit_life_refuses_controls_with_no_spread(self, tmp_path, capsys, monkeypatch,
+                                                      speeds, feeds, what):
+        """``fit --channel life`` refuses controls whose surface ``predict`` would
+        refuse, before any chain runs."""
+        def never(*args, **kw):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(pipeline, "run_chains", never)
+        controls = write(tmp_path / "controls.csv", "id,v_c,f,tool_life\n" + "".join(
+            f"{i + 1},{v},{f},{life}\n"
+            for i, (v, f, life) in enumerate(zip(speeds, feeds, [200, 150, 100, 40]))))
+        assert main(["fit", "--controls", controls, "--channel", "life",
+                     "--draws-out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert what in err and "internal error" not in err
         assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("section, what", [

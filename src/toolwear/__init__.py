@@ -21,12 +21,12 @@ _EXPORTS = {
                "NotPositiveDefiniteError", "InvalidDataError", "ExtrapolationError",
                "ValidationError", "DegenerateFitError", "SamplingError"),
     "io": ("RunConfig", "load_controls", "load_series", "load_trace"),
-    "kernel": ("KernelConfig", "Standardizer", "cross_cov", "cov_matrix", "cholesky_cov"),
+    "kernel": ("KernelConfig", "Standardizer", "cholesky_cov"),
     "model": ("ExperimentRecord", "ModelParams", "PriorConfig", "ForceChannelModel",
               "ToolLifeModel", "controls_array", "log_likelihood", "log_prior", "log_posterior"),
     "pipeline": ("PipelineResult", "run_pipeline"),
-    "predict": ("SurfaceGrid", "TaylorFit", "gp_conditional", "surface", "life_surface",
-                "fit_taylor", "taylor_life"),
+    "predict": ("SurfaceGrid", "TaylorFit", "surface", "life_surface", "fit_taylor",
+                "taylor_life"),
     "sampler": ("ChainSet", "run_chains"),
     "segmentation": ("RawTrace", "Segmentation", "ExperimentSeries", "binary_segmentation",
                      "default_penalty", "extract_contact_phases"),

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the names of the kernel
+hyperparameters (see ``kernel.KernelConfig``), each refused unless strictly positive."""
+
+HYPERPARAMETERS = ("eta_sq", "rho1", "rho2", "sigma_b_sq")
 
 
 class ToolwearError(Exception):

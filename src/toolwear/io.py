@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import yaml
 
-from .errors import ValidationError
+from .errors import HYPERPARAMETERS, ValidationError
 from .sampler import ChainSet
 from .segmentation import CHANNELS
 
@@ -202,9 +202,11 @@ def write_series(path, length, forces) -> None:
 
 
 def write_trace(path, trace) -> None:
+    """Raw trace table; its forces become Python floats 4096 rows at a time, not all at once."""
+    columns = [trace.forces[ch] for ch in CHANNELS]
     _write_rows(path, ["sample", *CHANNELS],
-                ([i] + [fmt(trace.forces[ch][i]) for ch in CHANNELS]
-                 for i in range(trace.n_samples)))
+                (row for i in range(0, trace.n_samples, 4096)
+                 for row in zip(range(i, i + 4096), *(_floats(c[i:i + 4096]) for c in columns))))
 
 
 def load_trace(path):
@@ -263,8 +265,9 @@ def write_draws_csv(path, chains: ChainSet) -> None:
 def read_draws_csv(path) -> ChainSet:
     """Draws in the row order :func:`write_draws_csv` writes: chain by chain
     from chain 0, each chain's iterations from 0, every chain as long as the
-    first. A missing, repeated or reordered row raises ValidationError naming
-    its line, and a repeated parameter column one naming the column."""
+    first. A missing, repeated or reordered row, or a kernel hyperparameter
+    that is not strictly positive, raises ValidationError naming its line, and
+    a repeated parameter column one naming the column."""
     header, values = _read_numeric(path, lambda h: h[:2] == ["chain", "iteration"],
                                    "draws header chain,iteration,...")
     if not values[:, 2:].size:
@@ -291,6 +294,11 @@ def read_draws_csv(path) -> ChainSet:
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
         raise ValidationError(f"{path}: parameter column {repeated[0]!r} repeated")
+    hyper = [j for j, n in enumerate(names) if n in HYPERPARAMETERS]
+    bad = np.argwhere(values[:, 2:][:, hyper] <= 0)  # in row, then column order
+    if bad.size:
+        raise ValidationError(f"{path}:{_line_of(path, bad[0][0])}: "
+                              f"{names[hyper[bad[0][1]]]} must be strictly positive")
     draws = np.ascontiguousarray(values[:, 2:]).reshape(-1, n_iter, len(names))
     return ChainSet(draws=draws, param_names=names, n_warmup=0, n_retained=n_iter, seed=0)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .errors import DomainError, NotPositiveDefiniteError
+from .errors import HYPERPARAMETERS, DomainError, NotPositiveDefiniteError
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -32,7 +32,7 @@ class KernelConfig:
     sigma_b_sq: float
 
     def __post_init__(self):
-        for name in ("eta_sq", "rho1", "rho2", "sigma_b_sq"):
+        for name in HYPERPARAMETERS:
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be strictly positive")
 
@@ -61,37 +61,24 @@ class Standardizer:
         return (np.atleast_2d(np.asarray(points, dtype=float)) - self.mean) / self.sd
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    dv = a[:, 0:1] - b[None, :, 0]
-    df = a[:, 1:2] - b[None, :, 1]
+def _sq_dists(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared v_c and f distances between every pair of ``points``, each (K, K)."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    dv = x[:, 0:1] - x[None, :, 0]
+    df = x[:, 1:2] - x[None, :, 1]
     return dv**2, df**2
 
 
 def control_sq_dists(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared v_c and f distances between the training controls, z-scored on themselves."""
     x = Standardizer.fit(controls).transform(controls)
-    return _sq_dists(x, x)
+    return _sq_dists(x)
 
 
 def unit_kernel(rho1, rho2, dv2, df2):
     """``exp(-rho1 dv2 - rho2 df2)``: the kernel at unit signal variance over
     squared v_c and f distances, elementwise; ``rho1`` and ``rho2`` broadcast."""
     return np.exp(-rho1 * dv2 - rho2 * df2)
-
-
-def cross_cov(stars: np.ndarray, train: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """M x K covariance between prediction and training points; never nugget."""
-    return cfg.eta_sq * unit_kernel(cfg.rho1, cfg.rho2, *_sq_dists(stars, train))
-
-
-def cov_matrix(points: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """K x K training covariance that :func:`cholesky_cov` factors first: kernel
-    off the diagonal, nugget + ``JITTER_START * eta_sq`` on it."""
-    cov = cross_cov(points, points, cfg)
-    cov[np.diag_indices_from(cov)] = cfg.eta_sq + cfg.sigma_b_sq + JITTER_START * cfg.eta_sq
-    return cov
 
 
 def jittered_cholesky(
@@ -118,9 +105,8 @@ def jittered_cholesky(
 
 
 def cholesky_cov(points: np.ndarray, cfg: KernelConfig) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of :func:`cov_matrix`, escalating jitter on failure.
-
-    See :func:`jittered_cholesky`.
-    """
-    e_mat = unit_kernel(cfg.rho1, cfg.rho2, *_sq_dists(points, points))
+    """Lower Cholesky factor of the covariance of ``points`` under ``cfg``, the
+    kernel off the diagonal and the nugget plus jitter on it; see
+    :func:`jittered_cholesky`."""
+    e_mat = unit_kernel(cfg.rho1, cfg.rho2, *_sq_dists(points))
     return jittered_cholesky(e_mat, cfg.eta_sq, cfg.sigma_b_sq)

@@ -29,10 +29,9 @@ from functools import reduce
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .errors import (DegenerateFitError, DomainError, ExtrapolationError,
+from .errors import (HYPERPARAMETERS, DegenerateFitError, DomainError, ExtrapolationError,
                      InsufficientDataError, ValidationError)
-from .kernel import (KernelConfig, Standardizer, cholesky_cov, cross_cov, jittered_cholesky,
-                     unit_kernel)
+from .kernel import Standardizer, jittered_cholesky, unit_kernel
 # ToolLifeModel is imported for the benchmark's trace of predict.ToolLifeModel.logp_grad
 from .model import ToolLifeModel, spread_hull  # noqa: F401
 from .sampler import ChainSet, fork_map
@@ -66,25 +65,6 @@ class TaylorFit:
     residual_sd: float
 
 
-def gp_conditional(beta: np.ndarray, mu_beta: float, kernel: KernelConfig, train: np.ndarray,
-                   star: np.ndarray):
-    """Gaussian conditional of the slope field at one or more new points.
-
-    Points are used on the scale given (standardize beforehand when the
-    kernel was fitted on standardized inputs). Variances are clamped at zero
-    from below; a warning is emitted if a value falls below -1e-10 first.
-    Returns scalars for a single star, arrays for a batch.
-    """
-    chol, _ = cholesky_cov(train, kernel)
-    mean, var = _moments(chol, beta, mu_beta, kernel.eta_sq + kernel.sigma_b_sq,
-                         cross_cov(np.atleast_2d(star), train, kernel), np.ones((len(chol), 1)))
-    _warn_clamped(var.min())
-    var = np.maximum(var, 0.0)
-    if np.ndim(star) == 1:
-        return float(mean[0, 0]), float(var[0, 0])
-    return mean[:, 0], var[:, 0]
-
-
 def _moments(chol, field, mu, prior_var, ev, ef):
     """Conditional (mean, var) at nodes (i, j) of cross-covariance ``ev[i] * ef[:, j]``.
 
@@ -96,12 +76,6 @@ def _moments(chol, field, mu, prior_var, ev, ef):
     w = np.einsum("kt,it->ikt", chol_inv, ev) @ ef
     var = prior_var - np.einsum("ikj,ikj->ij", w, w)
     return mu + (chol_inv @ np.subtract(field, mu)) @ w, var
-
-
-def _warn_clamped(lowest):
-    """Warn that variances are clamped to 0 when the ``lowest`` fell below -1e-10."""
-    if lowest < -1e-10:
-        warnings.warn(f"conditional variance fell to {lowest:.3e}; clamping to 0")
 
 
 def _pool(a, b):
@@ -137,19 +111,18 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
     k = len(train)
     field = [f"beta[{i + 1}]" for i in range(k)] if y is None else []
     mu = "mu_beta" if y is None else "mu_life"
-    hyper = ["eta_sq", "rho1", "rho2", "sigma_b_sq"]
-    names = chains.param_names
-    missing = [n for n in (*field, mu, *hyper) if n not in names]
+    names, needed = chains.param_names, (*field, mu, *HYPERPARAMETERS)
+    missing = [n for n in needed if n not in names]
     extra = [n for n in names if n.startswith("beta[") and n not in field]
     if missing or extra:
         raise ValidationError(f"draws lack column {missing[0]!r}" if missing else
                               f"draws have column {extra[0]!r} beyond the {k} experiments given")
-    cols = chains.draws[:, :, [names.index(n) for n in (*field, mu, *hyper)]]
+    cols = chains.draws[:, :, [names.index(n) for n in needed]]
     if not np.isfinite(cols).all():
         raise ValidationError("draws hold non-finite values")
     bad = np.argwhere(cols[:, :, -4:] <= 0)  # in chain, draw, column order
     if len(bad):
-        raise DomainError(f"{hyper[bad[0][-1]]} must be strictly positive")
+        raise DomainError(f"{HYPERPARAMETERS[bad[0][-1]]} must be strictly positive")
     std = Standardizer.fit(train)
     xv, xf = std.transform(train).T
     zv, zf = ((np.asarray(a, dtype=float) - m) / s
@@ -180,7 +153,8 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
                               for i in range(0, cols.shape[1], size)))
 
     n, mean, m2, var_sum, low = reduce(_pool, fork_map(chain_summary, chains.n_chains))
-    _warn_clamped(low)
+    if low < -1e-10:
+        warnings.warn(f"conditional variance fell to {low:.3e}; clamping to 0")
     return mean, np.sqrt((var_sum + m2) / n)
 
 

@@ -16,13 +16,15 @@ import numpy as np
 import pytest
 
 from gaussian_target import GaussianTarget
+from gp_reference import dense_conditional
 from toolwear import io as tio
 from toolwear.diagnostics import psrf, summarize
-from toolwear.kernel import KernelConfig, Standardizer, cov_matrix, cross_cov
+from toolwear.errors import HYPERPARAMETERS
+from toolwear.kernel import KernelConfig, Standardizer
 from toolwear.model import (ExperimentRecord, ForceChannelModel, ToolLifeModel, controls_array,
                             life_data)
 from toolwear.pipeline import run_pipeline
-from toolwear.predict import fit_taylor, gp_conditional, life_surface, surface
+from toolwear.predict import DEFAULT_MARGIN, fit_taylor, life_surface, surface
 from toolwear.sampler import ChainSet, run_chains
 from toolwear.segmentation import RawTrace, binary_segmentation
 from toolwear.simulate import simulate_dataset
@@ -63,27 +65,31 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gp_conditional_matches_dense_inverse():
-    """Criterion 2: conditional mean/variance vs explicit matrix inverse."""
+    """Criterion 2: the surface's conditional mean/variance vs explicit matrix
+    inverse, one draw per system, on a grid out to the extrapolation margin."""
     t0 = time.monotonic()
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(50):
-        k = int(rng.integers(1, 7))
+        k = int(rng.integers(2, 7))
         cfg = KernelConfig(*np.exp(rng.uniform(-1.5, 1.2, size=4)))
-        train = rng.uniform(-2, 2, size=(k, 2))
+        train = rng.uniform([20, 20], [60, 50], size=(k, 2))
         beta = rng.normal(size=k)
         mu = float(rng.normal())
-        stars = rng.uniform(-2, 2, size=(5, 2))
-        mean, var = gp_conditional(beta, mu, cfg, train, stars)
-        cov = cov_matrix(train, cfg)
-        inv = np.linalg.inv(cov)
-        ks = cross_cov(stars, train, cfg)
-        mean2 = mu + ks @ inv @ (beta - mu)
-        var2 = np.maximum(
-            cfg.eta_sq + cfg.sigma_b_sq - np.einsum("ij,jk,ik->i", ks, inv, ks), 0.0
-        )
-        worst = max(worst, float(np.abs(mean - mean2).max()),
-                    float(np.abs(var - var2).max()))
+        names = [f"beta[{i + 1}]" for i in range(k)] + ["mu_beta", *HYPERPARAMETERS]
+        draw = np.r_[beta, mu, [getattr(cfg, n) for n in HYPERPARAMETERS]]
+        chains = ChainSet(draws=draw[None, None], param_names=names, n_warmup=0, n_retained=1,
+                          seed=0)
+        lo, hi = train.min(axis=0), train.max(axis=0)
+        pad = DEFAULT_MARGIN * (hi - lo)
+        grid = surface(chains, train, (lo[0] - pad[0], hi[0] + pad[0], 5,
+                                       lo[1] - pad[1], hi[1] + pad[1], 4))
+        std = Standardizer.fit(train)
+        vv, ff = np.meshgrid(grid.v_axis, grid.f_axis, indexing="ij")
+        mean2, var2 = dense_conditional(beta, mu, cfg, std.transform(train),
+                                        std.transform(np.column_stack([vv.ravel(), ff.ravel()])))
+        worst = max(worst, float(np.abs(grid.mean.ravel() - mean2).max()),
+                    float(np.abs(grid.sd.ravel() ** 2 - np.maximum(var2, 0.0)).max()))
     elapsed = time.monotonic() - t0
     assert worst < 1e-8
     assert elapsed < 5.0

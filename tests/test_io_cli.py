@@ -20,7 +20,7 @@ import toolwear
 from toolwear import io as tio
 from toolwear import pipeline, sampler
 from toolwear.cli import build_parser, main
-from toolwear.errors import InvalidDataError, SamplingError, ValidationError
+from toolwear.errors import HYPERPARAMETERS, InvalidDataError, SamplingError, ValidationError
 from toolwear.model import ForceChannelModel, ToolLifeModel
 from toolwear.sampler import ChainSet
 from toolwear.simulate import simulate_dataset
@@ -991,6 +991,25 @@ class TestExitCodes:
         assert main(["diagnose", "--draws", draws]) == 1
         err = capsys.readouterr().err
         assert f"{draws}:{line}: {what}" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("column", HYPERPARAMETERS)
+    @pytest.mark.parametrize("command", ["diagnose", "predict"])
+    def test_non_positive_hyperparameter_exits_1_naming_line(self, tmp_path, capsys, command,
+                                                              column, value):
+        """A kernel hyperparameter at or below 0 is refused where the draws are read."""
+        rows = [[str(c), str(i), "4.0", "1.0", "1.0", "1.0", "0.1"]
+                for c in range(2) for i in range(3)]
+        rows[2][ToolLifeModel.param_names.index(column) + 2] = value
+        draws = write(tmp_path / "draws_life.csv", "\n".join(
+            ["chain,iteration," + ",".join(ToolLifeModel.param_names), *map(",".join, rows)]))
+        controls = write(tmp_path / "controls.csv",
+                         "id,v_c,f,tool_life\n1,20,20,100\n2,40,30,50\n3,30,45,80\n")
+        argv = {"diagnose": ["diagnose", "--draws", draws],
+                "predict": ["predict", "--draws", draws, "--controls", controls,
+                            "--channel", "life", "-o", str(tmp_path / "surface.csv")]}[command]
+        assert main(argv) == 1
+        assert f"{draws}:4: {column} must be strictly positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, line, what", [
         (["chain,step,accept_stat,divergences", "0,0.5,0.8,0", "1,0.5,0.8,0"], 1,

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve
 
-from toolwear.kernel import (JITTER_START, KernelConfig, Standardizer, cov_matrix,
-                             jittered_cholesky)
+from gp_reference import cov_matrix
+from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, jittered_cholesky
 from toolwear.model import (
     LOG_2PI,
     ExperimentRecord,

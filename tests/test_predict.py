@@ -13,11 +13,13 @@ import pytest
 from scipy import stats
 
 import toolwear
+from gp_reference import cov_matrix, dense_conditional
 from toolwear import io as tio
 from toolwear import kernel, sampler
 from toolwear import predict as tpredict
 from toolwear.cli import main
 from toolwear.errors import (
+    HYPERPARAMETERS,
     DegenerateFitError,
     DomainError,
     ExtrapolationError,
@@ -25,28 +27,17 @@ from toolwear.errors import (
     NotPositiveDefiniteError,
     ValidationError,
 )
-from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, cov_matrix, cross_cov
+from toolwear.kernel import JITTER_START, KernelConfig, Standardizer
 from toolwear.model import ExperimentRecord, PriorConfig, life_data
 from toolwear.predict import (
     SurfaceGrid,
     ToolLifeModel,
     fit_taylor,
-    gp_conditional,
     life_surface,
     surface,
     taylor_life,
 )
 from toolwear.sampler import ChainSet, run_chains
-
-
-def dense_conditional(beta, mu_beta, cfg, train, star):
-    """Oracle: Gaussian conditional via an explicit matrix inverse."""
-    cov = cov_matrix(train, cfg)
-    inv = np.linalg.inv(cov)
-    ks = cross_cov(np.atleast_2d(star), train, cfg)
-    mean = mu_beta + ks @ inv @ (np.asarray(beta) - mu_beta)
-    var = cfg.eta_sq + cfg.sigma_b_sq - np.einsum("ij,jk,ik->i", ks, inv, ks)
-    return mean, var
 
 
 def node(chains, train, star):
@@ -86,73 +77,81 @@ def model_chainset(k, beta_rows, hyper, mu_beta=2.0, seed=0):
     return force_chainset(rows, names, seed=seed)
 
 
-class TestGpConditional:
-    def test_noiseless_interpolation(self):
-        cfg = KernelConfig(eta_sq=2.0, rho1=1.0, rho2=1.0, sigma_b_sq=1e-12)
-        train = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.3]])
-        beta = np.array([1.0, -0.5, 2.0])
-        for i in range(3):
-            mean, var = gp_conditional(beta, 0.3, cfg, train, train[i])
-            assert mean == pytest.approx(beta[i], abs=1e-6)
-            assert var == pytest.approx(0.0, abs=1e-8)
+def margin_spec(train, nv, nf):
+    """Grid spec of nv x nf nodes out to the extrapolation margin on both axes."""
+    lo, hi = train.min(axis=0), train.max(axis=0)
+    pad = tpredict.DEFAULT_MARGIN * (hi - lo)
+    return (lo[0] - pad[0], hi[0] + pad[0], nv, lo[1] - pad[1], hi[1] + pad[1], nf)
 
-    def test_prior_reversion_far_away(self):
-        cfg = KernelConfig(eta_sq=2.0, rho1=1.0, rho2=1.0, sigma_b_sq=0.3)
-        train = np.array([[0.0, 0.0], [1.0, 1.0]])
-        mean, var = gp_conditional(np.array([5.0, -5.0]), 0.7, cfg, train,
-                                   np.array([100.0, 100.0]))
-        assert mean == pytest.approx(0.7, abs=1e-12)
-        assert var == pytest.approx(cfg.eta_sq + cfg.sigma_b_sq, abs=1e-12)
+
+class TestGpConditional:
+    """Each draw's conditional, read off the surface of a one-draw ChainSet."""
+
+    def test_noiseless_interpolation(self):
+        train = np.array([[20.0, 20.0], [50.0, 32.0], [26.0, 47.0]])
+        beta = np.array([1.0, -0.5, 2.0])
+        chains = model_chainset(3, [beta], [2.0, 1.0, 1.0, 1e-12], mu_beta=0.3)
+        for i in range(3):
+            mean, sd = node(chains, train, train[i])
+            assert mean == pytest.approx(beta[i], abs=1e-6)
+            assert sd ** 2 == pytest.approx(0.0, abs=1e-8)
+
+    def test_far_point_is_refused(self):
+        """A point far outside the training hull is refused, not reverted to the prior."""
+        train = np.array([[20.0, 20.0], [40.0, 30.0]])
+        chains = model_chainset(2, [[5.0, -5.0]], [2.0, 1.0, 1.0, 0.3], mu_beta=0.7)
+        with pytest.raises(ExtrapolationError):
+            node(chains, train, (100.0, 100.0))
 
     def test_two_point_hand_system(self):
-        """K=2 at unit distance: solve the 2x2 system by hand."""
-        cfg = KernelConfig(eta_sq=1.0, rho1=1.0, rho2=1.0, sigma_b_sq=1.0)
-        train = np.array([[0.0, 0.0], [1.0, 0.0]])
+        """K=2, z-scored to (-1, -1) and (1, 1), rho = 1/8: solve the 2x2 system by hand."""
+        train = np.array([[20.0, 20.0], [40.0, 30.0]])
         beta = np.array([1.0, 2.0])
-        star = np.array([0.0, 0.0])
+        chains = model_chainset(2, [beta], [1.0, 0.125, 0.125, 1.0], mu_beta=0.0)
         # cov = [[d, e^-1], [e^-1, d]] with d = 2 + JITTER_START; k* = [1, e^-1]
         e, d = math.exp(-1.0), 2.0 + JITTER_START
         det = d * d - e * e
         w = np.array([(d - e * e) / det, e * (d - 1.0) / det])  # k* @ inv(cov)
         mean_hand = w @ beta
         var_hand = 2.0 - (w @ np.array([1.0, e]))
-        mean, var = gp_conditional(beta, 0.0, cfg, train, star)
+        mean, sd = node(chains, train, train[0])
         assert mean == pytest.approx(mean_hand, rel=1e-12)
-        assert var == pytest.approx(var_hand, rel=1e-12)
+        assert sd ** 2 == pytest.approx(var_hand, rel=1e-12)
 
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            k = int(rng.integers(1, 7))
-            cfg = KernelConfig(*np.exp(rng.uniform(-1.5, 1.2, size=4)))
-            train = rng.uniform(-2, 2, size=(k, 2))
+            k = int(rng.integers(2, 7))
+            hyper = np.exp(rng.uniform(-1.5, 1.2, size=4))
+            train = rng.uniform([20, 20], [60, 50], size=(k, 2))
             beta = rng.normal(size=k)
-            stars = rng.uniform(-2, 2, size=(3, 2))
-            mean, var = gp_conditional(beta, 0.4, cfg, train, stars)
-            m2, v2 = dense_conditional(beta, 0.4, cfg, train, stars)
-            assert np.allclose(mean, m2, atol=1e-8)
-            assert np.allclose(var, np.maximum(v2, 0.0), atol=1e-8)
+            grid = surface(model_chainset(k, [beta], hyper, mu_beta=0.4), train,
+                           margin_spec(train, 3, 2))
+            std = Standardizer.fit(train)
+            m2, v2 = dense_conditional(beta, 0.4, KernelConfig(*hyper), std.transform(train),
+                                       std.transform(grid_nodes(grid)))
+            assert np.allclose(grid.mean.ravel(), m2, atol=1e-8)
+            assert np.allclose(grid.sd.ravel() ** 2, np.maximum(v2, 0.0), atol=1e-8)
 
     def test_variance_bounds(self):
         rng = np.random.default_rng(33)
-        cfg = KernelConfig(1.5, 0.8, 0.6, 0.2)
-        train = rng.uniform(-1, 1, size=(6, 2))
-        beta = rng.normal(size=6)
-        stars = rng.uniform(-1.5, 1.5, size=(40, 2))
-        _, var = gp_conditional(beta, 0.0, cfg, train, stars)
+        hyper = [1.5, 0.8, 0.6, 0.2]
+        train = rng.uniform([20, 20], [60, 50], size=(6, 2))
+        chains = model_chainset(6, [rng.normal(size=6)], hyper, mu_beta=0.0)
+        var = surface(chains, train, margin_spec(train, 8, 5)).sd ** 2
         assert np.all(var >= 0.0)
-        assert np.all(var <= cfg.eta_sq + cfg.sigma_b_sq + 1e-12)
+        assert np.all(var <= hyper[0] + hyper[3] + 1e-12)
 
     def test_mean_affine_in_beta(self):
         """Conditioning on 2*beta - mu*1 mirrors the mean about reversion."""
         rng = np.random.default_rng(35)
-        cfg = KernelConfig(1.0, 1.0, 1.0, 0.5)
-        train = rng.uniform(-1, 1, size=(4, 2))
+        hyper = [1.0, 1.0, 1.0, 0.5]
+        train = rng.uniform([20, 20], [60, 50], size=(4, 2))
         beta = rng.normal(size=4)
         mu = 0.8
-        star = np.array([0.3, -0.4])
-        m1, _ = gp_conditional(beta, mu, cfg, train, star)
-        m2, _ = gp_conditional(2 * beta - mu, mu, cfg, train, star)
+        star = train.mean(axis=0)
+        m1, _ = node(model_chainset(4, [beta], hyper, mu_beta=mu), train, star)
+        m2, _ = node(model_chainset(4, [2 * beta - mu], hyper, mu_beta=mu), train, star)
         assert m2 - mu == pytest.approx(2 * (m1 - mu), rel=1e-10)
 
 
@@ -172,11 +171,10 @@ class TestPredictiveDraws:
         # same coordinates
         std = Standardizer.fit(train)
         x_train = std.transform(train)
-        x_star = std.transform(star[None])[0]
-        cond = [gp_conditional(b, 2.0, cfg, x_train, x_star) for b in beta_rows]
-        means = np.array([c[0] for c in cond])
-        vars_ = np.array([c[1] for c in cond])
-        expected = vars_.mean() + means.var()
+        x_star = std.transform(star[None])
+        # the conditional mean is linear in beta: one call conditions every draw
+        means, var = dense_conditional(beta_rows.T, 2.0, cfg, x_train, x_star)
+        expected = np.maximum(var[0], 0.0) + means[0].var()
         assert sd ** 2 == pytest.approx(expected, rel=1e-10)
 
     def test_interpolation_limit(self):
@@ -273,8 +271,16 @@ class TestSurface:
         with pytest.raises(ValidationError, match="non-finite"):
             surface(chains, train)
 
-
-HYPER_NAMES = ["eta_sq", "rho1", "rho2", "sigma_b_sq"]
+    @pytest.mark.parametrize("column", HYPERPARAMETERS)
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_hyperparameters_are_rejected(self, column, value):
+        """In-memory draws bypass the CSV reader's check; the conditional rejects them."""
+        rng = np.random.default_rng(54)
+        train = rng.uniform([20, 20], [60, 50], size=(5, 2))
+        chains = self.make_chains(rng, train, n_draws=20)
+        chains.draws[0, 7, chains.param_names.index(column)] = value
+        with pytest.raises(DomainError, match=f"^{column} must be strictly positive$"):
+            surface(chains, train)
 
 
 def mixed_chainsets(rng, k, n_draws=150, seed=5):
@@ -283,9 +289,9 @@ def mixed_chainsets(rng, k, n_draws=150, seed=5):
     force = force_chainset(
         np.column_stack([rng.normal(2.0, 0.5, size=(n_draws, k)),
                          rng.normal(2.0, 0.1, size=n_draws), hyper]),
-        [f"beta[{i + 1}]" for i in range(k)] + ["mu_beta"] + HYPER_NAMES, seed=seed)
+        [f"beta[{i + 1}]" for i in range(k)] + ["mu_beta", *HYPERPARAMETERS], seed=seed)
     life = force_chainset(np.column_stack([rng.normal(4.0, 0.1, size=n_draws), hyper]),
-                          ["mu_life"] + HYPER_NAMES, seed=seed)
+                          ["mu_life", *HYPERPARAMETERS], seed=seed)
     return force, life
 
 
@@ -296,7 +302,7 @@ def dense_moments(chains, train, nodes, y=None):
     idx = {n: i for i, n in enumerate(chains.param_names)}
     means, variances = [], []
     for row in chains.flat():
-        cfg = KernelConfig(*(row[idx[n]] for n in HYPER_NAMES))
+        cfg = KernelConfig(*(row[idx[n]] for n in HYPERPARAMETERS))
         if y is None:
             field = row[[idx[f"beta[{i + 1}]"] for i in range(len(train))]]
             mu = row[idx["mu_beta"]]
@@ -392,11 +398,13 @@ class TestClosedFormSurfaces:
                                rtol=1e-10, atol=0.0)
 
     def test_surface_is_mixture_of_gp_conditional(self, monkeypatch):
-        """At every node the surface equals the mixture of ``gp_conditional``
-        taken on the standardized inputs, also for draws whose factor needs an
-        escalated jitter. Those draws have eta_sq = 1 and a nugget of 1e-12
-        eta_sq; a small nugget alone never rounds a K = 6 kernel matrix
-        indefinite, so LAPACK is made to refuse their first jitter level."""
+        """At every node the surface equals the mixture of the dense-inverse
+        conditionals taken on the standardized inputs, also for draws whose
+        factor needs an escalated jitter. Those draws have eta_sq = 1 and a
+        nugget of 1e-12 eta_sq; a small nugget alone never rounds a K = 6 kernel
+        matrix indefinite, so LAPACK is made to refuse their first jitter level,
+        and the oracle puts the next level, 10 JITTER_START eta_sq, on their
+        diagonal."""
         use_workers(monkeypatch, 1)  # the refusals are counted in this process
         train, _, force, _ = self.inputs(69)
         idx = {n: i for i, n in enumerate(force.param_names)}
@@ -419,13 +427,16 @@ class TestClosedFormSurfaces:
         std = Standardizer.fit(train)
         x_train, x_nodes = std.transform(train), std.transform(grid_nodes(grid))
         means, variances = [], []
-        for row in force.flat():
-            cfg = KernelConfig(*(row[idx[n]] for n in HYPER_NAMES))
-            m, v = gp_conditional(row[[idx[f"beta[{i + 1}]"] for i in range(len(train))]],
-                                  row[idx["mu_beta"]], cfg, x_train, x_nodes)
+        for d, row in enumerate(force.flat()):
+            cfg = KernelConfig(*(row[idx[n]] for n in HYPERPARAMETERS))
+            cov = cov_matrix(x_train, cfg)
+            if d % 10 == 0:  # a refused draw
+                cov[np.diag_indices_from(cov)] = (cfg.eta_sq + cfg.sigma_b_sq
+                                                  + 10 * JITTER_START * cfg.eta_sq)
+            m, v = dense_conditional(row[[idx[f"beta[{i + 1}]"] for i in range(len(train))]],
+                                     row[idx["mu_beta"]], cfg, x_train, x_nodes, cov)
             means.append(m)
-            variances.append(v)
-        assert len(refused) == 2 * n_refused  # gp_conditional escalated the same draws
+            variances.append(np.maximum(v, 0.0))
         m, v = np.array(means), np.array(variances)
         assert np.allclose(grid.mean.ravel(), m.mean(axis=0), rtol=1e-12, atol=0.0)
         assert np.allclose(grid.sd.ravel(), np.sqrt(v.mean(axis=0) + m.var(axis=0)),

@@ -25,7 +25,7 @@ import yaml
 from . import io as tio
 from .design import DesignBounds, augmentation_plan
 from .diagnostics import PSRF_THRESHOLD, not_converged, summarize
-from .errors import SamplingError, ToolwearError, ValidationError
+from .errors import InsufficientDataError, SamplingError, ToolwearError, ValidationError
 from .segmentation import CHANNELS
 
 ENV_OUTPUT_DIR = "TOOLWEAR_OUTPUT_DIR"
@@ -161,7 +161,10 @@ def _cmd_diagnose(args) -> int:
     if not 1.0 <= args.threshold < math.inf:  # PSRF is at least 1; nan would pass every draw
         raise ValidationError(f"--threshold must be a finite number >= 1.0, got {args.threshold}")
     chains = tio.read_draws(args.draws)
-    summary = summarize(chains)
+    try:
+        summary = summarize(chains)
+    except InsufficientDataError as exc:  # too few chains or draws for a PSRF
+        raise InsufficientDataError(f"{args.draws}: {exc}") from exc
     if args.summary_out is not None:
         tio.write_summary_csv(args.summary_out, summary)
     header = f"{'parameter':<16}{'mean':>12}{'sd':>12}{'q2.5':>12}" \

@@ -5,15 +5,15 @@ Every CSV file is written by one table writer in ``csv``'s default dialect
 (shortest round-trip decimal): ``read(write(x)) == x`` exactly, and re-runs
 are byte-identical.
 
-Every table is read through one header check (a refusal names ``file:1``)
-and one row walker, the one place that refuses a row that does not parse.
-Traces, series, and draws with their per-chain sidecars parse their bodies
-with ``np.loadtxt``; only when that fails do they walk the rows with
-``float()``, which accepts a few more spellings (``1_000``, whitespace-only
-rows, quoted cells) and otherwise finds the row that fails. Controls and Taylor
-tables, whose life cells may be blank, walk their rows from the start.
-Inputs are UTF-8, a leading byte-order mark skipped. Blank rows are
-skipped, and every error about a row or a byte names it as ``file:line``.
+Every table is read through one header check and one row walker. Traces,
+series, and draws with their sidecars parse their bodies with ``np.loadtxt``;
+only when that fails do they walk the rows with ``float()``, which accepts a
+few more spellings (``1_000``, quoted cells, whitespace-only rows) or finds
+the row that fails. Controls and Taylor tables, whose life cells may be blank,
+walk their rows from the start. Inputs are UTF-8, a leading byte-order mark
+skipped; blank rows are skipped. Each refusal names ``file:line``: a bad byte
+in ``_open_text``, a bad header in ``_header``, an unparsable row in ``_rows``,
+and a value that breaks a rule in ``_check_rows`` or the controls or Taylor row loop.
 """
 
 from __future__ import annotations
@@ -173,11 +173,12 @@ def _read_numeric(path, ok, expected: str, usecols=None):
     return header, np.array(rows, dtype=float).reshape(-1, ncols)
 
 
-def _check_rows(path, ok, what: str) -> None:
-    """Refuse the first data row where ``ok`` is false, naming its file line."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: {what}")
+def _check_rows(path, *checks) -> None:
+    """Refuse the first data row failing one of ``checks``, (ok per row, message) pairs."""
+    bad = [(rows[0], j) for j, (ok, _) in enumerate(checks) if (rows := np.flatnonzero(~ok)).size]
+    if bad:
+        i, j = min(bad)  # the first row that fails, with the first message it fails
+        raise ValidationError(f"{path}:{_line_of(path, i)}: {checks[j][1]}")
 
 
 def load_series(path, record: ExperimentRecord | None = None):
@@ -186,10 +187,10 @@ def load_series(path, record: ExperimentRecord | None = None):
     Returns (L, forces); when ``record`` is given the series is attached to it.
     """
     _, values = _read_numeric(path, lambda h: _names(h) == ["L", *CHANNELS], "header L,Ft,Ff,Fp")
-    _check_rows(path, np.isfinite(values).all(axis=1), "L and forces must be finite")
+    _check_rows(path, (np.isfinite(values).all(axis=1), "L and forces must be finite"))
     length = np.ascontiguousarray(values[:, 0])
-    _check_rows(path, length > np.concatenate(([-np.inf], length[:-1])),
-                "L must be strictly increasing")
+    _check_rows(path, (length > np.concatenate(([-np.inf], length[:-1])),
+                       "L must be strictly increasing"))
     forces = {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS, start=1)}
     if record is not None:
         record.set_series(length, forces)
@@ -213,7 +214,7 @@ def load_trace(path):
     """Raw trace CSV (columns sample,Ft,Ff,Fp) -> forces dict; ``sample`` is not read."""
     _, values = _read_numeric(path, lambda h: _names(h) == ["sample", *CHANNELS],
                               "header sample,Ft,Ff,Fp", usecols=(1, 2, 3))
-    _check_rows(path, np.isfinite(values).all(axis=1), "forces must be finite")
+    _check_rows(path, (np.isfinite(values).all(axis=1), "forces must be finite"))
     return {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS)}
 
 
@@ -233,20 +234,23 @@ def write_changepoints(path, segmentations) -> None:
 
 
 def load_taylor(path):
-    """(v_c, tool life) rows, shape (n, 2), of a CSV with columns v_c and
-    life (or tool_life, when there is no life column). A row whose life cell
-    is blank is skipped, as the life GP skips a record without a tool life."""
+    """(v_c, tool life) rows, shape (n, 2), of a CSV with columns v_c and life (or
+    tool_life, when there is no life column), each finite and positive. A row whose
+    life cell is blank is skipped, as the life GP skips a record without a tool life."""
     names = _names(_header(path, lambda h: "v_c" in _names(h) and (
         "life" in _names(h) or "tool_life" in _names(h)), "columns v_c and life (or tool_life)"))
     v_col, life_col = names.index("v_c"), names.index("life" if "life" in names else "tool_life")
 
-    def parse(row):  # None where the life cell is blank
-        if life_col < len(row) and not row[life_col].strip():
-            return None
-        return [float(row[v_col]), float(row[life_col])]
+    def parse(row):  # no pair where the life cell is blank
+        blank = life_col < len(row) and not row[life_col].strip()
+        return [] if blank else [float(row[v_col]), float(row[life_col])]
 
-    rows = [pair for _, pair in _rows(path, parse) if pair is not None]
-    return np.array(rows, dtype=float).reshape(-1, 2)
+    values = []
+    for lineno, pair in _rows(path, parse):
+        if not all(0 < x < math.inf for x in pair):
+            raise ValidationError(f"{path}:{lineno}: v_c and life must be finite and positive")
+        values += pair
+    return np.array(values, dtype=float).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +272,14 @@ def read_draws_csv(path) -> ChainSet:
     first. A missing, repeated or reordered row, or a kernel hyperparameter
     that is not strictly positive, raises ValidationError naming its line, and
     a repeated parameter column one naming the column."""
-    header, values = _read_numeric(path, lambda h: h[:2] == ["chain", "iteration"],
+    header, values = _read_numeric(path, lambda h: _names(h[:2]) == ["chain", "iteration"],
                                    "draws header chain,iteration,...")
     if not values[:, 2:].size:
         raise ValidationError(f"{path}: no draws")
     index = values[:, :2]
-    ok = (np.isfinite(index) & (index >= 0) & (index == np.floor(index))).all(axis=1)
-    bad = np.flatnonzero(~(ok & np.isfinite(values[:, 2:]).all(axis=1)))
-    if bad.size:
-        what = ("parameter values must be finite" if ok[bad[0]]
-                else "chain and iteration must be non-negative integers")
-        raise ValidationError(f"{path}:{_line_of(path, bad[0])}: {what}")
+    _check_rows(path, ((np.isfinite(index) & (index >= 0) & (index == np.floor(index))).all(axis=1),
+                       "chain and iteration must be non-negative integers"),
+                (np.isfinite(values[:, 2:]).all(axis=1), "parameter values must be finite"))
     n_iter = int(np.argmax(index[:, 0] != index[0, 0])) or len(index)  # the first chain's rows
     row = np.arange(len(index))
     wrong = np.flatnonzero((index[:, 0] != row // n_iter) | (index[:, 1] != row % n_iter))
@@ -290,15 +291,12 @@ def read_draws_csv(path) -> ChainSet:
         raise ValidationError(f"{path}:{_line_of(path, len(index) - 1)}: chain "
                               f"{len(index) // n_iter} ends short of the first chain's "
                               f"{n_iter} iterations")
-    names = header[2:]
+    names = _names(header[2:])
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
         raise ValidationError(f"{path}: parameter column {repeated[0]!r} repeated")
-    hyper = [j for j, n in enumerate(names) if n in HYPERPARAMETERS]
-    bad = np.argwhere(values[:, 2:][:, hyper] <= 0)  # in row, then column order
-    if bad.size:
-        raise ValidationError(f"{path}:{_line_of(path, bad[0][0])}: "
-                              f"{names[hyper[bad[0][1]]]} must be strictly positive")
+    _check_rows(path, *((values[:, 2 + j] > 0, f"{n} must be strictly positive")
+                        for j, n in enumerate(names) if n in HYPERPARAMETERS))
     draws = np.ascontiguousarray(values[:, 2:]).reshape(-1, n_iter, len(names))
     return ChainSet(draws=draws, param_names=names, n_warmup=0, n_retained=n_iter, seed=0)
 
@@ -327,16 +325,14 @@ def read_draws(path) -> ChainSet:
     chain, step, accept, div = _read_numeric(side, lambda h: _names(h) == _CHAIN_STATS,
                                              f"header {','.join(_CHAIN_STATS)}")[1].T
     m, n, row = chains.n_chains, chains.n_retained, np.arange(len(chain))
-    checks = ((f"expected one row per chain of the draws, chains 0 to {m - 1} in order",
-               (chain == row) & (row < m)),
-              ("step_size must be finite and above 0", np.isfinite(step) & (step > 0)),
-              ("accept_stat must be between 0 and 1", (accept >= 0) & (accept <= 1)),
-              (f"divergences must be an integer from 0 to {n}",
-               (div >= 0) & (div <= n) & (div == np.floor(div))))
-    bad = np.argwhere(~np.column_stack([ok for _, ok in checks])).tolist()  # row, then column
-    i, j = bad[0] if bad else (len(row) - 1, 0)
-    if bad or len(row) < m:  # a wrong row, or too few
-        raise ValidationError(f"{side}:{_line_of(side, i) if i >= 0 else 1}: {checks[j][0]}")
+    order = f"expected one row per chain of the draws, chains 0 to {m - 1} in order"
+    _check_rows(side, ((chain == row) & (row < m), order),
+                (np.isfinite(step) & (step > 0), "step_size must be finite and above 0"),
+                ((accept >= 0) & (accept <= 1), "accept_stat must be between 0 and 1"),
+                ((div >= 0) & (div <= n) & (div == np.floor(div)),
+                 f"divergences must be an integer from 0 to {n}"))
+    if len(row) < m:  # too few rows: named at the last one, or the header if there is none
+        raise ValidationError(f"{side}:{_line_of(side, len(row) - 1) if len(row) else 1}: {order}")
     chains.step_sizes, chains.accept_stats, chains.divergences = step, accept, div.astype(int)
     return chains
 

@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import (HYPERPARAMETERS, DegenerateFitError, DomainError, ExtrapolationError,
                      InsufficientDataError, ValidationError)
-from .kernel import Standardizer, jittered_cholesky, unit_kernel
+from .kernel import Standardizer, control_sq_dists, jittered_cholesky, unit_kernel
 # ToolLifeModel is imported for the benchmark's trace of predict.ToolLifeModel.logp_grad
 from .model import ToolLifeModel, spread_hull  # noqa: F401
 from .sampler import ChainSet, fork_map
@@ -88,9 +88,9 @@ def _pool(a, b):
             var_a + var_b, min(low_a, low_b))
 
 
-def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
-    """Mean and sd, on the ``v_axis`` x ``f_axis`` grid, of the equal-weight
-    mixture of the GP conditionals of every retained draw.
+def _mixture(chains: ChainSet, train, grid_spec, y=None) -> SurfaceGrid:
+    """The grid of ``grid_spec`` over ``train`` (:func:`_grid`) with the mean
+    and sd of the equal-weight mixture of the GP conditionals of every retained draw.
 
     Force draws (``y`` omitted) condition their own ``beta[1..K]`` around
     ``mu_beta``; life draws condition the observed log life ``y`` around
@@ -107,6 +107,7 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
     pass :data:`_BLOCK_BYTES`; :func:`_pool` folds the blocks, then the chains,
     in order, and one warning reports the lowest variance clamped to 0.
     """
+    v_axis, f_axis = _grid(train, grid_spec)
     train = np.atleast_2d(np.asarray(train, dtype=float))
     k = len(train)
     field = [f"beta[{i + 1}]" for i in range(k)] if y is None else []
@@ -127,7 +128,7 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
     xv, xf = std.transform(train).T
     zv, zf = ((np.asarray(a, dtype=float) - m) / s
               for a, m, s in zip((v_axis, f_axis), std.mean, std.sd))
-    dv2, df2 = (xv[:, None] - xv) ** 2, (xf[:, None] - xf) ** 2  # (K, K) each
+    dv2, df2 = control_sq_dists(train)  # (K, K) each
     av2, af2 = (zv[:, None] - xv) ** 2, (xf[:, None] - zf) ** 2  # (nv, K), (K, nf)
     size = max(1, min(_BLOCK_DRAWS, _BLOCK_BYTES // (16 * len(zv) * len(zf))))
     means, variances = np.empty((2, size, len(zv), len(zf)))
@@ -155,7 +156,7 @@ def _mixture(chains: ChainSet, train, v_axis, f_axis, y=None):
     n, mean, m2, var_sum, low = reduce(_pool, fork_map(chain_summary, chains.n_chains))
     if low < -1e-10:
         warnings.warn(f"conditional variance fell to {low:.3e}; clamping to 0")
-    return mean, np.sqrt((var_sum + m2) / n)
+    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=np.sqrt((var_sum + m2) / n))
 
 
 def _grid(train, grid_spec):
@@ -191,9 +192,7 @@ def surface(chains: ChainSet, train: np.ndarray, grid_spec=None) -> SurfaceGrid:
     and training controls with no spread in v_c or f :class:`DegenerateFitError`.
     A spec (v, v, 2, f, f, 2) gives the moments at the single node (v, f).
     """
-    v_axis, f_axis = _grid(train, grid_spec)
-    mean, sd = _mixture(chains, train, v_axis, f_axis)
-    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd)
+    return _mixture(chains, train, grid_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +210,7 @@ def life_surface(
     and variance ``expm1(v) exp(2m + v)``; nodes report the closed-form
     moments of their mixture, with no sampling and no dependence on the seed.
     """
-    v_axis, f_axis = _grid(controls, grid_spec)
-    mean, sd = _mixture(chains, controls, v_axis, f_axis, np.log(np.asarray(life, dtype=float)))
-    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=sd)
+    return _mixture(chains, controls, grid_spec, np.log(np.asarray(life, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,13 @@ class TestDrawsIO:
             assert np.array_equal(getattr(back, stat), getattr(chains, stat)), stat
         assert back.divergences.dtype.kind == "i"
 
+    def test_header_cells_may_carry_spaces(self, tmp_path):
+        """The draws header is read as every other header is, each cell stripped."""
+        path = write(tmp_path / "d.csv", "chain, iteration , a,b \n0,0,1.5,2.5\n0,1,3.5,4.5\n")
+        back = tio.read_draws_csv(path)
+        assert back.param_names == ["a", "b"]
+        assert np.array_equal(back.draws, [[[1.5, 2.5], [3.5, 4.5]]])
+
     def test_fmt_roundtrips_floats(self):
         rng = np.random.default_rng(11)
         for x in rng.normal(scale=1e6, size=50):
@@ -696,6 +703,10 @@ class TestCli:
         ("v_c,life\n20,255\n\n58,ten\n", ":4: malformed row"),
         ("v_c,note,life\n20,a,255\n58,b\n", ":3: malformed row"),
         ("v_c,T\n20,255\n58,10\n", ":1: expected columns v_c and life (or tool_life)"),
+        # a v_c or life that is not finite and positive; a blank life's row (line 3) is skipped
+        *((text.format(x), what) for x in ("-5", "0", "inf", "nan") for text, what in (
+            ("v_c,life\n30,{}\n0,\n40,10\n", ":2: v_c and life must be finite and positive"),
+            ("v_c,life\n30,5\n0,\n{},10\n", ":4: v_c and life must be finite and positive"))),
     ])
     def test_taylor_bad_input_exits_1(self, tmp_path, capsys, text, what):
         path = write(tmp_path / "life.csv", text)
@@ -1011,6 +1022,47 @@ class TestExitCodes:
         assert main(argv) == 1
         assert f"{draws}:4: {column} must be strictly positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, n, what", [
+        (1, 5, "psrf needs at least 2 chains"),
+        (2, 2, "psrf needs at least 4 iterations per chain"),
+    ])
+    def test_diagnose_names_draws_too_short_for_psrf(self, tmp_path, capsys, m, n, what):
+        draws = tmp_path / "d.csv"
+        tio.write_draws_csv(draws, make_chainset(np.random.default_rng(4), m=m, n=n))
+        assert main(["diagnose", "--draws", str(draws)]) == 1
+        assert f"error: {draws}: {what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits, fault", [
+        ({(1, "eta_sq"): "0", (2, "mu_life"): "nan"}, ":4: parameter values must be finite"),
+        ({(1, "rho1"): "-1", (2, "eta_sq"): "0"}, ":3: rho1 must be strictly positive"),
+    ], ids=["non-positive-then-non-finite", "rho1-then-eta_sq"])
+    def test_draws_with_two_faults_report_the_pinned_one(self, tmp_path, edits, fault):
+        """The finite check runs over every row before the hyperparameter
+        checks; these run row by row, each row's columns in header order."""
+        names = ToolLifeModel.param_names
+        rows = [[str(c), str(i), "4.0", "1.0", "1.0", "1.0", "0.1"]
+                for c in range(2) for i in range(3)]
+        for (row, column), value in edits.items():
+            rows[row][names.index(column) + 2] = value
+        draws = write(tmp_path / "d.csv", "\n".join(
+            ["chain,iteration," + ",".join(names), *map(",".join, rows)]) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(draws)}{fault}$"):
+            tio.read_draws(draws)
+
+    def test_series_with_two_faults_reports_the_non_finite_row(self, tmp_path):
+        """Every row is checked for finite values before L is checked for order."""
+        path = write(tmp_path / "s.csv", "L,Ft,Ff,Fp\n1,5,3,2\n2,5,3,2\n1.5,5,3,2\n3,nan,3,2\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}:5: L and forces must"):
+            tio.load_series(path)
+
+    def test_sidecar_with_two_faults_reports_the_first_row(self, tmp_path):
+        draws = write(tmp_path / "d.csv", "chain,iteration,a\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n")
+        side = write(tio.chains_path(draws), "chain,step_size,accept_stat,divergences\n"
+                     "0,0,0.8,0\n1,0.5,0.8,9\n")
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(side)}:2: step_size must be finite and above 0$"):
+            tio.read_draws(draws)
+
     @pytest.mark.parametrize("rows, line, what", [
         (["chain,step,accept_stat,divergences", "0,0.5,0.8,0", "1,0.5,0.8,0"], 1,
          "expected header chain,step_size,accept_stat,divergences"),
@@ -1067,9 +1119,9 @@ class TestExitCodes:
          "id,v_c,f,tool_life\n1,20,20,200\n2,inf,35,60\n3,60,50,12\n",
          "{path}:3: settings must be finite and positive"),
         (["taylor", "--input"], "id,v_c,f,tool_life\n1,20,20,200\n2,inf,35,60\n3,60,50,12\n",
-         "cutting speed and tool life must be finite and strictly positive"),
+         "{path}:3: v_c and life must be finite and positive"),
         (["taylor", "--input"], "v_c,life\n20,255\n40,nan\n58,10\n",
-         "cutting speed and tool life must be finite and strictly positive"),
+         "{path}:3: v_c and life must be finite and positive"),
     ])
     def test_non_finite_controls_and_taylor_values_exit_1(self, tmp_path, capsys, monkeypatch,
                                                           argv, text, what):

@@ -139,8 +139,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     smp, seed = _section(args, "sampler"), tio.check_seed(args.seed)
-    from .pipeline import attach_series, fit_channel, fit_files, load_records
-    records = load_records(args.controls)
+    from .pipeline import attach_series, fit_channel, fit_files
+    records = tio.load_controls(args.controls)
     priors = tio.parse_priors(None if args.priors is None else tio.load_yaml(args.priors))
     if args.channel != "life":
         if args.series_dir is None:
@@ -188,8 +188,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_predict(args) -> int:
     chains = tio.read_draws(args.draws)
     grid_spec = _parse_grid(args.grid) if args.grid else None
-    from .pipeline import load_records, predict_channel
-    grid = predict_channel(chains, load_records(args.controls), args.channel, grid_spec)
+    from .pipeline import predict_channel
+    grid = predict_channel(chains, tio.load_controls(args.controls), args.channel, grid_spec)
     out = _out_path(args.output, f"surface_{args.channel}.csv")
     tio.write_surface_csv(out, grid)
     if args.matrix_out is not None:

@@ -76,7 +76,7 @@ def summarize(chains: ChainSet) -> FitSummary:
     return FitSummary(
         param_names=list(chains.param_names),
         mean=flat.mean(axis=0),
-        sd=flat.std(axis=0, ddof=1) if len(flat) > 1 else np.zeros(flat.shape[1]),
+        sd=flat.std(axis=0, ddof=1),
         q2_5=quantiles[0],
         median=quantiles[1],
         q97_5=quantiles[2],

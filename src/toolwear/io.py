@@ -103,7 +103,7 @@ def write_controls(path, records) -> None:
 
 
 def load_controls(path) -> list[ExperimentRecord]:
-    """Controls table: CSV with header id,v_c,f[,tool_life]."""
+    """Controls table: CSV with header id,v_c,f[,tool_life] and at least one experiment."""
     from .model import ExperimentRecord
     header = _header(path, lambda h: _names(h[:3]) == ["id", "v_c", "f"],
                      "header id,v_c,f[,tool_life]")
@@ -120,6 +120,8 @@ def load_controls(path) -> list[ExperimentRecord]:
             raise ValidationError(f"{path}:{lineno}: tool_life must be finite and positive")
         seen.add(rid)
         records.append(ExperimentRecord(id=rid, v_c=v_c, f=f, tool_life=life))
+    if not records:
+        raise ValidationError(f"{path}: controls table is empty")
     return records
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import io as tio
 from .diagnostics import not_converged, summarize
-from .errors import InsufficientDataError, ToolwearError, ValidationError
+from .errors import InsufficientDataError, ToolwearError
 from .model import ForceChannelModel, ToolLifeModel, controls_array, life_data
 from .predict import life_surface, surface
 from .sampler import fork_map, run_chains
@@ -56,14 +56,6 @@ def run_pipeline(config: tio.RunConfig) -> PipelineResult:
     return result
 
 
-def load_records(path):
-    """The experiments of a controls table, at least one."""
-    records = tio.load_controls(path)
-    if not records:
-        raise ValidationError("controls table is empty")
-    return records
-
-
 def attach_series(records, series_dir) -> None:
     """Attach each record's ``series_<id>.csv`` from ``series_dir``."""
     for rec in records:
@@ -72,10 +64,14 @@ def attach_series(records, series_dir) -> None:
 
 def segment_trace(path, seg: dict):
     """(contact-phase series, segmentation) of a raw trace file, segmented with
-    the settings of a ``segmentation`` section."""
-    trace = RawTrace(forces=tio.load_trace(path), length_per_sample=seg["length_per_sample"])
-    found = binary_segmentation(trace, penalty=seg["penalty"], min_seg_len=seg["min_seg_len"])
-    return extract_contact_phases(trace, found, seg["threshold"]), found
+    the settings of a ``segmentation`` section; a trace it cannot segment is named."""
+    forces = tio.load_trace(path)  # its refusals name file:line
+    try:
+        trace = RawTrace(forces=forces, length_per_sample=seg["length_per_sample"])
+        found = binary_segmentation(trace, penalty=seg["penalty"], min_seg_len=seg["min_seg_len"])
+        return extract_contact_phases(trace, found, seg["threshold"]), found
+    except ToolwearError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def fit_channel(records, channel: str, priors, smp: dict, seed: int):
@@ -107,7 +103,7 @@ def predict_channel(chains, records, channel: str, grid_spec):
 
 def _run_stages(config, result, stages_done):
     stages_done.append("load")
-    records = load_records(config.path("controls"))
+    records = tio.load_controls(config.path("controls"))
     if config.traces_dir is not None:
         stages_done.append("segment")
         seg_cfg, found = config.settings("segmentation"), []

@@ -194,7 +194,7 @@ def nuts_transition(position, logp_grad_fn, step_size, rng, inv_mass, max_tree_d
             break
 
     stats = {
-        "accept_prob": traj.sum_accept / max(traj.n_steps, 1),
+        "accept_prob": traj.sum_accept / traj.n_steps,
         "divergent": bool(traj.diverged),
         "depth": depth,
         "logp": traj.logp_prop,

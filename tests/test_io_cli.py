@@ -58,9 +58,10 @@ class TestControlsIO:
         assert records[0].tool_life == 255.0
         assert records[1].tool_life == 10.0
 
-    def test_header_only_is_empty(self, tmp_path):
+    def test_header_only_is_refused(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,v_c,f\n")
-        assert tio.load_controls(path) == []
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: controls table is empty")):
+            tio.load_controls(path)
 
     def test_life_column_optional(self, tmp_path):
         path = write(tmp_path / "c.csv", "id,v_c,f\n1,40,35\n")
@@ -714,6 +715,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{path}{what}" in err and "internal error" not in err
 
+    def test_taylor_refuses_equal_lives(self, tmp_path, capsys):
+        path = write(tmp_path / "life.csv", "v_c,life\n20,5\n40,5\n")
+        assert main(["taylor", "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert "all tool lives equal; Taylor fit is degenerate" in err
+        assert "internal error" not in err
+
     def test_taylor_needs_two_lives_after_blank_ones_are_skipped(self, tmp_path, capsys):
         one = write(tmp_path / "one.csv", "id,v_c,f,tool_life\n1,20,45,255\n2,40,30, \n")
         assert main(["taylor", "--input", one]) == 1
@@ -1189,6 +1197,10 @@ class TestExitCodes:
         ("segmentation={threshold: .inf}", "segmentation threshold must be a finite number"),
         ("segmentation={length_per_sample: 0}", "segmentation length_per_sample must be"),
         ("sampler={samples: 3}", "sampler samples must be an integer >= 4, got 3"),
+        ("foo", "--set expects key=value, got 'foo'"),
+        ("sampler=5", "sampler must be a mapping"),
+        ("traces_dir=/nonexistent/traces", "traces_dir not found: /nonexistent/traces"),
+        ("series_dir=null", "one of traces_dir or series_dir is required"),
     ])
     def test_run_overrides_are_validated(self, tmp_path, capsys, override, what):
         """``--set`` values are checked as the config file's are, before any stage runs."""
@@ -1217,6 +1229,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert what in err and "internal error" not in err
         assert not (tmp_path / "d.csv").exists()
+
+    def test_fit_force_channel_needs_series_dir(self, tmp_path, capsys):
+        controls = write(tmp_path / "controls.csv",
+                         "id,v_c,f,tool_life\n1,20,20,200\n2,40,35,60\n3,60,50,12\n")
+        assert main(["fit", "--controls", controls, "--channel", "Ft",
+                     "--draws-out", str(tmp_path / "d.csv"),
+                     "--summary-out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "--series-dir is required for force channels" in err
+        assert "internal error" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["controls.csv"]
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "run"])
+    def test_header_only_controls_exit_1_naming_the_file(self, tmp_path, capsys, command):
+        """The controls reader refuses a table with no experiment for every command
+        that reads one; ``run`` writes only its manifest, naming the failed stage."""
+        controls = write(tmp_path / "controls.csv", "id,v_c,f,tool_life\n")
+        if command == "fit":
+            argv = ["fit", "--controls", controls, "--channel", "life",
+                    "--draws-out", str(tmp_path / "d.csv"),
+                    "--summary-out", str(tmp_path / "s.csv")]
+        elif command == "predict":
+            draws = TestCli().mismatch_inputs(tmp_path)["life"]
+            argv = ["predict", "--draws", draws, "--controls", controls, "--channel", "life",
+                    "-o", str(tmp_path / "surface.csv")]
+        else:
+            argv = ["run", "--config", write(tmp_path / "run.yaml", "\n".join([
+                "seed: 3", "output_dir: out", "controls: controls.csv", "series_dir: .",
+                "channels: [Ft]"]))]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{controls}: controls table is empty" in err and "internal error" not in err
+        if command == "run":
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["failed_stage"] == f"load: {controls}: controls table is empty"
+            assert manifest["artifacts"] == {}
+            assert [p.name for p in (tmp_path / "out").iterdir()] == ["manifest.json"]
+            before.append(tmp_path / "out")
+        assert sorted(tmp_path.iterdir()) == sorted(before)
 
     def test_fit_negative_seed_exits_1(self, tmp_path, capsys):
         controls = write(tmp_path / "controls.csv",
@@ -1439,6 +1491,19 @@ class TestExitCodes:
             assert main(["segment", "--trace", trace]) == 1
         assert "trace needs at least 2 samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, what", [
+        (0, "trace needs at least 2 samples"),
+        (30, "trace of 30 samples is too short for min_seg_len=20"),
+    ])
+    def test_segment_names_a_trace_it_cannot_segment(self, tmp_path, capsys, n, what):
+        trace = write(tmp_path / "t.csv", "sample,Ft,Ff,Fp\n" + "".join(
+            f"{i},200,100,50\n" for i in range(n)))
+        series = tmp_path / "s.csv"
+        assert main(["segment", "--trace", trace, "--series-out", str(series)]) == 1
+        err = capsys.readouterr().err
+        assert f"{trace}: {what}" in err and "internal error" not in err
+        assert not series.exists()
+
 
 class TestParallelChains:
     """``fit`` and ``run`` write the same files whatever the worker count,
@@ -1530,6 +1595,27 @@ class TestParallelChains:
         assert what in capsys.readouterr().err
         manifest = json.loads((tmp_path / "raw_out" / "manifest.json").read_text())
         assert manifest["failed_stage"].startswith("segment: ")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fault", ["no contact", "short trace"])
+    def test_run_names_a_trace_it_cannot_segment(self, tmp_path, monkeypatch, capsys, fault,
+                                                workers):
+        cfg, raw = self.raw_run_config(tmp_path), tmp_path / "raw"
+        if fault == "no contact":  # trace_2 never rises above the 50 N contact threshold
+            path, what = raw / "trace_2.csv", "no segment mean exceeds contact threshold 50.0"
+            lines = path.read_text().splitlines()
+            body = [f"{i},1.0,0.5,0.25" for i in range(len(lines) - 1)]
+        else:  # the first trace keeps only its first 30 samples
+            path, what = raw / "trace_1.csv", "trace of 30 samples is too short for min_seg_len=20"
+            lines = path.read_text().splitlines()
+            body = lines[1:31]
+        path.write_text("\n".join([lines[0], *body]) + "\n")
+        monkeypatch.setattr(sampler, "_worker_count", lambda n_tasks: workers)
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {what}" in err and "internal error" not in err
+        manifest = json.loads((tmp_path / "raw_out" / "manifest.json").read_text())
+        assert manifest["failed_stage"] == f"segment: {path}: {what}"
 
     @staticmethod
     def python(code, *args):

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import stats
 from scipy.linalg import solve
 
 from gp_reference import cov_matrix
+from toolwear.errors import DomainError, InvalidDataError
 from toolwear.kernel import JITTER_START, KernelConfig, Standardizer, jittered_cholesky
 from toolwear.model import (
     LOG_2PI,
@@ -19,6 +21,7 @@ from toolwear.model import (
     ForceChannelModel,
     ModelParams,
     PriorConfig,
+    ToolLifeModel,
     controls_array,
     gp_level,
     half_cauchy_logpdf,
@@ -496,3 +499,56 @@ class TestExperimentRecord:
         with pytest.raises(InvalidDataError):
             ExperimentRecord(id=1, v_c=40.0, f=35.0, length=np.array([1.0, 1.0]),
                              forces={ch: np.array([5.0, 6.0]) for ch in ("Ft", "Ff", "Fp")})
+
+
+class TestOverflowGuards:
+    """A state past a model's overflow guard reads as -inf with a zero gradient,
+    and warns of nothing: the sampler counts it as a divergence."""
+
+    @staticmethod
+    def assert_guarded(model, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp, grad = model.logp_grad(u)
+        assert logp == -math.inf
+        assert grad.shape == (model.dim,) and np.array_equal(grad, np.zeros(model.dim))
+
+    @staticmethod
+    def life_model():
+        rng = np.random.default_rng(61)
+        return ToolLifeModel(rng.uniform([20, 20], [60, 50], size=(5, 2)),
+                             rng.uniform(10.0, 255.0, size=5))
+
+    @pytest.mark.parametrize("value", [301.0, -301.0])
+    @pytest.mark.parametrize("j", range(1, 5))
+    def test_life_model_log_hyperparameter_past_300(self, j, value):
+        u = np.array([4.0, 0.1, -0.2, 0.3, -0.4])
+        u[j] = value
+        self.assert_guarded(self.life_model(), u)
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_life_model_nan_coordinate(self, j):
+        u = np.array([4.0, 0.1, -0.2, 0.3, -0.4])
+        u[j] = math.nan
+        self.assert_guarded(self.life_model(), u)
+
+    def test_force_model_log_variance_past_300(self):
+        rng = np.random.default_rng(63)
+        records, _, _ = make_records(rng, k=4, sigma=2.0)
+        model = ForceChannelModel(records, channel="Ft")
+        u = model.unconstrain(make_params(rng, model.K))
+        u[2 * model.K] = 301.0
+        self.assert_guarded(model, u)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_life_model_refuses_non_positive_life(self, bad):
+        controls = np.array([[20.0, 20.0], [40.0, 35.0], [60.0, 50.0]])
+        with pytest.raises(DomainError, match="tool life must be strictly positive"):
+            ToolLifeModel(controls, np.array([200.0, bad, 12.0]))
+
+    def test_force_model_refuses_unknown_channel(self):
+        records, _, _ = make_records(np.random.default_rng(65), k=3)
+        with pytest.raises(InvalidDataError, match="unknown channel 'Fz'"):
+            ForceChannelModel(records, channel="Fz")

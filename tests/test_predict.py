@@ -719,6 +719,12 @@ class TestTaylor:
         assert taylor_life(fit, 20.0) == pytest.approx(255.0, rel=1e-9)
         assert taylor_life(fit, 58.0) == pytest.approx(10.0, rel=1e-9)
 
+    @pytest.mark.parametrize("v_c", [0.0, -20.0])
+    def test_taylor_life_refuses_non_positive_speed(self, v_c):
+        fit = fit_taylor([(20.0, 255.0), (58.0, 10.0)])
+        with pytest.raises(DomainError, match="cutting speed must be positive"):
+            taylor_life(fit, v_c)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             fit_taylor([(20.0, -5.0), (30.0, 10.0)])

@@ -1,10 +1,13 @@
 """Tests for leapfrog integration, NUTS transitions, and multi-chain runs."""
 
 import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gaussian_target import GaussianTarget
@@ -84,6 +87,33 @@ class TestLeapfrog:
                 for e in np.eye(4)
             ])
             assert abs(abs(np.linalg.det(jac)) - 1.0) < 1e-6
+
+
+class TestLogAddExp:
+    """``_logaddexp`` gives ``np.logaddexp``'s bits; a nan matches any nan."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        with np.errstate(invalid="ignore"):
+            want = np.float64(np.logaddexp(a, b))
+        got = np.float64(sampler._logaddexp(a, b))
+        assert (np.isnan(got) and np.isnan(want)) or got.tobytes() == want.tobytes(), (a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 0.0), (-3.5, -3.5), (1e300, 1e300), (-1e300, -1e300),
+        (math.inf, math.inf), (-math.inf, -math.inf), (math.inf, -math.inf),
+        (-math.inf, math.inf), (math.inf, 2.0), (2.0, -math.inf),
+        (0.0, -0.0), (-0.0, 0.0), (0.0, -1400.0), (-1400.0, 0.0),
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.nan, -math.inf),
+    ])
+    def test_fixed_cases(self, a, b):
+        self.assert_same_bits(a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(), st.floats())
+    def test_float_pairs(self, a, b):
+        self.assert_same_bits(a, b)
+        self.assert_same_bits(a, a)
 
 
 class TestMetric:

@@ -145,6 +145,13 @@ class TestBinarySegmentation:
         with pytest.raises(InsufficientDataError):
             binary_segmentation(trace, min_seg_len=20)
 
+    @pytest.mark.parametrize("kw, what", [({"min_seg_len": 1}, "min_seg_len must be >= 2"),
+                                          ({"penalty": -1.0}, "penalty must be >= 0")])
+    def test_refuses_bad_settings(self, kw, what):
+        trace = make_trace(step_signal([0.0, 10.0], [50, 50]))
+        with pytest.raises(InvalidDataError, match=what):
+            binary_segmentation(trace, **kw)
+
     def test_segments_partition_trace(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=500).cumsum()

@@ -36,7 +36,6 @@ for (lo, hi), mean, var in zip(seg.segments(), seg.segment_means, seg.segment_va
     kind = "contact" if mean > 50 else "air    "
     print(f"  [{lo:4d}, {hi:4d})  {kind}  mean {mean:7.1f} N  sd {np.sqrt(var):5.1f} N")
 
-series = extract_contact_phases(trace, seg, contact_threshold=50.0)
-print(f"\ncontact series: {len(series.length)} samples, "
-      f"{series.length[-1]:.2f} m of cut")
-print(f"Ft range {series.forces['Ft'].min():.0f}-{series.forces['Ft'].max():.0f} N")
+length, forces = extract_contact_phases(trace, seg, contact_threshold=50.0)
+print(f"\ncontact series: {len(length)} samples, {length[-1]:.2f} m of cut")
+print(f"Ft range {forces['Ft'].min():.0f}-{forces['Ft'].max():.0f} N")

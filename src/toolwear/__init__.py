@@ -28,8 +28,8 @@ _EXPORTS = {
     "predict": ("SurfaceGrid", "TaylorFit", "surface", "life_surface", "fit_taylor",
                 "taylor_life"),
     "sampler": ("ChainSet", "run_chains"),
-    "segmentation": ("RawTrace", "Segmentation", "ExperimentSeries", "binary_segmentation",
-                     "default_penalty", "extract_contact_phases"),
+    "segmentation": ("RawTrace", "Segmentation", "binary_segmentation", "default_penalty",
+                     "extract_contact_phases"),
     "simulate": ("GroundTruth", "simulate_dataset", "simulate_raw_trace"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -98,12 +98,12 @@ def _cmd_design(args) -> int:
 def _cmd_segment(args) -> int:
     seg_cfg = _section(args, "segmentation")
     from .pipeline import segment_trace
-    series, seg = segment_trace(args.trace, seg_cfg)
+    (length, forces), seg = segment_trace(args.trace, seg_cfg)
     series_out = _out_path(args.series_out, "series.csv")
-    tio.write_series(series_out, series.length, series.forces)
+    tio.write_series(series_out, length, forces)
     report_out = _out_path(args.report_out, "segments.csv")
     tio.write_segments(report_out, seg)
-    print(f"{len(seg.changepoints)} changepoints; kept {len(series.length)} of "
+    print(f"{len(seg.changepoints)} changepoints; kept {len(length)} of "
           f"{seg.n_samples} samples; wrote {series_out} and {report_out}")
     return EXIT_OK
 
@@ -210,8 +210,7 @@ def _cmd_taylor(args) -> int:
 
 def _cmd_run(args) -> int:
     config = tio.RunConfig.from_file(args.config)
-    overrides = {key: val for key, val in (("seed", args.seed), ("output_dir", args.output_dir))
-                 if val is not None}
+    overrides = {}
     for item in args.set or []:
         key, _, value = item.partition("=")
         if not value:
@@ -302,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline from a YAML config")
     p.add_argument("--config", required=True, help="run configuration file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--output-dir", help="override the config output directory")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key (repeatable; YAML-parsed value)")
     p.set_defaults(handler=_cmd_run)

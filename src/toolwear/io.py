@@ -184,7 +184,7 @@ def _check_rows(path, *checks) -> None:
 
 
 def load_series(path, record: ExperimentRecord | None = None):
-    """Per-experiment series: CSV with header L,Ft,Ff,Fp and strictly increasing L.
+    """Per-experiment series: CSV with header L,Ft,Ff,Fp, >= 2 rows and strictly increasing L.
 
     Returns (L, forces); when ``record`` is given the series is attached to it.
     """
@@ -193,6 +193,8 @@ def load_series(path, record: ExperimentRecord | None = None):
     length = np.ascontiguousarray(values[:, 0])
     _check_rows(path, (length > np.concatenate(([-np.inf], length[:-1])),
                        "L must be strictly increasing"))
+    if len(length) < 2:
+        raise ValidationError(f"{path}: need >= 2 measurements")
     forces = {ch: np.ascontiguousarray(values[:, j]) for j, ch in enumerate(CHANNELS, start=1)}
     if record is not None:
         record.set_series(length, forces)

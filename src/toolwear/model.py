@@ -168,6 +168,7 @@ def spread_hull(controls, consequence: str):
     return lo, hi
 
 
+@np.errstate(all="ignore")  # an overflow, or a spread of L that underflows, is refused below
 def channel_sums(records: list[ExperimentRecord], channel: str) -> np.ndarray:
     """Per-experiment sums of a channel's series about their means, shape
     (6, K): count, mean length, mean force, the length sum of squares, the
@@ -176,13 +177,14 @@ def channel_sums(records: list[ExperimentRecord], channel: str) -> np.ndarray:
     for rec in records:
         length, force = rec.length, rec.forces[channel]
         dl, df = length - length.mean(), force - force.mean()
-        s_ll = float(dl @ dl)
-        b_hat = float(df @ dl) / s_ll
+        s_ll = dl @ dl
+        b_hat = (df @ dl) / s_ll
         res = df - b_hat * dl
         sums.append((len(length), length.mean(), force.mean(), s_ll, b_hat, res @ res))
+        if not (s_ll > 0 and np.isfinite(sums[-1]).all()):
+            raise InvalidDataError(f"experiment {rec.id}: L or {channel} out of range: a sum of "
+                                   "squares about the means overflows, or L's is 0")
     sums = np.array(sums, dtype=float).reshape(-1, 6)
-    if not np.all(np.isfinite(sums)):
-        raise InvalidDataError("non-finite measurements")
     # contiguous rows: a strided view takes another BLAS path in `n @ t_s`,
     # so a pickled or copied model would differ in the last bits
     return np.ascontiguousarray(sums.T)

@@ -63,7 +63,7 @@ def attach_series(records, series_dir) -> None:
 
 
 def segment_trace(path, seg: dict):
-    """(contact-phase series, segmentation) of a raw trace file, segmented with
+    """((L, forces) of the contact phases, segmentation) of a raw trace file, segmented with
     the settings of a ``segmentation`` section; a trace it cannot segment is named."""
     forces = tio.load_trace(path)  # its refusals name file:line
     try:
@@ -112,9 +112,9 @@ def _run_stages(config, result, stages_done):
         segmented = fork_map(lambda i: segment_trace(paths[i], seg_cfg), len(records))
         for rec, (series, seg) in zip(records, segmented):
             path = result.output_dir / "series" / f"series_{rec.id}.csv"
-            tio.write_series(path, series.length, series.forces)
+            tio.write_series(path, *series)
             result.artifacts.append(path)
-            rec.set_series(series.length, series.forces)
+            rec.set_series(*series)
             found.append((rec.id, seg))
         _keep(result, [("changepoints.csv", tio.write_changepoints, found)])
     else:

@@ -105,7 +105,8 @@ def _mixture(chains: ChainSet, train, grid_spec, y=None) -> SurfaceGrid:
     variance of the component means. Each chain's task sums its draws in
     blocks of :data:`_BLOCK_DRAWS`, fewer where two (B, nv, nf) buffers would
     pass :data:`_BLOCK_BYTES`; :func:`_pool` folds the blocks, then the chains,
-    in order, and one warning reports the lowest variance clamped to 0.
+    in order, and one warning reports the lowest variance clamped to 0. A mean
+    or sd that is not finite raises :class:`DomainError`, not a numpy warning.
     """
     v_axis, f_axis = _grid(train, grid_spec)
     train = np.atleast_2d(np.asarray(train, dtype=float))
@@ -149,14 +150,19 @@ def _mixture(chains: ChainSet, train, grid_spec, y=None) -> SurfaceGrid:
         centre = mean.mean(axis=0)
         return len(rows), centre, ((mean - centre) ** 2).sum(axis=0), var.sum(axis=0), low
 
+    @np.errstate(all="ignore")  # in the worker; a surface that is not finite is refused below
     def chain_summary(c):
         return reduce(_pool, (block_summary(cols[c, i:i + size])
                               for i in range(0, cols.shape[1], size)))
 
-    n, mean, m2, var_sum, low = reduce(_pool, fork_map(chain_summary, chains.n_chains))
+    with np.errstate(all="ignore"):
+        n, mean, m2, var_sum, low = reduce(_pool, fork_map(chain_summary, chains.n_chains))
+        grid = SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=np.sqrt((var_sum + m2) / n))
+    if not np.isfinite([grid.mean, grid.sd]).all():
+        raise DomainError("surface mean or sd is not finite: the draws' moments overflow")
     if low < -1e-10:
         warnings.warn(f"conditional variance fell to {low:.3e}; clamping to 0")
-    return SurfaceGrid(v_axis=v_axis, f_axis=f_axis, mean=mean, sd=np.sqrt((var_sum + m2) / n))
+    return grid
 
 
 def _grid(train, grid_spec):

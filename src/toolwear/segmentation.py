@@ -133,25 +133,17 @@ def binary_segmentation(
     return seg
 
 
-@dataclass
-class ExperimentSeries:
-    """Concatenated in-contact samples with cumulative cutting length (m)."""
-
-    length: np.ndarray
-    forces: dict[str, np.ndarray]
-
-
 def extract_contact_phases(
     trace: RawTrace,
     seg: Segmentation,
     contact_threshold: float,
-) -> ExperimentSeries:
-    """Drop non-contact segments and concatenate the rest in time order.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(L, forces) of the in-contact samples in time order, as :func:`~toolwear.io.load_series`.
 
     A segment is in contact when its mean force on :data:`CONTACT_CHANNEL`
     (``seg.segment_means``) exceeds the threshold. Each retained sample
-    advances the cutting length by ``trace.length_per_sample``, so the
-    returned L is strictly increasing.
+    advances the cutting length L (m) by ``trace.length_per_sample``, so L
+    is strictly increasing.
     """
     if seg.n_samples != trace.n_samples:
         raise InvalidDataError("segmentation does not match trace length")
@@ -160,5 +152,5 @@ def extract_contact_phases(
     if not keep:
         raise EmptyContactError(f"no segment mean exceeds contact threshold {contact_threshold}")
     idx = np.concatenate([np.arange(lo, hi) for lo, hi in keep])
-    return ExperimentSeries(length=trace.length_per_sample * np.arange(1, len(idx) + 1),
-                            forces={k: v[idx] for k, v in trace.forces.items()})
+    return (trace.length_per_sample * np.arange(1, len(idx) + 1),
+            {k: v[idx] for k, v in trace.forces.items()})

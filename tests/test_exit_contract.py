@@ -8,7 +8,8 @@ reads it through ``cli.main`` in-process. Whatever the mutation:
 - the exit is 0, 1 or 2, never 3, and no internal error is printed;
 - a refusal raised by the file's ``io`` reader names the file, and is the
   error the command prints;
-- an exit-0 command prints and writes only finite numbers.
+- an exit-0 command prints and writes only finite numbers;
+- no numpy ``RuntimeWarning`` escapes (each is raised as an error).
 """
 
 import itertools
@@ -95,6 +96,7 @@ def mutate(data: bytes, mutation: str, sep: str, draw) -> bytes:
     return "".join(lines).encode()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning must not reach the user
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(sorted(KINDS)), st.sampled_from(MUTATIONS), st.data())

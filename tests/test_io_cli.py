@@ -596,6 +596,28 @@ class TestCli:
             "life": self.draws_file(tmp_path / "draws_life.csv", ToolLifeModel.param_names, rng),
         }
 
+    def test_matrix_out_layout_on_a_non_square_grid(self, tmp_path):
+        """``predict --matrix-out`` on a 3 x 5 grid, where swapped axes would show:
+        a row of 0 and the f axis, then each v_c value with its row of means, in
+        the long CSV's v-major order, each line ended by LF."""
+        files = self.mismatch_inputs(tmp_path)
+        x = np.array([(r.v_c, r.f) for r in tio.load_controls(files["controls6"])])
+        (v_lo, f_lo), (v_hi, f_hi) = map(tio.fmt, x.min(axis=0)), map(tio.fmt, x.max(axis=0))
+        surface, matrix = tmp_path / "surface.csv", tmp_path / "surface.mat"
+        assert main(["predict", "--draws", files["force"], "--controls", files["controls6"],
+                     "--channel", "Ft", "--grid", f"{v_lo}:{v_hi}:3,{f_lo}:{f_hi}:5",
+                     "-o", str(surface), "--matrix-out", str(matrix)]) == 0
+        text = matrix.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text
+        rows = np.array([line.split() for line in text.decode().splitlines()], dtype=float)
+        v, f, mean = np.loadtxt(surface, delimiter=",", skiprows=1, usecols=(0, 1, 2), unpack=True)
+        assert rows.shape == (4, 6) and rows[0, 0] == 0
+        assert np.array_equal(rows[0, 1:], np.linspace(float(f_lo), float(f_hi), 5))
+        assert np.array_equal(rows[1:, 0], np.linspace(float(v_lo), float(v_hi), 3))
+        assert np.array_equal(np.repeat(rows[1:, 0], 5), v) and np.array_equal(
+            np.tile(rows[0, 1:], 3), f)
+        assert np.array_equal(rows[1:, 1:].ravel(), mean)
+
     @pytest.mark.parametrize("draws, controls, channel, column", [
         ("life", "controls6", "Ft", "beta[1]"),
         ("force", "controls6", "life", "mu_life"),
@@ -904,8 +926,8 @@ class TestCli:
             "fit_tool_life: false",
             "sampler: {chains: 2, warmup: 250, samples: 150}",
         ]))
-        code = main(["run", "--config", cfg, "--seed", "9",
-                     "--output-dir", str(tmp_path / "out2")])
+        code = main(["run", "--config", cfg, "--set", "seed=9",
+                     "--set", f"output_dir={tmp_path / 'out2'}"])
         assert code in (0, 2)
         manifest = json.loads((tmp_path / "out2" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
@@ -1281,7 +1303,7 @@ class TestExitCodes:
 
     def test_run_negative_seed_option_exits_1(self, tmp_path, capsys):
         cfg = TestRunConfig().good_config(tmp_path)
-        assert main(["run", "--config", cfg, "--seed=-1"]) == 1
+        assert main(["run", "--config", cfg, "--set", "seed=-1"]) == 1
         err = capsys.readouterr().err
         assert "seed must be an integer >= 0, got -1" in err and "internal error" not in err
         assert not (tmp_path / "out").exists()
@@ -1354,6 +1376,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert what in err and "internal error" not in err
         assert not (tmp_path / "surface.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "run"])
+    @pytest.mark.parametrize("body", ["", "1,5,3,2\n"], ids=["header-only", "one-row"])
+    def test_short_series_exits_1_naming_the_file(self, tmp_path, capsys, command, body):
+        """The series reader refuses a table of fewer than 2 measurements itself,
+        so ``fit`` and ``run`` from ``series_dir`` name the file."""
+        cfg = TestRunConfig().good_config(tmp_path)
+        series = write(tmp_path / "data" / "series_1.csv", "L,Ft,Ff,Fp\n" + body)
+        argv = (["run", "--config", cfg] if command == "run" else
+                ["fit", "--controls", str(tmp_path / "data" / "controls.csv"), "--series-dir",
+                 str(tmp_path / "data"), "--draws-out", str(tmp_path / "d.csv")])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{series}: need >= 2 measurements" in err and "internal error" not in err
+        assert not (tmp_path / "d.csv").exists()
+        if command == "run":
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["failed_stage"] == f"load-series: {series}: need >= 2 measurements"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_fit_refuses_lengths_whose_sums_do_not_fit_a_float(self, tmp_path, capsys, scale):
+        """Lengths so small that their spread underflows to 0, or so large that
+        it overflows, are refused naming the experiment, not as a numpy warning
+        or a ZeroDivisionError."""
+        records, _ = simulate_dataset(6, 8, seed=2)
+        tio.write_controls(tmp_path / "controls.csv", records)
+        for rec in records:
+            tio.write_series(tmp_path / f"series_{rec.id}.csv", rec.length * scale, rec.forces)
+        assert main(["fit", "--controls", str(tmp_path / "controls.csv"), "--series-dir",
+                     str(tmp_path), "--channel", "Ft", "--chains", "2", "--warmup", "30",
+                     "--samples", "30", "--draws-out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: experiment 1: L or Ft out of range" in err and "internal error" not in err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_predict_life_refuses_a_surface_that_overflows(self, tmp_path, capsys, monkeypatch):
+        """Tool lives near the top of the float range fit, but their log-normal
+        moments overflow: ``predict`` refuses the surface, with no numpy warning
+        and no file written."""
+        monkeypatch.setattr(sampler, "_worker_count", lambda n_tasks: 1)  # warnings reach here
+        records, _ = simulate_dataset(6, 8, seed=2)
+        for rec in records:
+            rec.tool_life *= 1e300
+        controls, draws = tmp_path / "controls.csv", tmp_path / "d.csv"
+        tio.write_controls(controls, records)
+        assert main(["fit", "--controls", str(controls), "--channel", "life", "--chains", "2",
+                     "--warmup", "30", "--samples", "30", "--draws-out", str(draws),
+                     "--summary-out", str(tmp_path / "s.csv")]) in (0, 2)
+        surface = tmp_path / "surface.csv"
+        assert main(["predict", "--draws", str(draws), "--controls", str(controls),
+                     "--channel", "life", "-o", str(surface)]) == 1
+        err = capsys.readouterr().err
+        assert "error: surface mean or sd is not finite" in err and "internal error" not in err
+        assert not surface.exists()
 
     def test_fit_life_refuses_equal_lives(self, tmp_path, capsys, monkeypatch):
         """``fit --channel life`` refuses equal lives while building the life

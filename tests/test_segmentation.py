@@ -172,18 +172,18 @@ class TestExtractContactPhases:
         x = step_signal([200.0, 0.0, 210.0], [80, 60, 80])
         trace = make_trace(x)
         seg = binary_segmentation(trace, penalty=1.0)
-        series = extract_contact_phases(trace, seg, contact_threshold=50.0)
+        length, forces = extract_contact_phases(trace, seg, contact_threshold=50.0)
         expected = np.concatenate([x[:80], x[140:]])
-        assert np.array_equal(series.forces["Ft"], expected)
-        assert len(series.length) == 160
+        assert np.array_equal(forces["Ft"], expected)
+        assert len(length) == 160
 
     def test_all_contact_is_identity(self):
         x = np.full(120, 150.0)
         trace = make_trace(x)
         seg = binary_segmentation(trace, penalty=1.0)
-        series = extract_contact_phases(trace, seg, contact_threshold=50.0)
-        assert len(series.length) == len(x)
-        assert np.array_equal(series.forces["Ft"], x)
+        length, forces = extract_contact_phases(trace, seg, contact_threshold=50.0)
+        assert len(length) == len(x)
+        assert np.array_equal(forces["Ft"], x)
 
     def test_threshold_above_max_raises(self):
         trace = make_trace(np.full(100, 10.0))
@@ -195,9 +195,9 @@ class TestExtractContactPhases:
         x = step_signal([200.0, 0.0, 210.0], [80, 60, 80])
         trace = make_trace(x, length_per_sample=0.05)
         seg = binary_segmentation(trace, penalty=1.0)
-        series = extract_contact_phases(trace, seg, contact_threshold=50.0)
-        assert np.all(np.diff(series.length) > 0)
-        assert np.isclose(series.length[-1], 160 * 0.05)
+        length, forces = extract_contact_phases(trace, seg, contact_threshold=50.0)
+        assert np.all(np.diff(length) > 0)
+        assert np.isclose(length[-1], 160 * 0.05)
 
     def test_mismatched_segmentation_rejected(self):
         trace = make_trace(np.full(100, 150.0))
